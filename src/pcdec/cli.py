@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .harness import (
     ALGORITHMS,
-    CAPACITY_MODE,
+    REGISTRY,
     NotBracketedError,
     SimConfig,
     capacity_gap,
@@ -95,8 +95,6 @@ def load_config(paths: list[str], overrides: argparse.Namespace) -> dict:
 
     configs = {}
     for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {alg!r}")
         extra = {}
         if parser.has_section(alg):
             sect = parser[alg]
@@ -193,7 +191,7 @@ def cmd_optimize_w(args) -> int:
         ebno = grids[0][len(grids[0]) // 2]
     parser = configparser.ConfigParser()
     for alg, cfg in setup["configs"].items():
-        if alg not in ("ibdd-sr", "igmdd-sr"):
+        if not REGISTRY[alg].takes_w:
             continue
         sched = optimize_scaling(cfg, ebno)
         parser[alg] = {"w": ";".join(str(x) for x in sched.w)}
@@ -238,7 +236,9 @@ def cmd_report(args) -> int:
                                 for k, v in cfg.items()}).product_spec()
             rate = spec.rate
         else:
-            rate = 239 ** 2 / 256 ** 2
+            print("error: no run manifest next to the results; give the code "
+                  "rate with --rate", file=sys.stderr)
+            return 2
     target = args.target_ber
     print(f"target BER {target:g}, rate {rate:.4f}")
     print(f"{'algorithm':<12} {'Eb/N0 [dB]':>11} {'gain over ibdd [dB]':>20} "
@@ -253,7 +253,7 @@ def cmd_report(args) -> int:
             x = required_ebno(curves[alg], target)
             gain = "-" if alg == "ibdd" else (
                 f"{base - x:+.3f}" if base is not None else "n/a")
-            mode = CAPACITY_MODE[alg]
+            mode = REGISTRY[alg].capacity_mode
             gap = f"{capacity_gap(rate, x, mode):.3f} ({mode})"
             print(f"{alg:<12} {x:>11.3f} {gain:>20} {gap:>23}")
         except NotBracketedError:

@@ -18,6 +18,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -37,15 +38,6 @@ from .product import (
 )
 from .tpd import ChaseConfig, tpd_decode
 
-ALGORITHMS = ("none", "ibdd", "ad", "ibdd-sr", "ideal-ibdd", "igmdd-sr", "tpd")
-
-# algorithms whose decisions use channel reliabilities are benchmarked
-# against the soft-decision capacity, the rest against hard-decision
-CAPACITY_MODE = {
-    "none": "HD", "ibdd": "HD", "ad": "HD", "ideal-ibdd": "HD",
-    "ibdd-sr": "SD", "igmdd-sr": "SD", "tpd": "SD",
-}
-
 # scaling schedules produced by optimize_scaling (see README for the
 # anchor points and how to regenerate with `pcdec optimize-w`); keyed by
 # (algorithm, field degree m). Used when SimConfig.w is left unset.
@@ -58,6 +50,41 @@ DEFAULT_SCHEDULES: dict[tuple[str, int], tuple[float, ...]] = {
     ("igmdd-sr", 8): (7.507, 7.507, 7.507, 7.507, 7.507, 7.507, 7.507,
                       7.507, 7.507, 13.1372),
 }
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One row of the algorithm registry. ``capacity_mode`` is "SD" when the
+    decisions use channel reliabilities, else "HD"; ``takes_w`` marks the
+    algorithms that need a scaling schedule; ``decode(sim, llrs, sent)``
+    returns the hard decisions for one frame of the _FrameSimulator sim,
+    looking the decoder up among this module's names at call time."""
+
+    name: str
+    capacity_mode: str
+    takes_w: bool
+    decode: Callable
+
+
+# To add a decoder: write its half-step on product._iterate, then add a row.
+REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
+    Algorithm("none", "HD", False, lambda sim, soft, sent: hard_decide(soft)),
+    Algorithm("ibdd", "HD", False, lambda sim, soft, sent: ibdd(
+        sim.spec, hard_decide(soft), sim.cfg.iterations).array),
+    Algorithm("ad", "HD", False, lambda sim, soft, sent: anchor_decode(
+        sim.spec, hard_decide(soft), sim.cfg.iterations,
+        sim.cfg.anchor_threshold).array),
+    Algorithm("ibdd-sr", "SD", True, lambda sim, soft, sent: ibdd_sr(
+        sim.spec, soft, sim.w, sim.cfg.iterations).array),
+    Algorithm("ideal-ibdd", "HD", False, lambda sim, soft, sent: ideal_ibdd(
+        sim.spec, hard_decide(soft), sent, sim.cfg.iterations).array),
+    Algorithm("igmdd-sr", "SD", True, lambda sim, soft, sent: igmdd_sr(
+        sim.spec, soft, sim.w, sim.cfg.iterations).array),
+    Algorithm("tpd", "SD", False, lambda sim, soft, sent: tpd_decode(
+        sim.spec, soft, ChaseConfig.default(sim.cfg.iterations, sim.cfg.chase_p),
+        sim.cfg.iterations).array),
+)}
+ALGORITHMS = tuple(REGISTRY)
 
 
 class NotBracketedError(ValueError):
@@ -104,7 +131,7 @@ class SimConfig:
         return ProductCodeSpec(construct_ebch(field, self.code_t, self.extended))
 
     def resolve_w(self) -> tuple[float, ...] | None:
-        if self.algorithm not in ("ibdd-sr", "igmdd-sr"):
+        if not REGISTRY[self.algorithm].takes_w:
             return None
         if self.w is not None:
             return tuple(self.w)
@@ -145,10 +172,7 @@ class _FrameSimulator:
         self.spec = cfg.product_spec()
         self.params = ChannelParams.make(ebno_db, self.spec.rate)
         self.w = cfg.resolve_w()
-        if cfg.algorithm == "tpd":
-            self.chase = ChaseConfig.default(cfg.iterations, cfg.chase_p)
-        else:
-            self.chase = None
+        self.decode = REGISTRY[cfg.algorithm].decode
 
     def __call__(self, frame_index: int) -> int:
         """Bit errors after decoding one frame."""
@@ -161,23 +185,7 @@ class _FrameSimulator:
         else:
             sent = np.zeros((spec.n, spec.n), dtype=np.uint8)
         soft = llr(transmit(modulate(sent), self.params, rng), self.params)
-        alg = cfg.algorithm
-        if alg == "none":
-            out = hard_decide(soft)
-        elif alg == "ibdd":
-            out = ibdd(spec, hard_decide(soft), cfg.iterations).array
-        elif alg == "ad":
-            out = anchor_decode(spec, hard_decide(soft), cfg.iterations,
-                                cfg.anchor_threshold).array
-        elif alg == "ideal-ibdd":
-            out = ideal_ibdd(spec, hard_decide(soft), sent, cfg.iterations).array
-        elif alg == "ibdd-sr":
-            out = ibdd_sr(spec, soft, self.w, cfg.iterations).array
-        elif alg == "igmdd-sr":
-            out = igmdd_sr(spec, soft, self.w, cfg.iterations).array
-        else:  # tpd
-            out = tpd_decode(spec, soft, self.chase, cfg.iterations).array
-        return int((out != sent).sum())
+        return int((self.decode(self, soft, sent) != sent).sum())
 
 
 _POOL_SIM: _FrameSimulator | None = None
@@ -267,6 +275,8 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float, grid=None) -> "ScalingSched
     re-evaluating the Monte Carlo BER with a fixed seed and a fixed frame
     budget (cfg.opt_frames) so comparisons are paired.
     """
+    if not REGISTRY[cfg.algorithm].takes_w:
+        raise ValueError(f"{cfg.algorithm} takes no scaling schedule")
     grid = tuple(float(g) for g in (cfg.opt_grid if grid is None else grid))
     if not grid or any(g <= 0 for g in grid):
         raise ValueError("grid must be positive")

@@ -1,25 +1,29 @@
 """The n-by-n product code and its iterative decoders.
 
-All decoders share the schedule "rows then columns" within one iteration
-and terminate early once the working array is a product codeword. The
-five variants:
+Every decoder runs on one iteration loop, ``_iterate``. It owns the
+iteration count, the order "rows, then columns" within an iteration, the
+early stop once the decision array is a product codeword, the op counters
+and the ``DecoderResult``. A decoder supplies two functions: a half-step,
+which decodes all rows (even half-iterations) or all columns (odd ones)
+of its working state, and a decision, which maps that state to hard bits.
+``_lines`` presents an array so that the half-step's component words are
+its rows. The decoders differ only in the half-step:
 
-* ``ibdd``        -- plain iterative bounded distance decoding, hard
-                     messages, corrections applied in place.
-* ``anchor_decode`` -- iBDD plus per-component status: successfully
-                     decoded components become anchors, corrections that
-                     would overturn an anchor are blocked (and the
-                     proposer frozen for the iteration) until too many
-                     components conflict with the anchor, which is then
-                     backtracked.
-* ``ibdd_sr``     -- BDD decisions combined with the channel LLRs through
-                     psi = B(w * mu + L); the exchanged messages stay
-                     binary.
-* ``igmdd_sr``    -- GMD component decoding with soft messages
-                     mu = w * mubar + L exchanged between rows and
-                     columns.
-* ``ideal_ibdd``  -- iBDD with a genie that suppresses every
-                     miscorrection (reference curve).
+* ``ibdd``          -- BDD of every component, corrections applied in
+                       place (hard messages).
+* ``ideal_ibdd``    -- ``ibdd`` with a genie that turns every
+                       miscorrection into a failure (reference curve).
+* ``anchor_decode`` -- BDD plus per-component status, visited in index
+                       order: successfully decoded components become
+                       anchors; a correction that would overturn an
+                       anchor is blocked (and the proposer frozen for the
+                       iteration) until too many components conflict with
+                       the anchor, which is then backtracked.
+* ``ibdd_sr``       -- BDD decisions combined with the channel LLRs into
+                       the 1-bit message psi = B(w * mubar + L).
+* ``igmdd_sr``      -- GMD component decoding with the soft messages
+                       w * mubar + L.
+* ``tpd.tpd_decode`` -- the Chase-Pyndiah turbo baseline.
 
 Sign convention (see channel): bit b <-> (-1)^b, positive LLR supports
 bit 0, and B(0) inside the decoders resolves to the channel hard
@@ -119,49 +123,80 @@ def is_pc_codeword(spec: ProductCodeSpec, array: np.ndarray) -> bool:
                 and kern.codeword_mask(arr.T).all())
 
 
-def _new_counters() -> dict[str, int]:
-    return {"bdd_calls": 0, "erasure_calls": 0, "gd_evals": 0, "msg_updates": 0}
+def _frame(spec: ProductCodeSpec, array, name: str, bits: bool) -> np.ndarray:
+    """A decoder input checked to be n-by-n: a uint8 copy holding only 0/1
+    when ``bits``, else float64 LLRs."""
+    array = np.asarray(array)
+    if array.shape != (spec.n, spec.n):
+        raise ValueError(f"{name} must have shape ({spec.n}, {spec.n}), "
+                         f"got {array.shape}")
+    if not bits:
+        return np.asarray(array, dtype=np.float64)
+    if not ((array == 0) | (array == 1)).all():
+        raise ValueError(f"{name} must hold only the bits 0 and 1")
+    return array.astype(np.uint8)
+
+
+def _lines(array: np.ndarray, half: int) -> np.ndarray:
+    """The component words of half-iteration ``half`` as rows: the array
+    itself for a row pass (even half), its transpose for a column pass.
+    Both are views, so writing to them updates the array."""
+    return array if half % 2 == 0 else array.T
+
+
+def _both_passes(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only input as C-contiguous rows for each pass, indexed by
+    ``half % 2``: one copy per frame instead of strided reads per pass."""
+    return array, np.ascontiguousarray(array.T)
+
+
+def _iterate(spec: ProductCodeSpec, l_max: int, half_step, decide) -> DecoderResult:
+    """Run up to l_max iterations of ``half_step(half, ops)`` over the rows
+    (half = 2 * iteration - 2), then the columns (half + 1), stopping after
+    the first iteration whose ``decide()`` is a product codeword.
+    ``half_step`` updates the decoder's working state and adds its work to
+    the op counters ``ops``."""
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    ops = {"bdd_calls": 0, "erasure_calls": 0, "gd_evals": 0, "msg_updates": 0}
+    for it in range(1, l_max + 1):
+        half_step(2 * it - 2, ops)
+        half_step(2 * it - 1, ops)
+        hard = np.ascontiguousarray(decide(), dtype=np.uint8)
+        if is_pc_codeword(spec, hard):
+            return DecoderResult(hard, it, True, ops)
+    return DecoderResult(hard, l_max, False, ops)
+
+
+def _bdd_iteration(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
+                   decode) -> DecoderResult:
+    """Hard iteration: ``decode(words, half)`` returns (decoded words,
+    corrected mask) per row, and its words replace the component words."""
+    arr = _frame(spec, received, "received", bits=True)
+
+    def half_step(half, ops):
+        words = _lines(arr, half)
+        words[...] = decode(words, half)[0]
+        ops["bdd_calls"] += spec.n
+
+    return _iterate(spec, l_max, half_step, lambda: arr)
 
 
 def ibdd(spec: ProductCodeSpec, received: np.ndarray, l_max: int) -> DecoderResult:
     """Iterative BDD: decode all rows, apply in place, then all columns."""
     kern = kernel_for(spec.component)
-    arr = np.array(received, dtype=np.uint8, copy=True)
-    ops = _new_counters()
-    converged = False
-    used = 0
-    for it in range(1, l_max + 1):
-        arr, _ = kern.batch_bdd(arr)
-        out_t, _ = kern.batch_bdd(arr.T)
-        arr = np.ascontiguousarray(out_t.T)
-        ops["bdd_calls"] += 2 * spec.n
-        used = it
-        if is_pc_codeword(spec, arr):
-            converged = True
-            break
-    return DecoderResult(arr, used, converged, ops)
+    return _bdd_iteration(spec, received, l_max,
+                          lambda words, half: kern.batch_bdd(words))
 
 
 def ideal_ibdd(spec: ProductCodeSpec, received: np.ndarray,
                c_true: np.ndarray, l_max: int) -> DecoderResult:
     """iBDD with a genie suppressing all miscorrections."""
     kern = kernel_for(spec.component)
-    arr = np.array(received, dtype=np.uint8, copy=True)
-    true = np.ascontiguousarray(c_true, dtype=np.uint8)
-    true_t = np.ascontiguousarray(true.T)
-    ops = _new_counters()
-    converged = False
-    used = 0
-    for it in range(1, l_max + 1):
-        arr, _ = kern.batch_genie(arr, true)
-        out_t, _ = kern.batch_genie(np.ascontiguousarray(arr.T), true_t)
-        arr = np.ascontiguousarray(out_t.T)
-        ops["bdd_calls"] += 2 * spec.n
-        used = it
-        if is_pc_codeword(spec, arr):
-            converged = True
-            break
-    return DecoderResult(arr, used, converged, ops)
+    true = _both_passes(_frame(spec, c_true, "c_true", bits=True))
+    return _bdd_iteration(
+        spec, received, l_max,
+        lambda words, half: kern.batch_genie(words, true[half % 2]))
 
 
 def _binary_message(val: np.ndarray, channel_hard: np.ndarray) -> np.ndarray:
@@ -172,79 +207,61 @@ def _binary_message(val: np.ndarray, channel_hard: np.ndarray) -> np.ndarray:
 def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
                                weight: float,
                                channel_hard: np.ndarray) -> np.ndarray:
-    """The binary message B(w * mubar + L).
+    """The binary message B(w * mubar + L), with channel_hard = B(L).
 
-    mubar is +1/-1 for a decoded bit 0/1 and 0 on component failure, so a
-    failure falls back to the channel hard decision, a weight above |L|
-    passes the decoder bit through, and a reliable channel (|L| > w)
-    overturns a disagreeing decoder bit.
+    mubar is +1/-1 for a decoded bit 0/1 and 0 on component failure. The
+    decoded bit wins only where the component decoded and |L| < w; a
+    failure, a reliable channel and the tie |L| = w (where w * mubar + L
+    is 0) all give the channel hard decision.
     """
-    return _binary_message(weight * np.asarray(mubar, dtype=np.float64) + llrs,
-                           channel_hard)
+    mubar = np.asarray(mubar)
+    return np.where((mubar != 0) & (np.abs(llrs) < weight), mubar < 0,
+                    channel_hard).astype(np.uint8)
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
     """iBDD with scaled reliability: binary messages B(w*mu + L)."""
     sched = _as_schedule(w, l_max)
     kern = kernel_for(spec.component)
-    llrs = np.asarray(llrs, dtype=np.float64)
-    ch_hard = hard_decide(llrs)
-    msg = ch_hard.copy()
-    ops = _new_counters()
-    converged = False
-    used = 0
-    for it in range(1, l_max + 1):
-        wl = sched[it - 1]
-        out, ok = kern.batch_bdd(msg)
-        mubar = (1.0 - 2.0 * out) * ok[:, None]
-        msg = scaled_reliability_message(mubar, llrs, wl, ch_hard)
-        out_t, ok_t = kern.batch_bdd(msg.T)
-        mubar = ((1.0 - 2.0 * out_t) * ok_t[:, None]).T
-        msg = scaled_reliability_message(mubar, llrs, wl, ch_hard)
-        ops["bdd_calls"] += 2 * spec.n
-        ops["msg_updates"] += 2 * spec.n * spec.n
-        used = it
-        if is_pc_codeword(spec, msg):
-            converged = True
-            break
-    return DecoderResult(msg, used, converged, ops)
+    llrs = _frame(spec, llrs, "llrs", bits=False)
+    mag = _both_passes(np.abs(llrs))
+    ch_hard = _both_passes(hard_decide(llrs))
+    msg = ch_hard[0].copy()
+
+    def half_step(half, ops):
+        words = _lines(msg, half)
+        out, ok = kern.batch_bdd(words)
+        # scaled_reliability_message with mubar = ok * (1 - 2 * out)
+        trusted = ok[:, None] & (mag[half % 2] < sched[half // 2])
+        words[...] = np.where(trusted, out, ch_hard[half % 2])
+        ops["bdd_calls"] += spec.n
+        ops["msg_updates"] += spec.n * spec.n
+
+    return _iterate(spec, l_max, half_step, lambda: msg)
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
     """Iterative GMD with scaled reliability: soft messages w*mu + L."""
     sched = _as_schedule(w, l_max)
     comp = spec.component
-    llrs = np.asarray(llrs, dtype=np.float64)
-    ch_hard = hard_decide(llrs)
-    soft = llrs.copy()  # row inputs of iteration 1 are the channel LLRs
-    ops = _new_counters()
-    converged = False
-    used = 0
-    hard = ch_hard
-    for it in range(1, l_max + 1):
-        wl = sched[it - 1]
-        rows_in = _binary_message(soft, ch_hard)
-        out, ok, stats = batch_gmd(comp, rows_in, np.abs(soft))
+    llrs = _both_passes(_frame(spec, llrs, "llrs", bits=False))
+    ch_hard = _both_passes(hard_decide(llrs[0]))
+    soft = llrs[0].copy()  # row inputs of iteration 1 are the channel LLRs
+
+    def half_step(half, ops):
+        # batch_gmd sums reliabilities along rows, so it gets them
+        # C-contiguous: the summation order fixes the last bits
+        words = np.ascontiguousarray(_lines(soft, half))
+        out, ok, stats = batch_gmd(
+            comp, _binary_message(words, ch_hard[half % 2]), np.abs(words))
         mubar = (1.0 - 2.0 * out) * ok[:, None]
-        soft = wl * mubar + llrs
+        _lines(soft, half)[...] = sched[half // 2] * mubar + llrs[half % 2]
         ops["erasure_calls"] += stats["attempts"]
         ops["gd_evals"] += stats["gd_evals"]
+        ops["msg_updates"] += spec.n * spec.n
 
-        soft_t = np.ascontiguousarray(soft.T)
-        cols_in = _binary_message(soft_t, np.ascontiguousarray(ch_hard.T))
-        out_t, ok_t, stats = batch_gmd(comp, cols_in, np.abs(soft_t))
-        mubar = ((1.0 - 2.0 * out_t) * ok_t[:, None]).T
-        soft = wl * mubar + llrs
-        ops["erasure_calls"] += stats["attempts"]
-        ops["gd_evals"] += stats["gd_evals"]
-        ops["msg_updates"] += 2 * spec.n * spec.n
-
-        used = it
-        hard = _binary_message(soft, ch_hard)
-        if is_pc_codeword(spec, hard):
-            converged = True
-            break
-    return DecoderResult(hard, used, converged, ops)
+    return _iterate(spec, l_max, half_step,
+                    lambda: _binary_message(soft, ch_hard[0]))
 
 
 _NORMAL, _ANCHOR, _FROZEN = 0, 1, 2
@@ -252,13 +269,13 @@ _NORMAL, _ANCHOR, _FROZEN = 0, 1, 2
 
 class AnchorState:
     """Per-component bookkeeping for anchor decoding: status, conflict
-    lists, applied-correction logs, and freeze attribution."""
+    lists, applied-correction logs (positions along the component), and
+    freeze attribution. Components 0..n-1 are rows, n..2n-1 columns."""
 
     def __init__(self, n: int):
-        self.n = n
         self.status = np.zeros(2 * n, dtype=np.int8)
         self.conflicts: dict[int, set[int]] = {}
-        self.applied: dict[int, list[tuple[int, int]]] = {}
+        self.applied: dict[int, list[int]] = {}
         self.freeze_blockers: dict[int, set[int]] = {}
 
     def release(self, anchor: int) -> None:
@@ -299,89 +316,70 @@ def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
         raise ValueError("threshold must be >= 0")
     kern = kernel_for(spec.component)
     n = spec.n
-    arr = np.array(received, dtype=np.uint8, copy=True)
+    arr = _frame(spec, received, "received", bits=True)
     st = AnchorState(n)
-    ops = _new_counters()
-    converged = False
-    used = 0
 
-    def backtrack(anchor: int, dirty: set[int], row_pass: bool) -> None:
-        for (i, j) in st.applied.get(anchor, []):
-            arr[i, j] ^= 1
-            dirty.add(i if row_pass else j)
-        st.status[anchor] = _NORMAL
-        st.conflicts.pop(anchor, None)
-        st.applied.pop(anchor, None)
-        st.release(anchor)
+    def half_step(half, ops):
+        if half % 2 == 0:
+            st.new_iteration()
+        # components of this pass are ``own + row`` of ``lines``; the
+        # crossing component through position p is ``cross + p``
+        own, cross = (0, n) if half % 2 == 0 else (n, 0)
+        lines = _lines(arr, half)
+        words = np.ascontiguousarray(lines)
+        out, ok = kern.batch_bdd(words)
+        ops["bdd_calls"] += n
+        diff = out != words
+        dirty: set[int] = set()
 
-    def decode_one(idx: int, row_pass: bool):
-        word = arr[idx] if row_pass else arr[:, idx]
-        out, ok = kern.batch_bdd(word[None, :])
-        ops["bdd_calls"] += 1
-        return bool(ok[0]), np.flatnonzero(out[0] != word)
+        def decode_one(idx: int):
+            out1, ok1 = kern.batch_bdd(lines[idx][None, :])
+            ops["bdd_calls"] += 1
+            return bool(ok1[0]), np.flatnonzero(out1[0] != lines[idx]).tolist()
 
-    for it in range(1, l_max + 1):
-        st.new_iteration()
-        for row_pass in (True, False):
-            words = arr if row_pass else np.ascontiguousarray(arr.T)
-            out, ok = kern.batch_bdd(words)
-            ops["bdd_calls"] += n
-            diff = out != words
-            dirty: set[int] = set()
-            for idx in range(n):
-                comp = idx if row_pass else n + idx
-                if st.status[comp] == _FROZEN:
-                    continue
-                if idx in dirty:
-                    dirty.discard(idx)
-                    comp_ok, flip_pos = decode_one(idx, row_pass)
-                else:
-                    comp_ok, flip_pos = bool(ok[idx]), np.flatnonzero(diff[idx])
-                if not comp_ok:
+        def backtrack(anchor: int) -> None:
+            for p in st.applied.get(anchor, []):
+                lines[p, anchor - cross] ^= 1
+                dirty.add(p)
+            st.demote(anchor)
+
+        for idx in range(n):
+            comp = own + idx
+            if st.status[comp] == _FROZEN:
+                continue
+            if idx in dirty:
+                dirty.discard(idx)
+                comp_ok, flip_pos = decode_one(idx)
+            else:
+                comp_ok, flip_pos = bool(ok[idx]), np.flatnonzero(diff[idx]).tolist()
+            while comp_ok:
+                blockers = {cross + p for p in flip_pos
+                            if st.status[cross + p] == _ANCHOR}
+                if not blockers:
+                    for p in flip_pos:
+                        lines[idx, p] ^= 1
+                    if st.status[comp] != _ANCHOR:
+                        st.status[comp] = _ANCHOR
+                        st.applied[comp] = []
+                    st.applied[comp].extend(flip_pos)
+                    break
+                for a in sorted(blockers):
+                    st.conflicts.setdefault(a, set()).add(comp)
+                    if len(st.conflicts[a]) > threshold:
+                        backtrack(a)
+                survivors = {a for a in blockers if st.status[a] == _ANCHOR}
+                if survivors:
+                    # blocked: freeze the proposer for this iteration
                     if st.status[comp] == _ANCHOR:
                         st.demote(comp)
-                    continue
-                while True:
-                    if row_pass:
-                        flips = [(idx, int(j)) for j in flip_pos]
-                        blockers = {n + j for _, j in flips
-                                    if st.status[n + j] == _ANCHOR}
-                    else:
-                        flips = [(int(i), idx) for i in flip_pos]
-                        blockers = {i for i, _ in flips if st.status[i] == _ANCHOR}
-                    if not blockers:
-                        for (i, j) in flips:
-                            arr[i, j] ^= 1
-                        if st.status[comp] != _ANCHOR:
-                            st.status[comp] = _ANCHOR
-                            st.applied[comp] = []
-                        st.applied[comp].extend(flips)
-                        break
-                    backtracked = False
-                    for a in sorted(blockers):
-                        st.conflicts.setdefault(a, set()).add(comp)
-                        if len(st.conflicts[a]) > threshold:
-                            backtrack(a, dirty, row_pass)
-                            backtracked = True
-                    survivors = {a for a in blockers if st.status[a] == _ANCHOR}
-                    if survivors:
-                        # blocked: freeze the proposer for this iteration
-                        if st.status[comp] == _ANCHOR:
-                            st.demote(comp)
-                        st.status[comp] = _FROZEN
-                        st.freeze_blockers[comp] = survivors
-                        break
-                    assert backtracked
-                    # every blocker was backtracked; the undo may have
-                    # changed this component's word, so re-propose
-                    dirty.discard(idx)
-                    comp_ok, flip_pos = decode_one(idx, row_pass)
-                    if not comp_ok:
-                        if st.status[comp] == _ANCHOR:
-                            st.demote(comp)
-                        break
-        used = it
-        if is_pc_codeword(spec, arr):
-            converged = True
-            break
-    return DecoderResult(arr, used, converged, ops)
+                    st.status[comp] = _FROZEN
+                    st.freeze_blockers[comp] = survivors
+                    break
+                # every blocker was backtracked; the undo may have
+                # changed this component's word, so re-propose
+                dirty.discard(idx)
+                comp_ok, flip_pos = decode_one(idx)
+            if not comp_ok and st.status[comp] == _ANCHOR:
+                st.demote(comp)
+
+    return _iterate(spec, l_max, half_step, lambda: arr)

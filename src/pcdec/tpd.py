@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import ComponentCodeSpec
-from .channel import hard_decide
 from .kernels import kernel_for
-from .product import DecoderResult, ProductCodeSpec, _new_counters, is_pc_codeword
+from .product import DecoderResult, ProductCodeSpec, _frame, _iterate, _lines
 
 # classic damping/fallback schedules; repeated-last-value padding covers
 # longer runs
@@ -127,24 +126,15 @@ def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
     if (len(cfg.alpha_schedule) < 2 * l_max
             or len(cfg.beta_schedule) < 2 * l_max):
         raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
-    llrs = np.asarray(llrs, dtype=np.float64)
-    comp = spec.component
-    w_cols = np.zeros_like(llrs)
-    ops = _new_counters()
-    converged = False
-    used = 0
-    hard = hard_decide(llrs)
-    half = 0
-    for it in range(1, l_max + 1):
-        w_rows, _, _ = _chase_batch(comp, llrs + w_cols, cfg, half)
-        half += 1
-        w_cols_t, dec_t, _ = _chase_batch(comp, (llrs + w_rows).T, cfg, half)
-        half += 1
-        w_cols = w_cols_t.T
-        ops["bdd_calls"] += 2 * spec.n * (1 << cfg.p)
-        used = it
-        hard = dec_t.T.astype(np.uint8)
-        if is_pc_codeword(spec, hard):
-            converged = True
-            break
-    return DecoderResult(np.ascontiguousarray(hard), used, converged, ops)
+    llrs = _frame(spec, llrs, "llrs", bits=False)
+    extrinsic = np.zeros_like(llrs)  # from the last half-iteration
+    decision = np.zeros(llrs.shape, dtype=np.uint8)
+
+    def half_step(half, ops):
+        ext, dec, _ = _chase_batch(
+            spec.component, _lines(llrs, half) + _lines(extrinsic, half), cfg, half)
+        _lines(extrinsic, half)[...] = ext
+        _lines(decision, half)[...] = dec
+        ops["bdd_calls"] += spec.n << cfg.p
+
+    return _iterate(spec, l_max, half_step, lambda: decision)

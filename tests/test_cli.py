@@ -183,6 +183,16 @@ def test_report_requires_ibdd(tmp_path, capsys):
     assert main(["report", csv]) == 2
 
 
+def test_report_without_rate_or_manifest_exits(tmp_path, capsys):
+    rows = make_curve("ibdd", 4.5)
+    csv = write(tmp_path, "bare.csv",
+                "algorithm,ebno_db,iterations,frames,bit_errors,frame_errors,"
+                "ber,fer,seed,w\n" + "\n".join(rows) + "\n")
+    assert main(["report", csv, "--target-ber", "1e-5"]) == 2
+    assert "--rate" in capsys.readouterr().err
+    assert main(["report", csv, "--target-ber", "1e-5", "--rate", "0.8622"]) == 0
+
+
 def test_bad_config_exits_nonzero(tmp_path):
     cfg = write(tmp_path, "bad.ini", "[simulation]\nalgorithms = warp\nebno = 4\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2

@@ -156,6 +156,13 @@ def test_optimizer_output_monotone_and_deterministic():
     assert a.is_monotone()
 
 
+@pytest.mark.parametrize("algorithm", ["none", "ibdd", "ad", "ideal-ibdd", "tpd"])
+def test_optimizer_rejects_algorithms_without_schedule(algorithm):
+    # these ignore w, so every grid point would measure the same BER
+    with pytest.raises(ValueError, match="no scaling schedule"):
+        optimize_scaling(small_cfg(algorithm, opt_frames=8), 3.0)
+
+
 # ------------------------------------------------------------ gain math
 
 

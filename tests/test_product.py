@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import all_codewords
 from pcdec import bch
@@ -19,6 +23,7 @@ from pcdec.product import (
     pc_encode,
     scaled_reliability_message,
 )
+from pcdec.tpd import ChaseConfig, tpd_decode
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +255,32 @@ def test_ibdd_sr_message_mechanism():
     assert np.array_equal(psi, [[0, 1, 0, 1]])
 
 
+@st.composite
+def sr_message_inputs(draw):
+    """A weight, LLRs that include exact ties +-w and signed zeros, and
+    decoder messages mubar in {-1, 0, +1} (signed zero included)."""
+    w = draw(st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+    size = draw(st.integers(1, 24))
+    llr_values = st.one_of(st.floats(-1e6, 1e6),
+                           st.sampled_from([w, -w, 0.0, -0.0]))
+    L = draw(st.lists(llr_values, min_size=size, max_size=size))
+    mubar = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                          min_size=size, max_size=size))
+    return w, np.array([L]), np.array([mubar])
+
+
+@settings(deadline=None)
+@given(sr_message_inputs())
+def test_scaled_reliability_message_equals_float_formula(inputs):
+    w, L, mubar = inputs
+    ch = hard_decide(L)
+    val = w * mubar + L
+    want = np.where(val > 0, 0, np.where(val < 0, 1, ch))
+    got = scaled_reliability_message(mubar, L, w, ch)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
 def test_ibdd_sr_matches_scalar_reference(pc15):
     w = ScalingSchedule((0.6, 0.9, 1.4, 2.0))
     for seed in range(6):
@@ -373,7 +404,6 @@ def test_ideal_ibdd_beats_plain_on_miscorrection_frame(pc15):
 
 def test_decoder_result_contract_all_decoders(pc15):
     # n x n output, converged <=> product codeword, bit-identical reruns
-    from pcdec.tpd import ChaseConfig, tpd_decode
     _, L = noisy_frame(pc15, 2.0, 600)
     received = hard_decide(L)
     w = ScalingSchedule.constant(1.2, 3)
@@ -392,3 +422,32 @@ def test_decoder_result_contract_all_decoders(pc15):
         assert res.converged == is_pc_codeword(pc15, res.array)
         assert np.array_equal(res.array, again.array)
         assert res.iterations_used == again.iterations_used
+
+
+MALFORMED_INPUT_RUNS = {
+    "ibdd": lambda pc, x, c, l_max: ibdd(pc, x, l_max),
+    "ad": lambda pc, x, c, l_max: anchor_decode(pc, x, l_max),
+    "ideal-ibdd": lambda pc, x, c, l_max: ideal_ibdd(pc, x, c, l_max),
+    "ibdd-sr": lambda pc, x, c, l_max: ibdd_sr(pc, x, (1.0,) * l_max, l_max),
+    "igmdd-sr": lambda pc, x, c, l_max: igmdd_sr(pc, x, (1.0,) * l_max, l_max),
+    "tpd": lambda pc, x, c, l_max: tpd_decode(pc, x, ChaseConfig.default(2), l_max),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INPUT_RUNS))
+def test_decoders_reject_malformed_input(pc15, name):
+    run = MALFORMED_INPUT_RUNS[name]
+    zeros = np.zeros((15, 15), dtype=np.uint8)
+    for bad in (zeros[:, :14], zeros[:, :, None], zeros.ravel()):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+            run(pc15, bad, zeros, 2)
+    with pytest.raises(ValueError, match="l_max"):
+        run(pc15, zeros, zeros, 0)
+    if name in ("ibdd", "ad", "ideal-ibdd"):
+        # hard inputs must be bits; a uint8 cast would turn -3.7 into 253
+        with pytest.raises(ValueError, match="bits 0 and 1"):
+            run(pc15, np.full((15, 15), -3.7), zeros, 2)
+    if name == "ideal-ibdd":
+        with pytest.raises(ValueError, match=re.escape("(14, 15)")):
+            run(pc15, zeros, zeros[:14], 2)
+    assert run(pc15, zeros, zeros, 2).converged
