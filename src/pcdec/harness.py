@@ -55,32 +55,35 @@ DEFAULT_SCHEDULES: dict[tuple[str, int], tuple[float, ...]] = {
 @dataclass(frozen=True)
 class Algorithm:
     """One row of the algorithm registry. ``capacity_mode`` is "SD" when the
-    decisions use channel reliabilities, else "HD"; ``takes_w`` marks the
-    algorithms that need a scaling schedule; ``decode(sim, llrs, sent)``
-    returns the hard decisions for one frame of the _FrameSimulator sim,
-    looking the decoder up among this module's names at call time."""
+    decisions use channel reliabilities, else "HD"; ``fields`` names the
+    SimConfig fields only this algorithm reads, which its INI section takes
+    (``"w" in fields``: it needs a scaling schedule); ``decode(sim, llrs,
+    sent)`` returns the hard decisions for one frame of the _FrameSimulator
+    sim, looking the decoder up among this module's names at call time."""
 
     name: str
     capacity_mode: str
-    takes_w: bool
+    fields: tuple[str, ...]
     decode: Callable
 
 
+_SR_FIELDS = ("w", "opt_grid", "opt_frames")
+
 # To add a decoder: write its half-step on product._iterate, then add a row.
 REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
-    Algorithm("none", "HD", False, lambda sim, soft, sent: hard_decide(soft)),
-    Algorithm("ibdd", "HD", False, lambda sim, soft, sent: ibdd(
+    Algorithm("none", "HD", (), lambda sim, soft, sent: hard_decide(soft)),
+    Algorithm("ibdd", "HD", (), lambda sim, soft, sent: ibdd(
         sim.spec, hard_decide(soft), sim.cfg.iterations).array),
-    Algorithm("ad", "HD", False, lambda sim, soft, sent: anchor_decode(
+    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, soft, sent: anchor_decode(
         sim.spec, hard_decide(soft), sim.cfg.iterations,
         sim.cfg.anchor_threshold).array),
-    Algorithm("ibdd-sr", "SD", True, lambda sim, soft, sent: ibdd_sr(
+    Algorithm("ibdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: ibdd_sr(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
-    Algorithm("ideal-ibdd", "HD", False, lambda sim, soft, sent: ideal_ibdd(
+    Algorithm("ideal-ibdd", "HD", (), lambda sim, soft, sent: ideal_ibdd(
         sim.spec, hard_decide(soft), sent, sim.cfg.iterations).array),
-    Algorithm("igmdd-sr", "SD", True, lambda sim, soft, sent: igmdd_sr(
+    Algorithm("igmdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: igmdd_sr(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
-    Algorithm("tpd", "SD", False, lambda sim, soft, sent: tpd_decode(
+    Algorithm("tpd", "SD", ("chase_p",), lambda sim, soft, sent: tpd_decode(
         sim.spec, soft, ChaseConfig.default(sim.cfg.iterations, sim.cfg.chase_p),
         sim.cfg.iterations).array),
 )}
@@ -89,6 +92,11 @@ ALGORITHMS = tuple(REGISTRY)
 
 class NotBracketedError(ValueError):
     """A BER curve never crosses the requested target."""
+
+
+class CensoredCrossingError(NotBracketedError):
+    """A BER curve falls from above the target straight to zero observed
+    errors, so the crossing lies between two points but cannot be located."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,8 @@ class SimConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.w is not None and "w" not in REGISTRY[self.algorithm].fields:
+            raise ValueError(f"{self.algorithm} takes no scaling schedule w")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
         if self.transmission not in ("all-zero", "random"):
@@ -131,16 +141,14 @@ class SimConfig:
         return ProductCodeSpec(construct_ebch(field, self.code_t, self.extended))
 
     def resolve_w(self) -> tuple[float, ...] | None:
-        if not REGISTRY[self.algorithm].takes_w:
-            return None
         if self.w is not None:
             return tuple(self.w)
+        if "w" not in REGISTRY[self.algorithm].fields:
+            return None
         key = (self.algorithm, self.code_m)
         if key in DEFAULT_SCHEDULES:
             sched = DEFAULT_SCHEDULES[key]
-            if len(sched) >= self.iterations:
-                return sched[: self.iterations]
-            return sched + (sched[-1],) * (self.iterations - len(sched))
+            return (sched + (sched[-1],) * self.iterations)[: self.iterations]
         raise ValueError(
             f"no scaling schedule for {self.algorithm} (m={self.code_m}); "
             "set w or run the optimizer")
@@ -208,6 +216,7 @@ def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
     (the latter marks the record budget_exhausted).
     """
     start = time.perf_counter()
+    n2 = cfg.product_spec().n ** 2
     frames = bit_errors = frame_errors = 0
     pool = None
     try:
@@ -231,12 +240,12 @@ def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
             if progress is not None:
                 progress({"algorithm": cfg.algorithm, "ebno_db": ebno_db,
                           "frames": frames, "frame_errors": frame_errors,
-                          "bit_errors": bit_errors})
+                          "bit_errors": bit_errors,
+                          "ber": bit_errors / (frames * n2)})
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    n2 = cfg.product_spec().n ** 2
     return BerRecord(
         algorithm=cfg.algorithm,
         ebno_db=ebno_db,
@@ -265,7 +274,7 @@ def run_sweep(cfg: SimConfig, progress=None) -> list[BerRecord]:
     return records
 
 
-def optimize_scaling(cfg: SimConfig, ebno_db: float, grid=None) -> "ScalingSchedule":
+def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
     """Coordinate ascent over monotone non-decreasing scaling vectors.
 
     Grid values are relative to the channel LLR magnitude scale 2/sigma^2
@@ -275,13 +284,12 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float, grid=None) -> "ScalingSched
     re-evaluating the Monte Carlo BER with a fixed seed and a fixed frame
     budget (cfg.opt_frames) so comparisons are paired.
     """
-    if not REGISTRY[cfg.algorithm].takes_w:
+    if "w" not in REGISTRY[cfg.algorithm].fields:
         raise ValueError(f"{cfg.algorithm} takes no scaling schedule")
-    grid = tuple(float(g) for g in (cfg.opt_grid if grid is None else grid))
-    if not grid or any(g <= 0 for g in grid):
+    if not cfg.opt_grid or any(g <= 0 for g in cfg.opt_grid):
         raise ValueError("grid must be positive")
     scale = 2.0 / ChannelParams.make(ebno_db, cfg.product_spec().rate).sigma2
-    grid = tuple(sorted(round(g * scale, 4) for g in grid))
+    grid = tuple(sorted(round(float(g) * scale, 4) for g in cfg.opt_grid))
     l_max = cfg.iterations
     eval_cfg = dataclasses.replace(
         cfg, min_frame_errors=10 ** 9, max_frames=cfg.opt_frames)
@@ -322,16 +330,22 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float, grid=None) -> "ScalingSched
 
 def required_ebno(records: list[BerRecord], target_ber: float) -> float:
     """Eb/N0 where the curve crosses target_ber, interpolated linearly in
-    log10(BER); raises NotBracketedError when the curve never crosses."""
+    log10(BER). Raises CensoredCrossingError when the curve falls from at
+    or above the target straight to zero observed errors, and
+    NotBracketedError when it never crosses."""
     pts = sorted((r.ebno_db, r.ber) for r in records)
-    pts = [(x, b) for x, b in pts if b > 0]
+    measured = [(x, b) for x, b in pts if b > 0]
     log_t = np.log10(target_ber)
-    for (x1, b1), (x2, b2) in zip(pts, pts[1:]):
+    for (x1, b1), (x2, b2) in zip(measured, measured[1:]):
         l1, l2 = np.log10(b1), np.log10(b2)
         if l1 >= log_t >= l2:
             if l1 == l2:
                 return x1
             return x1 + (x2 - x1) * (l1 - log_t) / (l1 - l2)
+    for (x1, b1), (x2, b2) in zip(pts, pts[1:]):
+        if b1 >= target_ber and b2 == 0:
+            raise CensoredCrossingError(
+                f"BER {b1:g} at {x1:g} dB, no errors observed at {x2:g} dB")
     raise NotBracketedError(f"curve never crosses BER {target_ber:g}")
 
 

@@ -205,6 +205,7 @@ SMOKE_BUDGETS = {
 }
 
 
+@pytest.mark.slow
 def test_c5_waterfall_ordering_smoke():
     target = 1e-4
     x = {alg: measure_crossing(alg, 6, grid, fe, cap, target)

@@ -1,10 +1,15 @@
+import argparse
+import dataclasses
 import hashlib
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
-from pcdec.cli import main
+from pcdec.cli import load_config, main
+from pcdec.harness import ALGORITHMS, SimConfig
 
 MINI_SIM = """
 [simulation]
@@ -165,6 +170,8 @@ def test_report_not_bracketed_is_na(tmp_path, capsys):
     rows = make_curve("ibdd", 4.5) + [
         "tpd,3.0,10,1000,500000,1000,0.002,1.0,1,",
         "tpd,3.2,10,1000,400000,1000,0.0016,1.0,1,",
+        "ad,4.0,10,1000,500000,1000,0.002,1.0,1,",
+        "ad,4.2,10,1000,0,0,0.0,0.0,1,",
     ]
     csv = write(tmp_path, "na.csv",
                 "algorithm,ebno_db,iterations,frames,bit_errors,frame_errors,"
@@ -172,6 +179,9 @@ def test_report_not_bracketed_is_na(tmp_path, capsys):
     assert main(["report", csv, "--target-ber", "1e-5", "--rate", "0.8622"]) == 0
     out = capsys.readouterr().out
     assert any(line.startswith("tpd") and "n/a" in line
+               for line in out.splitlines())
+    # from above the target straight to zero errors: censored, not n/a
+    assert any(line.split()[:2] == ["ad", "censored"]
                for line in out.splitlines())
 
 
@@ -206,3 +216,75 @@ def test_strict_mode_flags_budget_exhaustion(tmp_path):
                  "--ebno", "15.0", "--strict"]) == 3
     assert main(["simulate", "--config", cfg, "--out", out,
                  "--ebno", "15.0"]) == 0
+
+
+@pytest.mark.parametrize("fault,key", [
+    (MINI_SIM + "[ibdd]\nw = 5;5\n", "'w'"),
+    (MINI_SIM + "[ibdd]\nthreshold = 9\n", "'threshold'"),
+    (MINI_SIM + "iteration = 7\n", "'iteration'"),
+    (MINI_SIM + "[ad]\niterations = 7\n", "'iterations'"),
+    (MINI_SIM + "[warp]\n", "[warp]"),
+    (MINI_SIM.replace("algorithms = ibdd", ""), "algorithms"),
+])
+def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
+    cfg = write(tmp_path, "bad.ini", fault)
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_unset_keys_take_simconfig_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("PCDEC_WORKERS", raising=False)
+    # uncoded frames at 0 dB all fail, so the default error target ends
+    # the run after two batches even on the default (256,239,6)^2 code
+    cfg = write(tmp_path, "min.ini", "[simulation]\nalgorithms = none\nebno = 0.0\n")
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    man = json.load(open(out + ".manifest.json"))
+    want = SimConfig("none", ebno_grid=(0.0,))
+    assert man["config"] == {
+        "none": json.loads(json.dumps(dataclasses.asdict(want)))}
+    assert man["rate"] == want.product_spec().rate
+
+
+def test_workers_precedence_flag_ini_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("PCDEC_WORKERS", "3")
+    bare = write(tmp_path, "bare.ini", MINI_SIM.replace("workers = 1\n", ""))
+    pinned = write(tmp_path, "pinned.ini", MINI_SIM)
+
+    def workers(path, flag=None):
+        setup = load_config([path], argparse.Namespace(workers=flag))
+        return setup["configs"]["ibdd"].workers
+
+    assert workers(bare) == 3
+    assert workers(pinned) == 1
+    assert workers(pinned, flag=2) == 2
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    example = re.search(r"```ini\n(.*?)```", open(readme).read(), re.S).group(1)
+    setup = load_config([write(tmp_path, "example.ini", example)],
+                        argparse.Namespace())
+    assert tuple(setup["configs"]) == ALGORITHMS[1:]
+    assert len(setup["configs"]["ibdd-sr"].w) == 10
+    assert setup["configs"]["tpd"].chase_p == 4
+
+
+def test_report_reads_rate_from_manifest(tmp_path, capsys):
+    cfg = write(tmp_path, "sim.ini", MINI_SIM)
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["report", out]) == 0
+    assert f"rate {(7 / 15) ** 2:.4f}" in capsys.readouterr().out
+
+
+def test_optimize_w_needs_an_ebno(tmp_path, capsys):
+    base = write(tmp_path, "sim.ini", MINI_SIM.replace(
+        "algorithms = ibdd", "algorithms = ibdd-sr"))
+    frag = str(tmp_path / "sched.ini")
+    assert main(["optimize-w", "--config", base, "--out", frag]) == 2
+    assert "--at" in capsys.readouterr().err
+    assert not os.path.exists(frag)

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from pcdec.channel import ChannelParams
 from pcdec.harness import (
     BerRecord,
+    CensoredCrossingError,
     NotBracketedError,
     SimConfig,
     biawgn_capacity,
@@ -51,6 +52,8 @@ def test_config_validation():
         small_cfg("ibdd", ebno_grid=(3.0, 2.0))
     with pytest.raises(ValueError):
         small_cfg("ibdd", transmission="sometimes")
+    with pytest.raises(ValueError, match="ibdd takes no scaling schedule"):
+        SimConfig("ibdd", w=(5.0,))
 
 
 def test_noiseless_point_is_error_free():
@@ -82,9 +85,9 @@ def test_record_formulas_and_determinism():
 
 
 def test_worker_count_invariance():
-    for alg in ("ibdd", "ibdd-sr"):
-        cfg1 = small_cfg(alg, workers=1, w=(1.0, 1.2, 1.4))
-        cfg2 = small_cfg(alg, workers=2, w=(1.0, 1.2, 1.4))
+    for alg, w in (("ibdd", None), ("ibdd-sr", (1.0, 1.2, 1.4))):
+        cfg1 = small_cfg(alg, workers=1, w=w)
+        cfg2 = small_cfg(alg, workers=2, w=w)
         a = run_ber_point(cfg1, 3.0)
         b = run_ber_point(cfg2, 3.0)
         assert strip_time(a) == strip_time(dataclasses.replace(b, seed=a.seed))
@@ -188,6 +191,23 @@ def test_coding_gain_not_bracketed():
     zero = [make_rec("a", 3.0, 0.0), make_rec("a", 3.5, 0.0)]
     with pytest.raises(NotBracketedError):
         required_ebno(zero, 1e-4)
+
+
+def test_required_ebno_censored_crossing():
+    # from above the target straight to zero observed errors: the crossing
+    # is bracketed but cannot be interpolated
+    drop = [make_rec("a", 3.0, 1e-2), make_rec("a", 3.2, 1e-3),
+            make_rec("a", 3.4, 0.0), make_rec("a", 3.6, 0.0)]
+    with pytest.raises(CensoredCrossingError, match="3.2 dB.*3.4 dB"):
+        required_ebno(drop, 1e-4)
+    assert issubclass(CensoredCrossingError, NotBracketedError)
+    # a curve already below the target before the zero point never crosses
+    with pytest.raises(NotBracketedError) as exc:
+        required_ebno(drop, 1e-1)
+    assert not isinstance(exc.value, CensoredCrossingError)
+    # a measured crossing wins over a zero point elsewhere on the curve
+    mixed = drop[:2] + [make_rec("a", 3.3, 0.0), make_rec("a", 3.4, 1e-5)]
+    assert required_ebno(mixed, 1e-4) == pytest.approx(3.3)
 
 
 # ------------------------------------------------------------ capacity
