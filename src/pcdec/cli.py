@@ -85,6 +85,26 @@ SECTION_KEYS["simulation"] = [
     k for k in KEYS if not any(k in keys for keys in SECTION_KEYS.values())]
 
 
+def _parse(key: str, text: str, name: str | None = None):
+    """``text`` parsed as the value of ``key``; a malformed value raises a
+    ValueError naming ``name`` (default: the key)."""
+    try:
+        return KEYS[key][1](text)
+    except ValueError as exc:
+        raise ValueError(f"{name or key}: {exc}") from None
+
+
+def _flag(key: str):
+    """The argparse type of the flag that overrides ``key``; argparse
+    prefixes its error with the flag."""
+    def parse(text: str):
+        try:
+            return KEYS[key][1](text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def load_config(paths: list[str], overrides: argparse.Namespace) -> dict:
     """Merge config files (later files win) and CLI overrides into the
     per-algorithm SimConfig set plus the run settings. Unset keys take the
@@ -104,12 +124,13 @@ def load_config(paths: list[str], overrides: argparse.Namespace) -> dict:
             if key not in allowed:
                 raise ValueError(f"key {key!r} is not allowed in [{name}], which "
                                  f"takes: {', '.join(allowed) or 'no keys'}")
-        sections[name] = {KEYS[k][0]: KEYS[k][1](v) for k, v in parser[name].items()}
+        sections[name] = {KEYS[k][0]: _parse(k, v) for k, v in parser[name].items()}
     shared = sections.pop("simulation", {})
     shared.update({KEYS[k][0]: getattr(overrides, k) for k in SECTION_KEYS["simulation"]
                    if getattr(overrides, k, None) is not None})
     if "workers" not in shared and "PCDEC_WORKERS" in os.environ:
-        shared["workers"] = int(os.environ["PCDEC_WORKERS"])
+        shared["workers"] = _parse("workers", os.environ["PCDEC_WORKERS"],
+                                   "PCDEC_WORKERS")
     algorithms, out, optimize_at = (
         shared.pop(k, None) for k in ("algorithms", "out", "optimize_at"))
     if not algorithms:
@@ -257,17 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--config", action="append", default=[],
                      help="INI config file; repeat to merge fragments")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--workers", type=int)
-    run.add_argument("--algorithms", type=KEYS["algorithms"][1])
-    run.add_argument("--ebno", type=_parse_tuple,
+    run.add_argument("--seed", type=_flag("seed"))
+    run.add_argument("--workers", type=_flag("workers"))
+    run.add_argument("--algorithms", type=_flag("algorithms"))
+    run.add_argument("--ebno", type=_flag("ebno"),
                      help="comma-separated Eb/N0 grid in dB")
     run.add_argument("--out", type=str)
 
     sim = sub.add_parser("simulate", parents=[run],
                          help="run BER sweeps and write a CSV")
-    sim.add_argument("--min-frame-errors", dest="min_frame_errors", type=int)
-    sim.add_argument("--max-frames", dest="max_frames", type=int)
+    sim.add_argument("--min-frame-errors", dest="min_frame_errors",
+                     type=_flag("min_frame_errors"))
+    sim.add_argument("--max-frames", dest="max_frames", type=_flag("max_frames"))
     sim.add_argument("--strict", action="store_true",
                      help="fail when the frame budget runs out")
     sim.set_defaults(func=cmd_simulate)

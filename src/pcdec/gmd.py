@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import ComponentCodeSpec, error_erasure_decode
-from .kernels import kernel_for
+from .kernels import kernel_for, least_reliable
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,8 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
 
     peak = reliabilities.max(axis=1, keepdims=True)
     alphas = np.where(peak > 0, reliabilities / np.where(peak > 0, peak, 1.0), 1.0)
-    order = np.argsort(reliabilities, axis=1, kind="stable")
-
     profile = sorted(erasure_profile(spec.d_min))
+    order = least_reliable(reliabilities, profile[-1])
     best_word = words.copy()
     best_metric = np.full(nrows, np.inf)
     any_ok = np.zeros(nrows, dtype=bool)

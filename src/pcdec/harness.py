@@ -2,8 +2,10 @@
 
 Frames are simulated in fixed-size batches of per-frame RNG streams keyed
 by (master_seed, frame_index), so results are bit-identical for any
-worker count. The stop rule (minimum frame errors or a frame cap) is
-evaluated at batch boundaries.
+worker count and batch size. The stop rule (minimum frame errors or a
+frame cap) is evaluated at batch boundaries. A batch is also the decode
+stack: its frames go through the decoder together (``product``'s
+``*_stack`` decoders), and a pool splits it into contiguous sub-ranges.
 
 Also here: coordinate-ascent optimization of the scaling schedules over
 monotone non-decreasing vectors, horizontal coding-gain measurement
@@ -13,8 +15,11 @@ reporting.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import glob
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,17 +31,23 @@ from scipy import integrate, optimize, special
 from .bch import construct_ebch
 from .channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
 from .gf import DEFAULT_PRIMITIVE_POLYS, build_field
-from .product import (
+# The per-frame decoders stay names of this module next to the stack ones
+# the registry calls: perfbench/tracing.py wraps them here.
+from .product import (  # noqa: F401
     ProductCodeSpec,
     ScalingSchedule,
     anchor_decode,
     ibdd,
     ibdd_sr,
+    ibdd_sr_stack,
+    ibdd_stack,
     ideal_ibdd,
+    ideal_ibdd_stack,
     igmdd_sr,
+    igmdd_sr_stack,
     pc_encode,
 )
-from .tpd import ChaseConfig, tpd_decode
+from .tpd import ChaseConfig, tpd_decode, tpd_stack  # noqa: F401
 
 # scaling schedules produced by optimize_scaling (see README for the
 # anchor points and how to regenerate with `pcdec optimize-w`); keyed by
@@ -58,8 +69,10 @@ class Algorithm:
     decisions use channel reliabilities, else "HD"; ``fields`` names the
     SimConfig fields only this algorithm reads, which its INI section takes
     (``"w" in fields``: it needs a scaling schedule); ``decode(sim, llrs,
-    sent)`` returns the hard decisions for one frame of the _FrameSimulator
-    sim, looking the decoder up among this module's names at call time."""
+    sent)`` returns the hard decisions for a (B, n, n) stack of frames of
+    the _FrameSimulator sim, looking the decoder up among this module's
+    names at call time. Anchor decoding is sequential by definition, so
+    its entry decodes the frames one by one."""
 
     name: str
     capacity_mode: str
@@ -72,18 +85,19 @@ _SR_FIELDS = ("w", "opt_grid", "opt_frames")
 # To add a decoder: write its half-step on product._iterate, then add a row.
 REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
     Algorithm("none", "HD", (), lambda sim, soft, sent: hard_decide(soft)),
-    Algorithm("ibdd", "HD", (), lambda sim, soft, sent: ibdd(
+    Algorithm("ibdd", "HD", (), lambda sim, soft, sent: ibdd_stack(
         sim.spec, hard_decide(soft), sim.cfg.iterations).array),
-    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, soft, sent: anchor_decode(
-        sim.spec, hard_decide(soft), sim.cfg.iterations,
-        sim.cfg.anchor_threshold).array),
-    Algorithm("ibdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: ibdd_sr(
+    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, soft, sent: np.stack([
+        anchor_decode(sim.spec, hard, sim.cfg.iterations,
+                      sim.cfg.anchor_threshold).array
+        for hard in hard_decide(soft)])),
+    Algorithm("ibdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: ibdd_sr_stack(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
-    Algorithm("ideal-ibdd", "HD", (), lambda sim, soft, sent: ideal_ibdd(
+    Algorithm("ideal-ibdd", "HD", (), lambda sim, soft, sent: ideal_ibdd_stack(
         sim.spec, hard_decide(soft), sent, sim.cfg.iterations).array),
-    Algorithm("igmdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: igmdd_sr(
+    Algorithm("igmdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: igmdd_sr_stack(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
-    Algorithm("tpd", "SD", ("chase_p",), lambda sim, soft, sent: tpd_decode(
+    Algorithm("tpd", "SD", ("chase_p",), lambda sim, soft, sent: tpd_stack(
         sim.spec, soft, ChaseConfig.default(sim.cfg.iterations, sim.cfg.chase_p),
         sim.cfg.iterations).array),
 )}
@@ -127,6 +141,12 @@ class SimConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.w is not None and "w" not in REGISTRY[self.algorithm].fields:
             raise ValueError(f"{self.algorithm} takes no scaling schedule w")
+        if self.code_m not in DEFAULT_PRIMITIVE_POLYS:
+            raise ValueError(f"code_m must be one of "
+                             f"{', '.join(map(str, DEFAULT_PRIMITIVE_POLYS))}, "
+                             f"got {self.code_m}")
+        if self.code_t < 1:
+            raise ValueError(f"code_t must be >= 1, got {self.code_t}")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
         if self.transmission not in ("all-zero", "random"):
@@ -173,7 +193,8 @@ class BerRecord:
 
 
 class _FrameSimulator:
-    """Callable simulating one frame end to end; built once per process."""
+    """Callable simulating a range of frames end to end; built once per
+    process."""
 
     def __init__(self, cfg: SimConfig, ebno_db: float):
         self.cfg = cfg
@@ -182,30 +203,52 @@ class _FrameSimulator:
         self.w = cfg.resolve_w()
         self.decode = REGISTRY[cfg.algorithm].decode
 
-    def __call__(self, frame_index: int) -> int:
-        """Bit errors after decoding one frame."""
+    def __call__(self, lo: int, hi: int) -> list[int]:
+        """Bit errors per frame after decoding frames lo..hi-1 as one
+        stack; each frame is drawn from its own RNG stream."""
         cfg = self.cfg
         spec = self.spec
-        rng = frame_rng(cfg.master_seed, frame_index)
-        if cfg.transmission == "random":
-            info = rng.integers(0, 2, (spec.k, spec.k)).astype(np.uint8)
-            sent = pc_encode(spec, info)
-        else:
-            sent = np.zeros((spec.n, spec.n), dtype=np.uint8)
-        soft = llr(transmit(modulate(sent), self.params, rng), self.params)
-        return int((self.decode(self, soft, sent) != sent).sum())
+        sent = np.zeros((hi - lo, spec.n, spec.n), dtype=np.uint8)
+        soft = np.empty(sent.shape)
+        for b, frame_index in enumerate(range(lo, hi)):
+            rng = frame_rng(cfg.master_seed, frame_index)
+            if cfg.transmission == "random":
+                info = rng.integers(0, 2, (spec.k, spec.k)).astype(np.uint8)
+                sent[b] = pc_encode(spec, info)
+            soft[b] = llr(transmit(modulate(sent[b]), self.params, rng), self.params)
+        hard = self.decode(self, soft, sent)
+        return [int(np.count_nonzero(h != s)) for h, s in zip(hard, sent)]
 
 
 _POOL_SIM: _FrameSimulator | None = None
 
 
+def _one_blas_thread() -> None:
+    """Limit the OpenBLAS bundled with numpy to one thread in this process.
+    A pool's workers already share the cores, and the syndrome GEMM of a
+    stack is large enough for OpenBLAS to start threads of its own, which
+    oversubscribes them (a pooled C5 smoke point ran 3x slower). Does
+    nothing when numpy uses another BLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "lib*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def _pool_init(cfg: SimConfig, ebno_db: float) -> None:
     global _POOL_SIM
+    _one_blas_thread()
     _POOL_SIM = _FrameSimulator(cfg, ebno_db)
 
 
-def _pool_frame(frame_index: int) -> int:
-    return _POOL_SIM(frame_index)
+def _pool_frames(lo: int, hi: int) -> list[int]:
+    return _POOL_SIM(lo, hi)
 
 
 def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
@@ -228,12 +271,13 @@ def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
             sim = _FrameSimulator(cfg, ebno_db)
         while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
             hi = min(frames + cfg.batch_frames, cfg.max_frames)
-            batch = range(frames, hi)
             if pool is not None:
-                chunk = max(1, len(batch) // (2 * cfg.workers))
-                errs = pool.map(_pool_frame, batch, chunksize=chunk)
+                # contiguous sub-ranges, two per worker, in frame order
+                cuts = np.linspace(frames, hi, 2 * cfg.workers + 1).astype(int).tolist()
+                parts = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+                errs = [e for part in pool.starmap(_pool_frames, parts) for e in part]
             else:
-                errs = [sim(i) for i in batch]
+                errs = sim(frames, hi)
             frames = hi
             bit_errors += sum(errs)
             frame_errors += sum(1 for e in errs if e)

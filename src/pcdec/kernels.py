@@ -5,7 +5,8 @@ syndromes come from one GF(2) matrix product (BLAS sgemm on 0/1 data),
 and for double-error-correcting codes the key equation is solved in
 closed form with quadratic-root lookup tables, so the per-word work is a
 handful of fancy-indexing operations. Codes with t != 2 fall back to the
-scalar decoder row by row.
+scalar decoder row by row. Encoding is one GF(2) product with the
+systematic generator matrix, built from ``bch.encode`` on first use.
 
 The batch results are bit-exact with ``bch.bdd`` on every input; the test
 suite pins this equivalence exhaustively for small codes.
@@ -14,6 +15,7 @@ suite pins this equivalence exhaustively for small codes.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +71,18 @@ class ComponentKernel:
             cube[1:] = field.antilog_table[(3 * field.log_table[nz]) % self.order]
             self._cube = cube
             self._qroot = _quad_root_table(field)
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        """k x n generator matrix: row i is bch.encode of unit message i."""
+        eye = np.eye(self.spec.k, dtype=np.uint8)
+        return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
+
+    def encode(self, messages: np.ndarray) -> np.ndarray:
+        """Systematic encoding of each row of a (rows, k) 0/1 matrix;
+        equal to bch.encode row by row."""
+        cw = messages.astype(np.float32) @ self._generator
+        return (cw.astype(np.int64) & 1).astype(np.uint8)
 
     def _syndrome_bits(self, words: np.ndarray) -> np.ndarray:
         sb = words.astype(np.float32) @ self._smat
@@ -154,6 +168,25 @@ class ComponentKernel:
             out[bad] = words[bad]
             ok &= ~bad
         return out, ok
+
+
+def least_reliable(values: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k smallest values in ascending order,
+    ties to the lowest index: np.argsort(values, axis=1, kind="stable")[:, :k]
+    without sorting whole rows. np.partition finds the k-th smallest value;
+    every smaller value is taken, and of the values equal to it the ones
+    with the lowest indices; a stable sort then orders the k picks."""
+    values = np.asarray(values)
+    if k >= values.shape[1]:
+        return np.argsort(values, axis=1, kind="stable")[:, :k]
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1, None]
+    below = values < kth
+    tie = values == kth
+    need = k - below.sum(axis=1, keepdims=True)
+    pick = below | (tie & (np.cumsum(tie, axis=1) <= need))
+    idx = np.nonzero(pick)[1].reshape(-1, k)  # ascending index within a row
+    order = np.argsort(np.take_along_axis(values, idx, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1)
 
 
 _KERNEL_CACHE: "weakref.WeakKeyDictionary[bch.ComponentCodeSpec, ComponentKernel]" = (

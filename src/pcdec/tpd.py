@@ -16,8 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import ComponentCodeSpec
-from .kernels import kernel_for
-from .product import DecoderResult, ProductCodeSpec, _frame, _iterate, _lines
+from .kernels import kernel_for, least_reliable
+from .product import (
+    DecoderResult,
+    ProductCodeSpec,
+    _both_passes,
+    _frame,
+    _iterate,
+    _one,
+    _pass_rows,
+    _put_rows,
+    _row_slices,
+    _rows,
+    _stack,
+)
 
 # classic damping/fallback schedules; repeated-last-value padding covers
 # longer runs
@@ -68,7 +80,7 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
 
     p = cfg.p
     npat = 1 << p
-    least = np.argsort(mag, axis=1, kind="stable")[:, :p]
+    least = least_reliable(mag, p)
     flip = ((np.arange(npat)[:, None] >> np.arange(p)[None, :]) & 1).astype(np.uint8)
     words = np.repeat(hard[:, None, :], npat, axis=1)
     for j in range(p):
@@ -79,7 +91,10 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
     cands = cands.reshape(nrows, npat, n)
     ok = ok.reshape(nrows, npat)
 
-    metric = np.where(cands != hard[:, None, :], mag[:, None, :], 0.0).sum(axis=2)
+    # one test pattern at a time, so float temporaries are (nrows, n)
+    metric = np.empty((nrows, npat))
+    for j in range(npat):
+        metric[:, j] = np.where(cands[:, j] != hard, mag, 0.0).sum(axis=1)
     metric[~ok] = np.inf
     any_ok = ok.any(axis=1)
 
@@ -89,8 +104,11 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
     m_best = metric[rows, didx]
     dsign = 1.0 - 2.0 * decision
 
-    differs = cands != decision[:, None, :]
-    comp_metric = np.where(differs, metric[:, :, None], np.inf).min(axis=1)
+    comp_metric = np.full((nrows, n), np.inf)
+    for j in range(npat):
+        np.minimum(comp_metric,
+                   np.where(cands[:, j] != decision, metric[:, j, None], np.inf),
+                   out=comp_metric)
     has_comp = np.isfinite(comp_metric)
 
     beta = cfg.beta(half_iter)
@@ -115,6 +133,32 @@ def chase_pyndiah_component(spec: ComponentCodeSpec, soft_in: np.ndarray,
     return _chase_batch(spec, soft_in[None, :], cfg, half_iter)[0][0]
 
 
+def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
+              l_max: int) -> DecoderResult:
+    """``tpd_decode`` on a (B, n, n) stack of LLR frames. The rows of the
+    stack are Chase-decoded in slices of at most
+    ``product.MAX_WORDS_PER_CALL`` test-pattern words."""
+    if (len(cfg.alpha_schedule) < 2 * l_max
+            or len(cfg.beta_schedule) < 2 * l_max):
+        raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
+    llrs = _stack(spec, llrs, "llrs", bits=False)
+    state = {**_both_passes("llr", llrs),
+             "ext": np.zeros_like(llrs),  # from the last half-iteration
+             "dec": np.zeros(llrs.shape, dtype=np.uint8)}
+
+    def half_step(s, half, ops):
+        soft = _pass_rows(s, "llr", half) + _rows(s["ext"], half)
+        ext = np.empty_like(soft)
+        dec = np.empty(soft.shape, dtype=np.uint8)
+        for sl in _row_slices(len(soft), 1 << cfg.p):
+            ext[sl], dec[sl], _ = _chase_batch(spec.component, soft[sl], cfg, half)
+        _put_rows(s["ext"], half, ext)
+        _put_rows(s["dec"], half, dec)
+        ops["bdd_calls"] += len(soft) << cfg.p
+
+    return _iterate(spec, l_max, state, half_step, lambda s: s["dec"])
+
+
 def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
                l_max: int) -> DecoderResult:
     """Pyndiah iteration: rows then columns, soft input L + extrinsic from
@@ -123,18 +167,4 @@ def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
     deciding instead on the sign of L plus both extrinsics leaves a
     measurable error floor from confidently wrong channel bits that both
     component decisions had already overruled."""
-    if (len(cfg.alpha_schedule) < 2 * l_max
-            or len(cfg.beta_schedule) < 2 * l_max):
-        raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
-    llrs = _frame(spec, llrs, "llrs", bits=False)
-    extrinsic = np.zeros_like(llrs)  # from the last half-iteration
-    decision = np.zeros(llrs.shape, dtype=np.uint8)
-
-    def half_step(half, ops):
-        ext, dec, _ = _chase_batch(
-            spec.component, _lines(llrs, half) + _lines(extrinsic, half), cfg, half)
-        _lines(extrinsic, half)[...] = ext
-        _lines(decision, half)[...] = dec
-        ops["bdd_calls"] += spec.n << cfg.p
-
-    return _iterate(spec, l_max, half_step, lambda: decision)
+    return _one(tpd_stack(spec, _frame(spec, llrs, "llrs"), cfg, l_max))

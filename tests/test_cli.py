@@ -234,6 +234,53 @@ def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("line,fault,message", [
+    ("code_m = 4", "code_m = 12", "code_m must be one of 2, 3, 4, 5, 6, 7, 8, 9, 10, got 12"),
+    ("code_t = 2", "code_t = 0", "code_t must be >= 1"),
+])
+def test_unsupported_code_exits_2(tmp_path, capsys, line, fault, message):
+    cfg = write(tmp_path, "bad.ini", MINI_SIM.replace(line, fault))
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("code_m", "x"), ("ebno", "3.0,abc"), ("extended", "maybe"),
+    ("seed", "1.5"), ("batch_frames", ""),
+])
+def test_malformed_ini_value_names_its_key(tmp_path, capsys, key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINI_SIM, flags=re.M)
+    if f"{key} = {value}" not in text:
+        text += f"{key} = {value}\n"
+    cfg = write(tmp_path, "bad.ini", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ebno", "3.0,x"), ("--seed", "q"), ("--workers", "two"),
+    ("--max-frames", "1e3"), ("--min-frame-errors", "-"),
+])
+def test_malformed_flag_value_names_the_flag(tmp_path, capsys, flag, value):
+    cfg = write(tmp_path, "sim.ini", MINI_SIM)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+              f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "_parse" not in err and "<lambda>" not in err
+
+
+def test_malformed_workers_environment_names_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PCDEC_WORKERS", "many")
+    cfg = write(tmp_path, "sim.ini", MINI_SIM.replace("workers = 1\n", ""))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "error: PCDEC_WORKERS: " in capsys.readouterr().err
+
+
 def test_unset_keys_take_simconfig_defaults(tmp_path, monkeypatch):
     monkeypatch.delenv("PCDEC_WORKERS", raising=False)
     # uncoded frames at 0 dB all fail, so the default error target ends

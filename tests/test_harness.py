@@ -1,9 +1,14 @@
+import ctypes
 import dataclasses
+import glob
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from pcdec import harness
 from pcdec.channel import ChannelParams
 from pcdec.harness import (
     BerRecord,
@@ -54,6 +59,10 @@ def test_config_validation():
         small_cfg("ibdd", transmission="sometimes")
     with pytest.raises(ValueError, match="ibdd takes no scaling schedule"):
         SimConfig("ibdd", w=(5.0,))
+    with pytest.raises(ValueError, match="code_m must be one of 2, 3, .*, 10, got 12"):
+        SimConfig("ibdd", code_m=12)
+    with pytest.raises(ValueError, match="code_t must be >= 1"):
+        SimConfig("ibdd", code_t=0)
 
 
 def test_noiseless_point_is_error_free():
@@ -91,6 +100,48 @@ def test_worker_count_invariance():
         a = run_ber_point(cfg1, 3.0)
         b = run_ber_point(cfg2, 3.0)
         assert strip_time(a) == strip_time(dataclasses.replace(b, seed=a.seed))
+
+
+@pytest.mark.parametrize("alg", ["none", "ibdd", "ad", "ibdd-sr", "ideal-ibdd",
+                                 "igmdd-sr", "tpd"])
+def test_batch_size_and_worker_invariance(alg):
+    # the frame cap ends every run, so the counts must not depend on how
+    # the frames are stacked or split across workers
+    w = (1.0, 1.2, 1.4) if alg in ("ibdd-sr", "igmdd-sr") else None
+    counts = set()
+    for batch_frames in (1, 7, 64):
+        for workers in (1, 2):
+            rec = run_ber_point(small_cfg(alg, w=w, transmission="random",
+                                          min_frame_errors=10 ** 9, max_frames=100,
+                                          batch_frames=batch_frames,
+                                          workers=workers), 2.0)
+            counts.add((rec.frames, rec.bit_errors, rec.frame_errors))
+    assert len(counts) == 1
+    frames, bit_errors, frame_errors = counts.pop()
+    assert frames == 100 and 0 < frame_errors <= bit_errors
+
+
+def blas_threads():
+    """Threads of the OpenBLAS bundled with numpy in this process, or None
+    when numpy uses another BLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "lib*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def test_pool_workers_run_one_blas_thread():
+    # workers share the cores; BLAS threads of their own oversubscribe them
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(1, initializer=harness._pool_init,
+                  initargs=(small_cfg("ibdd"), 3.0)) as pool:
+        assert pool.apply_async(blas_threads).get(timeout=60) in (None, 1)
 
 
 def test_random_codeword_transmission():

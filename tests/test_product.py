@@ -17,13 +17,17 @@ from pcdec.product import (
     anchor_decode,
     ibdd,
     ibdd_sr,
+    ibdd_sr_stack,
+    ibdd_stack,
     ideal_ibdd,
+    ideal_ibdd_stack,
     igmdd_sr,
+    igmdd_sr_stack,
     is_pc_codeword,
     pc_encode,
     scaled_reliability_message,
 )
-from pcdec.tpd import ChaseConfig, tpd_decode
+from pcdec.tpd import ChaseConfig, tpd_decode, tpd_stack
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +293,20 @@ def test_ibdd_sr_matches_scalar_reference(pc15):
         assert np.array_equal(res.array, ref_ibdd_sr(pc15, L, w.w, 4))
 
 
+def test_ibdd_sr_matches_scalar_reference_at_weight_ties(pc15):
+    # |L| exactly at, just below and just above each weight: the decoder
+    # keeps |L| as its rank among the weights, which must agree with the
+    # float formula B(w * mubar + L) on every side of every weight
+    w = (0.6, 0.9, 0.9, 1.4)
+    levels = np.array([0.0, 0.6, 0.9, 1.4, 3.0])
+    levels = np.concatenate([levels, np.nextafter(levels, -1), np.nextafter(levels, 9)])
+    rng = np.random.default_rng(59)
+    for _ in range(8):
+        L = rng.choice(levels, (15, 15)) * rng.choice([-1.0, 1.0], (15, 15))
+        res = ibdd_sr(pc15, L, w, l_max=4)
+        assert np.array_equal(res.array, ref_ibdd_sr(pc15, L, w, 4))
+
+
 def test_ibdd_sr_noiseless_converges(pc15):
     c = np.zeros((15, 15), dtype=np.uint8)
     L = np.full((15, 15), 8.0)
@@ -451,3 +469,109 @@ def test_decoders_reject_malformed_input(pc15, name):
         with pytest.raises(ValueError, match=re.escape("(14, 15)")):
             run(pc15, zeros, zeros[:14], 2)
     assert run(pc15, zeros, zeros, 2).converged
+
+
+# ---------------------------------------------------------------- stacks
+
+# id -> (stack decoder, per-frame decoder), both called as
+# (spec, llrs, sent codewords, l_max)
+STACK_DECODERS = {
+    "ibdd": (lambda pc, L, c, l_max: ibdd_stack(pc, hard_decide(L), l_max),
+             lambda pc, L, c, l_max: ibdd(pc, hard_decide(L), l_max)),
+    "ideal-ibdd": (
+        lambda pc, L, c, l_max: ideal_ibdd_stack(pc, hard_decide(L), c, l_max),
+        lambda pc, L, c, l_max: ideal_ibdd(pc, hard_decide(L), c, l_max)),
+    "ibdd-sr": (lambda pc, L, c, l_max: ibdd_sr_stack(pc, L, sr_weights(l_max), l_max),
+                lambda pc, L, c, l_max: ibdd_sr(pc, L, sr_weights(l_max), l_max)),
+    "igmdd-sr": (lambda pc, L, c, l_max: igmdd_sr_stack(pc, L, sr_weights(l_max), l_max),
+                 lambda pc, L, c, l_max: igmdd_sr(pc, L, sr_weights(l_max), l_max)),
+    "tpd": (lambda pc, L, c, l_max: tpd_stack(pc, L, ChaseConfig.default(l_max), l_max),
+            lambda pc, L, c, l_max: tpd_decode(pc, L, ChaseConfig.default(l_max), l_max)),
+}
+# (m, t) -> component code; t = 3 runs the kernel's scalar fallback
+STACK_CODES = {(4, 2): False, (4, 3): True, (6, 2): True, (6, 3): True}
+STACK_EBNO = (0.0, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 7.0, 12.0)
+
+
+def sr_weights(l_max):
+    return tuple(2.0 + i for i in range(l_max))
+
+
+def stack_spec(m, t):
+    return ProductCodeSpec(bch.construct_ebch(build_field(m), t, STACK_CODES[(m, t)]))
+
+
+def frame_stack(pc, ebnos, seed, random_codewords):
+    """LLRs and sent codewords, one frame per Eb/N0, each from its own
+    stream; frames at different Eb/N0 converge at different iterations."""
+    L, sent = [], []
+    for i, (ebno, rand) in enumerate(zip(ebnos, random_codewords)):
+        rng = frame_rng(seed, i)
+        c = (pc_encode(pc, rng.integers(0, 2, (pc.k, pc.k)).astype(np.uint8)) if rand
+             else np.zeros((pc.n, pc.n), dtype=np.uint8))
+        params = ChannelParams.make(ebno, pc.rate)
+        L.append(llr(transmit(modulate(c), params, rng), params))
+        sent.append(c)
+    return np.stack(L), np.stack(sent)
+
+
+def assert_stack_equals_frames(name, pc, L, sent, l_max):
+    stacked, single = STACK_DECODERS[name]
+    res = stacked(pc, L, sent, l_max)
+    frames = [single(pc, L[i], sent[i], l_max) for i in range(len(L))]
+    assert res.array.shape == L.shape and res.array.dtype == np.uint8
+    assert np.array_equal(res.array, np.stack([f.array for f in frames]))
+    assert res.iterations_used.tolist() == [f.iterations_used for f in frames]
+    assert res.converged.tolist() == [f.converged for f in frames]
+    assert res.op_counters == {k: sum(f.op_counters[k] for f in frames)
+                               for k in res.op_counters}
+    return res
+
+
+@st.composite
+def stack_cases(draw):
+    m, t = draw(st.sampled_from(sorted(STACK_CODES)))
+    slow = (m, t) == (6, 3)  # scalar fallback on 64-bit rows
+    frames = draw(st.integers(1, 3 if slow else 6))
+    l_max = draw(st.integers(1, 2 if slow else 6))
+    ebnos = draw(st.lists(st.sampled_from(STACK_EBNO), min_size=frames, max_size=frames))
+    rand = draw(st.lists(st.booleans(), min_size=frames, max_size=frames))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return m, t, ebnos, rand, seed, l_max
+
+
+@pytest.mark.parametrize("name", list(STACK_DECODERS))
+@settings(deadline=None, max_examples=12)
+@given(case=stack_cases())
+def test_stack_decoding_equals_per_frame(name, case):
+    m, t, ebnos, rand, seed, l_max = case
+    pc = stack_spec(m, t)
+    if name == "tpd" and (m, t) == (6, 3):
+        ebnos, rand = ebnos[:1], rand[:1]  # 16 scalar decodings per row
+    L, sent = frame_stack(pc, ebnos, seed, rand)
+    assert_stack_equals_frames(name, pc, L, sent, l_max)
+
+
+@pytest.mark.parametrize("name", list(STACK_DECODERS))
+def test_stack_frames_leave_at_their_own_iteration(name):
+    # a clean frame, frames in the waterfall and a hopeless one: the stack
+    # mixes iteration counts and converged with unconverged frames
+    pc = stack_spec(6, 2)
+    ebnos = {"ibdd": (12.0, 4.4, 4.2, 4.0, 3.8, 1.0),
+             "ideal-ibdd": (12.0, 4.0, 3.8, 3.6, 3.4, 1.0),
+             "ibdd-sr": (12.0, 4.0, 3.9, 3.7, 3.5, 1.0),
+             "igmdd-sr": (12.0, 3.6, 3.3, 3.1, 2.9, 0.0),
+             "tpd": (12.0, 3.2, 2.9, 2.7, 2.5, 0.0)}[name]
+    L, sent = frame_stack(pc, ebnos, 7, [i % 2 == 1 for i in range(len(ebnos))])
+    res = assert_stack_equals_frames(name, pc, L, sent, 10)
+    assert res.converged[0] and not res.converged[-1]
+    assert len(set(res.iterations_used[res.converged].tolist())) >= 2
+
+
+def test_stack_decoders_reject_malformed_stacks(pc15):
+    zeros = np.zeros((2, 15, 15), dtype=np.uint8)
+    for bad in (zeros[0], zeros[:0], zeros[:, :14]):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+            ibdd_stack(pc15, bad, 2)
+    with pytest.raises(ValueError, match="c_true holds 1 frames, received 2"):
+        ideal_ibdd_stack(pc15, zeros, zeros[:1], 2)
