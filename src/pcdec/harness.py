@@ -37,6 +37,7 @@ from .product import (  # noqa: F401
     ProductCodeSpec,
     ScalingSchedule,
     anchor_decode,
+    anchor_stack,
     ibdd,
     ibdd_sr,
     ibdd_sr_stack,
@@ -70,9 +71,8 @@ class Algorithm:
     SimConfig fields only this algorithm reads, which its INI section takes
     (``"w" in fields``: it needs a scaling schedule); ``decode(sim, llrs,
     sent)`` returns the hard decisions for a (B, n, n) stack of frames of
-    the _FrameSimulator sim, looking the decoder up among this module's
-    names at call time. Anchor decoding is sequential by definition, so
-    its entry decodes the frames one by one."""
+    the _FrameSimulator sim in one call (a decoder's ``*_stack`` form),
+    looking the decoder up among this module's names at call time."""
 
     name: str
     capacity_mode: str
@@ -87,10 +87,9 @@ REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
     Algorithm("none", "HD", (), lambda sim, soft, sent: hard_decide(soft)),
     Algorithm("ibdd", "HD", (), lambda sim, soft, sent: ibdd_stack(
         sim.spec, hard_decide(soft), sim.cfg.iterations).array),
-    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, soft, sent: np.stack([
-        anchor_decode(sim.spec, hard, sim.cfg.iterations,
-                      sim.cfg.anchor_threshold).array
-        for hard in hard_decide(soft)])),
+    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, soft, sent: anchor_stack(
+        sim.spec, hard_decide(soft), sim.cfg.iterations,
+        sim.cfg.anchor_threshold).array),
     Algorithm("ibdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: ibdd_sr_stack(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
     Algorithm("ideal-ibdd", "HD", (), lambda sim, soft, sent: ideal_ibdd_stack(
@@ -145,16 +144,15 @@ class SimConfig:
             raise ValueError(f"code_m must be one of "
                              f"{', '.join(map(str, DEFAULT_PRIMITIVE_POLYS))}, "
                              f"got {self.code_m}")
-        if self.code_t < 1:
-            raise ValueError(f"code_t must be >= 1, got {self.code_t}")
-        if self.min_frame_errors < 1:
-            raise ValueError("min_frame_errors must be >= 1")
+        for name, least in (("code_t", 1), ("iterations", 1), ("min_frame_errors", 1),
+                            ("max_frames", 1), ("batch_frames", 1), ("workers", 1),
+                            ("opt_frames", 1), ("chase_p", 1), ("anchor_threshold", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.transmission not in ("all-zero", "random"):
             raise ValueError("transmission must be 'all-zero' or 'random'")
         if any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):
             raise ValueError("ebno grid must be strictly increasing")
-        if self.batch_frames < 1 or self.iterations < 1:
-            raise ValueError("batch_frames and iterations must be >= 1")
 
     def product_spec(self) -> ProductCodeSpec:
         field = build_field(self.code_m, DEFAULT_PRIMITIVE_POLYS[self.code_m])

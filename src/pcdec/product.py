@@ -11,28 +11,28 @@ still iterating, in one kernel call on their rows stacked to
 (B * n, n), and a decision, which maps the state to hard bits. A frame
 that has converged leaves the state, so it stops at the same iteration
 as it would alone. ``_lines`` presents an array so that the half-step's
-component words are its rows, and ``_rows`` stacks them. The decoders
-differ only in the half-step:
+component words are its rows, and ``_rows`` stacks them.
 
-* ``ibdd``          -- BDD of every component, corrections applied in
-                       place (hard messages).
-* ``ideal_ibdd``    -- ``ibdd`` with a genie that turns every
-                       miscorrection into a failure (reference curve).
-* ``anchor_decode`` -- BDD plus per-component status, visited in index
-                       order: successfully decoded components become
-                       anchors; a correction that would overturn an
-                       anchor is blocked (and the proposer frozen for the
-                       iteration) until too many components conflict with
-                       the anchor, which is then backtracked. Sequential
-                       by definition, so it decodes one frame at a time.
-* ``ibdd_sr``       -- BDD decisions combined with the channel LLRs into
-                       the 1-bit message psi = B(w * mubar + L).
+Three half-steps serve the six decoders:
+
+* ``_bdd_stack``    -- BDD of every component; a message rule turns the
+                       result into the next hard message:
+  - ``ibdd``          applies it in place;
+  - ``ideal_ibdd``    does so with a genie that turns every
+                      miscorrection into a failure (reference curve);
+  - ``ibdd_sr``       keeps a decoded bit only where |L| < w, the 1-bit
+                      message psi = B(w * mubar + L);
+  - ``anchor_decode`` walks each frame's components in index order:
+                      decoded components become anchors; a correction
+                      that would overturn an anchor is blocked (the
+                      proposer frozen for the iteration) until too many
+                      components conflict with it, then it is backtracked.
 * ``igmdd_sr``      -- GMD component decoding with the soft messages
                        w * mubar + L.
 * ``tpd.tpd_decode`` -- the Chase-Pyndiah turbo baseline.
 
-Each decoder but ``anchor_decode`` has a ``*_stack`` form taking a
-(B, n, n) stack; the per-frame form is that decoder on a stack of one.
+Each decoder has a ``*_stack`` form taking a (B, n, n) stack; the
+per-frame form is that decoder on a stack of one.
 
 Sign convention (see channel): bit b <-> (-1)^b, positive LLR supports
 bit 0, and B(0) inside the decoders resolves to the channel hard
@@ -256,15 +256,16 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
 
 
 def _bdd_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
-               decode, **inputs) -> DecoderResult:
-    """Hard iteration over a stack: ``decode(words, state, half)`` returns
-    (decoded words, corrected mask) per row, and its words replace the
-    component words. ``inputs`` are extra state entries."""
+               rule, **inputs) -> DecoderResult:
+    """Hard messages from ``received`` on: ``rule(words, state, half, ops)``
+    BDD-decodes the component words (rows, which it may update in place),
+    returns the words that replace them and adds work beyond one BDD per
+    word to ``ops``. ``inputs`` are extra state entries."""
     state = {"arr": _stack(spec, received, "received", bits=True), **inputs}
 
     def half_step(s, half, ops):
         words = _rows(s["arr"], half)
-        _put_rows(s["arr"], half, decode(words, s, half)[0])
+        _put_rows(s["arr"], half, rule(words, s, half, ops))
         ops["bdd_calls"] += len(words)
 
     return _iterate(spec, l_max, state, half_step, lambda s: s["arr"])
@@ -275,7 +276,7 @@ def ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
     """``ibdd`` on a (B, n, n) stack of frames."""
     kern = kernel_for(spec.component)
     return _bdd_stack(spec, received, l_max,
-                      lambda words, s, half: kern.batch_bdd(words))
+                      lambda words, s, half, ops: kern.batch_bdd(words)[0])
 
 
 def ibdd(spec: ProductCodeSpec, received: np.ndarray, l_max: int) -> DecoderResult:
@@ -292,7 +293,8 @@ def ideal_ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
         raise ValueError(f"c_true holds {len(true)} frames, received {len(received)}")
     return _bdd_stack(
         spec, received, l_max,
-        lambda words, s, half: kern.batch_genie(words, _pass_rows(s, "true", half)),
+        lambda words, s, half, ops:
+            kern.batch_genie(words, _pass_rows(s, "true", half))[0],
         **_both_passes("true", true))
 
 
@@ -337,20 +339,17 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
     rank = np.zeros(mag.shape, dtype=np.min_scalar_type(len(weights)))
     for weight in weights:
         rank += mag >= weight
-    state = {"msg": ch_hard.copy(), **_both_passes("rank", rank),
-             **_both_passes("ch", ch_hard)}
 
-    def half_step(s, half, ops):
-        words = _rows(s["msg"], half)
+    def rule(words, s, half, ops):
         out, ok = kern.batch_bdd(words)
         # scaled_reliability_message with mubar = ok * (1 - 2 * out)
         k = np.searchsorted(weights, sched[half // 2])
         trusted = ok[:, None] & (_pass_rows(s, "rank", half) <= k)
-        _put_rows(s["msg"], half, np.where(trusted, out, _pass_rows(s, "ch", half)))
-        ops["bdd_calls"] += len(words)
         ops["msg_updates"] += words.size
+        return np.where(trusted, out, _pass_rows(s, "ch", half))
 
-    return _iterate(spec, l_max, state, half_step, lambda s: s["msg"])
+    return _bdd_stack(spec, ch_hard, l_max, rule, **_both_passes("rank", rank),
+                      **_both_passes("ch", ch_hard))
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -396,9 +395,9 @@ _NORMAL, _ANCHOR, _FROZEN = 0, 1, 2
 
 
 class AnchorState:
-    """Per-component bookkeeping for anchor decoding: status, conflict
-    lists, applied-correction logs (positions along the component), and
-    freeze attribution. Components 0..n-1 are rows, n..2n-1 columns."""
+    """Anchor-decoding bookkeeping of one frame: status, conflict lists,
+    applied-correction logs (positions along the component), and freeze
+    attribution per component. Components 0..n-1 are rows, n..2n-1 columns."""
 
     def __init__(self, n: int):
         self.status = np.zeros(2 * n, dtype=np.int8)
@@ -422,9 +421,92 @@ class AnchorState:
         self.applied.pop(comp, None)
         self.release(comp)
 
-    def new_iteration(self) -> None:
-        self.status[self.status == _FROZEN] = _NORMAL
-        self.freeze_blockers.clear()
+    def walk(self, lines: np.ndarray, ok: np.ndarray, diff: np.ndarray,
+             half: int, threshold: int, kern, ops: dict) -> None:
+        """One pass over the components of half-iteration ``half`` in index
+        order: their words are the rows of ``lines`` (updated in place), and
+        ``ok, diff`` their BDD (success, flip mask), redone for rows that a
+        backtrack changes."""
+        n = len(lines)
+        if half % 2 == 0:  # a new iteration: frozen components thaw
+            self.status[self.status == _FROZEN] = _NORMAL
+            self.freeze_blockers.clear()
+        # components of this pass are ``own + row`` of ``lines``; the
+        # crossing component through position p is ``cross + p``
+        own, cross = (0, n) if half % 2 == 0 else (n, 0)
+        dirty: set[int] = set()
+
+        def propose(idx: int):
+            if idx not in dirty:
+                return bool(ok[idx]), np.flatnonzero(diff[idx]).tolist()
+            dirty.discard(idx)
+            ops["bdd_calls"] += 1
+            (word,), (good,) = kern.batch_bdd(lines[idx][None, :])
+            return bool(good), np.flatnonzero(word != lines[idx]).tolist()
+
+        def backtrack(anchor: int) -> None:
+            for p in self.applied.get(anchor, []):
+                lines[p, anchor - cross] ^= 1
+                dirty.add(p)
+            self.demote(anchor)
+
+        for idx in range(n):
+            comp = own + idx
+            if self.status[comp] == _FROZEN:
+                continue
+            comp_ok, flip_pos = propose(idx)
+            while comp_ok:
+                blockers = {cross + p for p in flip_pos
+                            if self.status[cross + p] == _ANCHOR}
+                if not blockers:
+                    for p in flip_pos:
+                        lines[idx, p] ^= 1
+                    if self.status[comp] != _ANCHOR:
+                        self.status[comp] = _ANCHOR
+                        self.applied[comp] = []
+                    self.applied[comp].extend(flip_pos)
+                    break
+                for a in sorted(blockers):
+                    self.conflicts.setdefault(a, set()).add(comp)
+                    if len(self.conflicts[a]) > threshold:
+                        backtrack(a)
+                survivors = {a for a in blockers if self.status[a] == _ANCHOR}
+                if survivors:
+                    # blocked: freeze the proposer for this iteration
+                    if self.status[comp] == _ANCHOR:
+                        self.demote(comp)
+                    self.status[comp] = _FROZEN
+                    self.freeze_blockers[comp] = survivors
+                    break
+                # every blocker was backtracked; the undo may have
+                # changed this component's word, so re-propose
+                dirty.add(idx)
+                comp_ok, flip_pos = propose(idx)
+            if not comp_ok and self.status[comp] == _ANCHOR:
+                self.demote(comp)
+
+
+def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
+                 threshold: int = 1) -> DecoderResult:
+    """``anchor_decode`` on a (B, n, n) stack of frames: each pass is one
+    BDD of the components of every frame, then a walk over each frame's
+    components with its own ``AnchorState``, which rides in the state."""
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    kern = kernel_for(spec.component)
+    n = spec.n
+    received = _stack(spec, received, "received", bits=True)
+
+    def rule(words, s, half, ops):
+        out, ok = kern.batch_bdd(words)
+        diff = out != words
+        for st, lines, ok_f, diff_f in zip(s["anchors"], words.reshape(-1, n, n),
+                                           ok.reshape(-1, n), diff.reshape(-1, n, n)):
+            st.walk(lines, ok_f, diff_f, half, threshold, kern, ops)
+        return words
+
+    return _bdd_stack(spec, received, l_max, rule,
+                      anchors=np.array([AnchorState(n) for _ in received], dtype=object))
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
@@ -440,74 +522,5 @@ def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     Components are visited in index order; the schedule is otherwise the
     iBDD one.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    kern = kernel_for(spec.component)
-    n = spec.n
-    arr = _stack(spec, _frame(spec, received, "received"), "received", bits=True)
-    st = AnchorState(n)
-
-    def half_step(s, half, ops):
-        if half % 2 == 0:
-            st.new_iteration()
-        # components of this pass are ``own + row`` of ``lines``; the
-        # crossing component through position p is ``cross + p``
-        own, cross = (0, n) if half % 2 == 0 else (n, 0)
-        lines = _lines(s["arr"][0], half)
-        words = np.ascontiguousarray(lines)
-        out, ok = kern.batch_bdd(words)
-        ops["bdd_calls"] += n
-        diff = out != words
-        dirty: set[int] = set()
-
-        def decode_one(idx: int):
-            out1, ok1 = kern.batch_bdd(lines[idx][None, :])
-            ops["bdd_calls"] += 1
-            return bool(ok1[0]), np.flatnonzero(out1[0] != lines[idx]).tolist()
-
-        def backtrack(anchor: int) -> None:
-            for p in st.applied.get(anchor, []):
-                lines[p, anchor - cross] ^= 1
-                dirty.add(p)
-            st.demote(anchor)
-
-        for idx in range(n):
-            comp = own + idx
-            if st.status[comp] == _FROZEN:
-                continue
-            if idx in dirty:
-                dirty.discard(idx)
-                comp_ok, flip_pos = decode_one(idx)
-            else:
-                comp_ok, flip_pos = bool(ok[idx]), np.flatnonzero(diff[idx]).tolist()
-            while comp_ok:
-                blockers = {cross + p for p in flip_pos
-                            if st.status[cross + p] == _ANCHOR}
-                if not blockers:
-                    for p in flip_pos:
-                        lines[idx, p] ^= 1
-                    if st.status[comp] != _ANCHOR:
-                        st.status[comp] = _ANCHOR
-                        st.applied[comp] = []
-                    st.applied[comp].extend(flip_pos)
-                    break
-                for a in sorted(blockers):
-                    st.conflicts.setdefault(a, set()).add(comp)
-                    if len(st.conflicts[a]) > threshold:
-                        backtrack(a)
-                survivors = {a for a in blockers if st.status[a] == _ANCHOR}
-                if survivors:
-                    # blocked: freeze the proposer for this iteration
-                    if st.status[comp] == _ANCHOR:
-                        st.demote(comp)
-                    st.status[comp] = _FROZEN
-                    st.freeze_blockers[comp] = survivors
-                    break
-                # every blocker was backtracked; the undo may have
-                # changed this component's word, so re-propose
-                dirty.discard(idx)
-                comp_ok, flip_pos = decode_one(idx)
-            if not comp_ok and st.status[comp] == _ANCHOR:
-                st.demote(comp)
-
-    return _one(_iterate(spec, l_max, {"arr": arr}, half_step, lambda s: s["arr"]))
+    return _one(anchor_stack(spec, _frame(spec, received, "received"), l_max,
+                             threshold))

@@ -225,6 +225,7 @@ def test_strict_mode_flags_budget_exhaustion(tmp_path):
     (MINI_SIM + "[ad]\niterations = 7\n", "'iterations'"),
     (MINI_SIM + "[warp]\n", "[warp]"),
     (MINI_SIM.replace("algorithms = ibdd", ""), "algorithms"),
+    (MINI_SIM.replace("max_frames = 64", "max_frames = 0"), "max_frames"),
 ])
 def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
     cfg = write(tmp_path, "bad.ini", fault)

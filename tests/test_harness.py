@@ -63,6 +63,15 @@ def test_config_validation():
         SimConfig("ibdd", code_m=12)
     with pytest.raises(ValueError, match="code_t must be >= 1"):
         SimConfig("ibdd", code_t=0)
+    # settings that would crash a run later (max_frames = 0 divides by
+    # zero frames), fail only inside a decoded batch, or be ignored
+    for field, value, least in (("max_frames", 0, 1), ("opt_frames", 0, 1),
+                                ("chase_p", 0, 1), ("anchor_threshold", -1, 0),
+                                ("workers", 0, 1), ("workers", -2, 1),
+                                ("batch_frames", 0, 1), ("iterations", 0, 1)):
+        with pytest.raises(ValueError, match=f"{field} must be >= {least}, got {value}"):
+            SimConfig("ibdd", **{field: value})
+    SimConfig("ad", anchor_threshold=0)
 
 
 def test_noiseless_point_is_error_free():

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pcdec.bch import bdd, construct_ebch, encode, genie_bdd
+from pcdec.bch import (
+    UnsupportedParametersError,
+    bdd,
+    construct_ebch,
+    encode,
+    genie_bdd,
+    syndromes,
+)
 from pcdec.gf import build_field
 from pcdec.kernels import kernel_for, least_reliable
 
@@ -98,6 +105,37 @@ def test_batch_genie_matches_scalar():
         ref = genie_bdd(spec, w, c)
         assert ok[i] == ref.corrected
         assert np.array_equal(out[i], ref.word)
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=st.integers(3, 10), t=st.integers(1, 3), extend=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
+    # t = 2 runs the closed-form path, t = 1 and t = 3 the per-row fallback
+    try:
+        spec = construct_ebch(build_field(m), t, extend=extend)
+    except UnsupportedParametersError:
+        assume(False)
+    kern = kernel_for(spec)
+    rng = np.random.default_rng(seed)
+    true = np.stack([encode(spec, rng.integers(0, 2, spec.k).astype(np.uint8))
+                     for _ in range(8)])
+    # light error patterns around codewords (0..t+2 flips: decodable,
+    # miscorrected and failed words), then uniform noise
+    words = true.copy()
+    for row in words[:6]:
+        row[rng.choice(spec.n, size=rng.integers(0, spec.t + 3), replace=False)] ^= 1
+    words[6:] = rng.integers(0, 2, (2, spec.n))
+    out, ok = kern.batch_bdd(words)
+    genie_out, genie_ok = kern.batch_genie(words, true)
+    mask = kern.codeword_mask(words)
+    for i, word in enumerate(words):
+        ref = bdd(spec, word)
+        assert ok[i] == ref.corrected and np.array_equal(out[i], ref.word)
+        ref = genie_bdd(spec, word, true[i])
+        assert genie_ok[i] == ref.corrected and np.array_equal(genie_out[i], ref.word)
+        syn, parity = syndromes(spec, word)
+        assert mask[i] == (not any(syn) and not parity)
 
 
 @pytest.mark.parametrize("t", [2, 3])

@@ -15,6 +15,7 @@ from pcdec.product import (
     ProductCodeSpec,
     ScalingSchedule,
     anchor_decode,
+    anchor_stack,
     ibdd,
     ibdd_sr,
     ibdd_sr_stack,
@@ -474,10 +475,14 @@ def test_decoders_reject_malformed_input(pc15, name):
 # ---------------------------------------------------------------- stacks
 
 # id -> (stack decoder, per-frame decoder), both called as
-# (spec, llrs, sent codewords, l_max)
+# (spec, llrs, sent codewords, l_max), plus the anchor threshold for ad
 STACK_DECODERS = {
     "ibdd": (lambda pc, L, c, l_max: ibdd_stack(pc, hard_decide(L), l_max),
              lambda pc, L, c, l_max: ibdd(pc, hard_decide(L), l_max)),
+    "ad": (lambda pc, L, c, l_max, threshold=1:
+               anchor_stack(pc, hard_decide(L), l_max, threshold),
+           lambda pc, L, c, l_max, threshold=1:
+               anchor_decode(pc, hard_decide(L), l_max, threshold)),
     "ideal-ibdd": (
         lambda pc, L, c, l_max: ideal_ibdd_stack(pc, hard_decide(L), c, l_max),
         lambda pc, L, c, l_max: ideal_ibdd(pc, hard_decide(L), c, l_max)),
@@ -515,10 +520,10 @@ def frame_stack(pc, ebnos, seed, random_codewords):
     return np.stack(L), np.stack(sent)
 
 
-def assert_stack_equals_frames(name, pc, L, sent, l_max):
+def assert_stack_equals_frames(name, pc, L, sent, l_max, **kw):
     stacked, single = STACK_DECODERS[name]
-    res = stacked(pc, L, sent, l_max)
-    frames = [single(pc, L[i], sent[i], l_max) for i in range(len(L))]
+    res = stacked(pc, L, sent, l_max, **kw)
+    frames = [single(pc, L[i], sent[i], l_max, **kw) for i in range(len(L))]
     assert res.array.shape == L.shape and res.array.dtype == np.uint8
     assert np.array_equal(res.array, np.stack([f.array for f in frames]))
     assert res.iterations_used.tolist() == [f.iterations_used for f in frames]
@@ -537,19 +542,21 @@ def stack_cases(draw):
     ebnos = draw(st.lists(st.sampled_from(STACK_EBNO), min_size=frames, max_size=frames))
     rand = draw(st.lists(st.booleans(), min_size=frames, max_size=frames))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return m, t, ebnos, rand, seed, l_max
+    threshold = draw(st.sampled_from([0, 1, 3]))
+    return m, t, ebnos, rand, seed, l_max, threshold
 
 
 @pytest.mark.parametrize("name", list(STACK_DECODERS))
 @settings(deadline=None, max_examples=12)
 @given(case=stack_cases())
 def test_stack_decoding_equals_per_frame(name, case):
-    m, t, ebnos, rand, seed, l_max = case
+    m, t, ebnos, rand, seed, l_max, threshold = case
     pc = stack_spec(m, t)
     if name == "tpd" and (m, t) == (6, 3):
         ebnos, rand = ebnos[:1], rand[:1]  # 16 scalar decodings per row
     L, sent = frame_stack(pc, ebnos, seed, rand)
-    assert_stack_equals_frames(name, pc, L, sent, l_max)
+    kw = {"threshold": threshold} if name == "ad" else {}
+    assert_stack_equals_frames(name, pc, L, sent, l_max, **kw)
 
 
 @pytest.mark.parametrize("name", list(STACK_DECODERS))
@@ -558,6 +565,7 @@ def test_stack_frames_leave_at_their_own_iteration(name):
     # mixes iteration counts and converged with unconverged frames
     pc = stack_spec(6, 2)
     ebnos = {"ibdd": (12.0, 4.4, 4.2, 4.0, 3.8, 1.0),
+             "ad": (12.0, 4.2, 4.0, 3.8, 3.6, 1.0),
              "ideal-ibdd": (12.0, 4.0, 3.8, 3.6, 3.4, 1.0),
              "ibdd-sr": (12.0, 4.0, 3.9, 3.7, 3.5, 1.0),
              "igmdd-sr": (12.0, 3.6, 3.3, 3.1, 2.9, 0.0),
@@ -570,8 +578,15 @@ def test_stack_frames_leave_at_their_own_iteration(name):
 
 def test_stack_decoders_reject_malformed_stacks(pc15):
     zeros = np.zeros((2, 15, 15), dtype=np.uint8)
-    for bad in (zeros[0], zeros[:0], zeros[:, :14]):
-        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
-            ibdd_stack(pc15, bad, 2)
+    for stack_decode in (ibdd_stack, anchor_stack):
+        for bad in (zeros[0], zeros[:0], zeros[:, :14]):
+            with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+                stack_decode(pc15, bad, 2)
+        with pytest.raises(ValueError, match="bits 0 and 1"):
+            stack_decode(pc15, np.full((2, 15, 15), 2), 2)
+        with pytest.raises(ValueError, match="l_max"):
+            stack_decode(pc15, zeros, 0)
+    with pytest.raises(ValueError, match="threshold"):
+        anchor_stack(pc15, zeros, 2, -1)
     with pytest.raises(ValueError, match="c_true holds 1 frames, received 2"):
         ideal_ibdd_stack(pc15, zeros, zeros[:1], 2)
