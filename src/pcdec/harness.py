@@ -149,6 +149,11 @@ class SimConfig:
                             ("opt_frames", 1), ("chase_p", 1), ("anchor_threshold", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.w is not None and len(self.w) != self.iterations:
+            raise ValueError(f"w must hold {self.iterations} weights, one per "
+                             f"iteration, got {len(self.w)}")
+        if self.w is not None and any(x <= 0 for x in self.w):
+            raise ValueError(f"w must hold positive weights, got {self.w}")
         if self.transmission not in ("all-zero", "random"):
             raise ValueError("transmission must be 'all-zero' or 'random'")
         if any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):

@@ -22,11 +22,16 @@ Three half-steps serve the six decoders:
                       miscorrection into a failure (reference curve);
   - ``ibdd_sr``       keeps a decoded bit only where |L| < w, the 1-bit
                       message psi = B(w * mubar + L);
-  - ``anchor_decode`` walks each frame's components in index order:
+  - ``anchor_decode`` takes each frame's components in index order:
                       decoded components become anchors; a correction
                       that would overturn an anchor is blocked (the
-                      proposer frozen for the iteration) until too many
-                      components conflict with it, then it is backtracked.
+                      proposer keeps its word for the rest of the
+                      iteration) until too many components conflict with
+                      it, then it is backtracked. The crossing anchors
+                      change only at backtracks, so a pass runs as rounds
+                      of array operations over the stack, one backtrack
+                      per frame and one BDD call for the changed words
+                      per round.
 * ``igmdd_sr``      -- GMD component decoding with the soft messages
                        w * mubar + L.
 * ``tpd.tpd_decode`` -- the Chase-Pyndiah turbo baseline.
@@ -391,122 +396,140 @@ def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderR
     return _one(igmdd_sr_stack(spec, _frame(spec, llrs, "llrs"), w, l_max))
 
 
-_NORMAL, _ANCHOR, _FROZEN = 0, 1, 2
+_ANCHOR_STATE = ("anchor", "conflicts", "applied", "touched")
 
 
-class AnchorState:
-    """Anchor-decoding bookkeeping of one frame: status, conflict lists,
-    applied-correction logs (positions along the component), and freeze
-    attribution per component. Components 0..n-1 are rows, n..2n-1 columns."""
+def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
+                 half: int, threshold: int, kern, ops: dict) -> None:
+    """One anchor-decoding pass over the components of half-iteration
+    ``half`` of every frame, in index order within a frame: their words are
+    ``lines`` (B, n, n), updated in place, and ``ok, diff`` (B, n) and
+    (B, n, n) their BDD (success, flip mask), redone for words that a
+    backtrack changes. The state ``s`` is described in ``anchor_stack``.
 
-    def __init__(self, n: int):
-        self.status = np.zeros(2 * n, dtype=np.int8)
-        self.conflicts: dict[int, set[int]] = {}
-        self.applied: dict[int, list[int]] = {}
-        self.freeze_blockers: dict[int, set[int]] = {}
+    Until a frame's next backtrack its crossing anchors are fixed, so each
+    component's outcome follows from its own BDD result: decoded and
+    unblocked, it applies its flips and becomes (or stays) an anchor;
+    blocked, it adds a conflict to each blocking anchor and loses its own
+    status; failed, it loses it. The backtrack comes at the first component
+    that takes a blocking anchor past ``threshold`` conflicts: those
+    anchors' corrections are undone and they lose their status. If another
+    blocker survives, the component is blocked; if not, its word is
+    decoded again and proposed anew. A round finds and makes the next
+    backtrack of every frame, then re-decodes the words it changed in one
+    call. Nothing in the pass reads the state of its own components, so
+    their outcomes are applied once, after the last round."""
+    frames, n = lines.shape[:2]
+    own, cross = (0, n) if half % 2 == 0 else (n, 0)
+    anchor, conflicts, applied, touched = (s[k] for k in _ANCHOR_STATE)
+    cross_anchor = anchor[:, cross:cross + n]
+    own_conf = conflicts[:, own:own + n]
+    # crossing anchors only leave during a pass, so the blockers of a word
+    # change only where an anchor is backtracked or the word re-decoded;
+    # from its visit on, ``blocked`` keeps a component's outcome
+    blk = diff & cross_anchor[:, None, :]
+    blocked = blk.any(axis=2)
+    nconf = own_conf.sum(axis=1, dtype=np.int16)  # per crossing anchor
+    dirty = np.zeros((frames, n), dtype=bool)  # re-decoded before its visit
+    stale = np.zeros((frames, n), dtype=bool)
+    pos = np.arange(n)
+    start = np.zeros(frames, dtype=np.intp)
+    pending = np.arange(frames)
+    while pending.size:
+        # conflicts per crossing anchor after each blocked component from
+        # ``start`` on: the stored ones plus a running count of new ones
+        fb, ib = np.nonzero(blocked[pending] & (pos >= start[pending, None]))
+        fb = pending[fb]
+        new = blk[fb, ib] & ~own_conf[fb, ib]
+        cols = np.flatnonzero(new.any(axis=0))  # anchors gaining conflicts
+        new = new[:, cols]
+        count = np.cumsum(new, axis=0, dtype=np.intp)
+        count -= (count - new)[np.searchsorted(fb, fb)] - nconf[fb[:, None], cols]
+        over = np.flatnonzero((new & (count > threshold)).any(axis=1))
+        # component hi of frame hit makes the frame's next backtrack: the
+        # anchors it takes past the threshold undo their corrections
+        hit, at = np.unique(fb[over], return_index=True)
+        at = over[at]
+        hi = ib[at]
+        nconf[hit[:, None], cols] = count[at]
+        bb, bp = np.nonzero(new[at] & (count[at] > threshold))
+        bb, bp = hit[bb], cols[bp]
+        lines[bb, :, bp] ^= applied[bb, cross + bp]
+        np.logical_or.at(stale, bb, touched[bb, cross + bp])
+        anchor[bb, cross + bp] = applied[bb, cross + bp] = touched[bb, cross + bp] = False
+        own_conf[bb, :, bp] = False
+        qb, qi = np.nonzero(blk[bb, :, bp])
+        blk[bb, :, bp] = False
+        held = blk[hit, hi].any(axis=1)  # a blocker survives
+        start[hit] = hi + held
+        qb = bb[qb]
+        later = qi >= start[qb]
+        qb, qi = qb[later], qi[later]
+        blocked[qb, qi] = blk[qb, qi].any(axis=1)
+        # changed words ahead are decoded again, and so are the components
+        # whose blockers were all backtracked, which propose anew
+        stale[hit] &= pos > hi[:, None]
+        dirty |= stale
+        stale[hit[~held], hi[~held]] = True
+        ops["bdd_calls"] += np.count_nonzero(~held)
+        rb, ri = np.nonzero(stale)
+        if rb.size:
+            words = lines[rb, ri]
+            out, ok[rb, ri] = kern.batch_bdd(words)
+            diff[rb, ri] = out != words
+            blk[rb, ri] = diff[rb, ri] & cross_anchor[rb]
+            blocked[rb, ri] = blk[rb, ri].any(axis=1)
+            stale[rb, ri] = False
+        pending = hit[start[hit] < n]
 
-    def release(self, anchor: int) -> None:
-        """Unfreeze components blocked solely by this anchor."""
-        for comp in [c for c, blk in self.freeze_blockers.items() if anchor in blk]:
-            blk = self.freeze_blockers[comp]
-            blk.discard(anchor)
-            if not blk:
-                del self.freeze_blockers[comp]
-                if self.status[comp] == _FROZEN:
-                    self.status[comp] = _NORMAL
-
-    def demote(self, comp: int) -> None:
-        self.status[comp] = _NORMAL
-        self.conflicts.pop(comp, None)
-        self.applied.pop(comp, None)
-        self.release(comp)
-
-    def walk(self, lines: np.ndarray, ok: np.ndarray, diff: np.ndarray,
-             half: int, threshold: int, kern, ops: dict) -> None:
-        """One pass over the components of half-iteration ``half`` in index
-        order: their words are the rows of ``lines`` (updated in place), and
-        ``ok, diff`` their BDD (success, flip mask), redone for rows that a
-        backtrack changes."""
-        n = len(lines)
-        if half % 2 == 0:  # a new iteration: frozen components thaw
-            self.status[self.status == _FROZEN] = _NORMAL
-            self.freeze_blockers.clear()
-        # components of this pass are ``own + row`` of ``lines``; the
-        # crossing component through position p is ``cross + p``
-        own, cross = (0, n) if half % 2 == 0 else (n, 0)
-        dirty: set[int] = set()
-
-        def propose(idx: int):
-            if idx not in dirty:
-                return bool(ok[idx]), np.flatnonzero(diff[idx]).tolist()
-            dirty.discard(idx)
-            ops["bdd_calls"] += 1
-            (word,), (good,) = kern.batch_bdd(lines[idx][None, :])
-            return bool(good), np.flatnonzero(word != lines[idx]).tolist()
-
-        def backtrack(anchor: int) -> None:
-            for p in self.applied.get(anchor, []):
-                lines[p, anchor - cross] ^= 1
-                dirty.add(p)
-            self.demote(anchor)
-
-        for idx in range(n):
-            comp = own + idx
-            if self.status[comp] == _FROZEN:
-                continue
-            comp_ok, flip_pos = propose(idx)
-            while comp_ok:
-                blockers = {cross + p for p in flip_pos
-                            if self.status[cross + p] == _ANCHOR}
-                if not blockers:
-                    for p in flip_pos:
-                        lines[idx, p] ^= 1
-                    if self.status[comp] != _ANCHOR:
-                        self.status[comp] = _ANCHOR
-                        self.applied[comp] = []
-                    self.applied[comp].extend(flip_pos)
-                    break
-                for a in sorted(blockers):
-                    self.conflicts.setdefault(a, set()).add(comp)
-                    if len(self.conflicts[a]) > threshold:
-                        backtrack(a)
-                survivors = {a for a in blockers if self.status[a] == _ANCHOR}
-                if survivors:
-                    # blocked: freeze the proposer for this iteration
-                    if self.status[comp] == _ANCHOR:
-                        self.demote(comp)
-                    self.status[comp] = _FROZEN
-                    self.freeze_blockers[comp] = survivors
-                    break
-                # every blocker was backtracked; the undo may have
-                # changed this component's word, so re-propose
-                dirty.add(idx)
-                comp_ok, flip_pos = propose(idx)
-            if not comp_ok and self.status[comp] == _ANCHOR:
-                self.demote(comp)
+    # each component's outcome at its visit
+    ops["bdd_calls"] += np.count_nonzero(dirty)
+    go = ok & ~blocked
+    flips = diff & go[:, :, None]
+    lines ^= flips
+    anchor[:, own:own + n] = go
+    applied[:, own:own + n] ^= flips
+    applied[:, own:own + n] &= go[:, :, None]
+    touched[:, own:own + n] |= flips
+    touched[:, own:own + n] &= go[:, :, None]
+    conflicts[:, cross:cross + n] &= go[:, None, :]
+    own_conf |= blk
 
 
 def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
                  threshold: int = 1) -> DecoderResult:
     """``anchor_decode`` on a (B, n, n) stack of frames: each pass is one
-    BDD of the components of every frame, then a walk over each frame's
-    components with its own ``AnchorState``, which rides in the state."""
+    BDD of the components of every frame, then ``_anchor_pass``. The
+    anchor state rides in the state of ``_iterate``, frames along axis 0.
+    Components 0..n-1 are rows, n..2n-1 columns, and j indexes the
+    components crossing component c:
+
+    * ``anchor[b, c]``: c is an anchor;
+    * ``conflicts[b, c, j]``: c was blocked by the crossing anchor j and
+      counts toward j's conflicts;
+    * ``applied[b, c, j]``, ``touched[b, c, j]``: the anchor c has flipped
+      its position j an odd number of times, or at all (a backtrack undoes
+      the first and re-decodes the crossing words in the second).
+
+    A component that is not an anchor has no flips, and no component has
+    a conflict with it."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     kern = kernel_for(spec.component)
     n = spec.n
     received = _stack(spec, received, "received", bits=True)
+    frames = len(received)
 
     def rule(words, s, half, ops):
         out, ok = kern.batch_bdd(words)
-        diff = out != words
-        for st, lines, ok_f, diff_f in zip(s["anchors"], words.reshape(-1, n, n),
-                                           ok.reshape(-1, n), diff.reshape(-1, n, n)):
-            st.walk(lines, ok_f, diff_f, half, threshold, kern, ops)
+        _anchor_pass(words.reshape(-1, n, n), ok.reshape(-1, n),
+                     (out != words).reshape(-1, n, n), s, half, threshold, kern, ops)
         return words
 
     return _bdd_stack(spec, received, l_max, rule,
-                      anchors=np.array([AnchorState(n) for _ in received], dtype=object))
+                      anchor=np.zeros((frames, 2 * n), dtype=bool),
+                      **{k: np.zeros((frames, 2 * n, n), dtype=bool)
+                         for k in _ANCHOR_STATE[1:]})
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
@@ -515,12 +538,11 @@ def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
 
     Successful components become anchors. A correction that would flip a
     bit of a crossing anchor is a conflict: while the anchor has at most
-    ``threshold`` recorded conflicts the correction is blocked and the
-    proposer frozen for the rest of the iteration; once more components
-    conflict, the anchor is backtracked (its corrections undone, its
-    status dropped, components frozen solely because of it released).
-    Components are visited in index order; the schedule is otherwise the
-    iBDD one.
+    ``threshold`` recorded conflicts the correction is blocked, and the
+    proposer keeps its word for the rest of the iteration; once more
+    components conflict, the anchor is backtracked (its corrections
+    undone, its status dropped). Components are visited in index order;
+    the schedule is otherwise the iBDD one.
     """
     return _one(anchor_stack(spec, _frame(spec, received, "received"), l_max,
                              threshold))

@@ -226,6 +226,10 @@ def test_strict_mode_flags_budget_exhaustion(tmp_path):
     (MINI_SIM + "[warp]\n", "[warp]"),
     (MINI_SIM.replace("algorithms = ibdd", ""), "algorithms"),
     (MINI_SIM.replace("max_frames = 64", "max_frames = 0"), "max_frames"),
+    # a schedule of the wrong length fails before any point is simulated
+    (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,ibdd-sr")
+     .replace("iterations = 2", "iterations = 3") + "[ibdd-sr]\nw = 5;5\n",
+     "w must hold 3 weights"),
 ])
 def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
     cfg = write(tmp_path, "bad.ini", fault)

@@ -3,8 +3,10 @@ configs must reproduce, byte for byte, the bodies checked in under
 tests/golden/. C9 only checks run-to-run determinism; these files pin the
 results themselves across refactors of the decoders and the harness.
 
-The files were written by the pre-refactor code. To rewrite them after a
-change that is meant to alter results, run `python tests/test_golden.py`.
+The files were written by the pre-refactor code; the m8-ad ones by the
+component-by-component anchor walk that the array form replaced. To
+rewrite them after a change that is meant to alter results, run
+`python tests/test_golden.py`.
 """
 
 import os
@@ -51,19 +53,38 @@ w = 2.4;7.3;7.3;7.3;7.3;7.3;7.3;7.3;7.3;11.0
 w = 11.9;11.9;11.9;11.9;11.9;11.9;11.9;11.9;11.9;11.9
 """
 
-# name -> (config, transmission, Eb/N0 grid, seed)
+# anchor decoding on the paper's code at the m8-waterfall point, where
+# backtracks are frequent
+M8_AD = """
+[simulation]
+code_m = 8
+code_t = 2
+extended = true
+iterations = 10
+transmission = random
+min_frame_errors = 1000
+max_frames = 6
+batch_frames = 6
+algorithms = ad
+[ad]
+threshold = {threshold}
+"""
+
+# name -> (config, Eb/N0 grid, seed)
 CASES = {
-    "m4-all-zero": (M4, "all-zero", "2.5,4.0,5.5", 3),
-    "m4-random": (M4, "random", "3.0,5.0", 4),
-    "m6-random": (M6, "random", "3.0,3.6", 5),
+    "m4-all-zero": (M4.format(ids=ALL_IDS, tx="all-zero"), "2.5,4.0,5.5", 3),
+    "m4-random": (M4.format(ids=ALL_IDS, tx="random"), "3.0,5.0", 4),
+    "m6-random": (M6.format(ids=ALL_IDS, tx="random"), "3.0,3.6", 5),
+    "m8-ad-t1": (M8_AD.format(threshold=1), "4.6,4.78", 6),
+    "m8-ad-t0": (M8_AD.format(threshold=0), "4.6,4.78", 7),
 }
 
 
 def simulate_body(tmp_dir: str, name: str) -> bytes:
-    text, transmission, ebno, seed = CASES[name]
+    text, ebno, seed = CASES[name]
     cfg = os.path.join(tmp_dir, f"{name}.ini")
     with open(cfg, "w") as fh:
-        fh.write(text.format(ids=ALL_IDS, tx=transmission))
+        fh.write(text)
     out = os.path.join(tmp_dir, f"{name}.csv")
     rc = main(["simulate", "--config", cfg, "--out", out, "--ebno", ebno,
                "--seed", str(seed)])

@@ -72,6 +72,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be >= {least}, got {value}"):
             SimConfig("ibdd", **{field: value})
     SimConfig("ad", anchor_threshold=0)
+    # an explicit schedule is checked here, not in the first decoded batch
+    with pytest.raises(ValueError, match="w must hold 3 weights, one per iteration, got 2"):
+        SimConfig("ibdd-sr", iterations=3, w=(5.0, 5.0))
+    with pytest.raises(ValueError, match="w must hold positive weights"):
+        SimConfig("igmdd-sr", iterations=2, w=(5.0, 0.0))
 
 
 def test_noiseless_point_is_error_free():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_codewords
+from helpers import all_codewords, oracle_anchor_decode
 from pcdec import bch
 from pcdec.channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
 from pcdec.gf import build_field
@@ -215,6 +215,48 @@ def test_anchor_deterministic(pc15):
     a = anchor_decode(pc15, received, l_max=6)
     b = anchor_decode(pc15, received, l_max=6)
     assert np.array_equal(a.array, b.array)
+
+
+# m -> Eb/N0 range of the anchor decoder's waterfall on the (2^m-1)^2 and
+# (2^m)^2 codes, t = 2 and 3
+ORACLE_EBNO = {4: (1.5, 4.5), 5: (2.0, 4.0), 6: (3.0, 4.2)}
+
+
+@st.composite
+def anchor_cases(draw):
+    m = draw(st.sampled_from(sorted(ORACLE_EBNO)))
+    t = draw(st.sampled_from([2, 3]))
+    slow = (m, t) == (6, 3)  # scalar fallback on 64-bit rows
+    frames = draw(st.integers(1, 2 if slow else 5))
+    ebnos = draw(st.lists(st.floats(*ORACLE_EBNO[m]), min_size=frames, max_size=frames))
+    rand = draw(st.lists(st.booleans(), min_size=frames, max_size=frames))
+    return (m, t, draw(st.booleans()), ebnos, rand, draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.integers(1, 3 if slow else 10)), draw(st.sampled_from([0, 1, 3])))
+
+
+def test_anchor_stack_matches_sequential_oracle():
+    # the array form against the component-by-component walk it replaced:
+    # same arrays, iterations, convergence and op counters
+    seen = {"backtracks": 0, "redecodes": 0}
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=anchor_cases())
+    def check(case):
+        m, t, extended, ebnos, rand, seed, l_max, threshold = case
+        pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, extended))
+        L, _ = frame_stack(pc, ebnos, seed, rand)
+        res = anchor_stack(pc, hard_decide(L), l_max, threshold)
+        want = [oracle_anchor_decode(pc, hard_decide(x), l_max, threshold) for x in L]
+        assert np.array_equal(res.array, np.stack([w[0] for w in want]))
+        assert res.iterations_used.tolist() == [w[1] for w in want]
+        assert res.converged.tolist() == [w[2] for w in want]
+        assert res.op_counters == {k: sum(w[3][k] for w in want) for k in res.op_counters}
+        seen["backtracks"] += sum(w[4] for w in want)
+        seen["redecodes"] += (res.op_counters["bdd_calls"]
+                              - 2 * pc.n * int(res.iterations_used.sum()))
+
+    check()
+    assert seen["backtracks"] and seen["redecodes"], seen
 
 
 # ---------------------------------------------------------------- iBDD-SR
