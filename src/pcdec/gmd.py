@@ -9,9 +9,10 @@ minimizing the generalized distance
 
 with a_i the reliabilities normalized to a maximum of 1.
 
-``batch_gmd`` applies the same decoding to every row of a matrix at once
-(two batched BDD fills per erasure trial); it is bit-equivalent to the
-scalar ``gmd_decode`` and exists for the iterative decoders' hot loop.
+``batch_gmd`` applies the same decoding to every row of a matrix at once,
+BDD-decoding the 2t+1 trial words of all rows (the unerased row and both
+fills of each erasure set) in one ``decode_trials`` call; it is
+bit-equivalent to ``gmd_decode`` and exists for the iterative decoders.
 """
 
 from __future__ import annotations
@@ -119,53 +120,36 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     Failed rows are echoed unchanged. Bit-equivalent to ``gmd_decode``
     row by row.
     """
-    kern = kernel_for(spec)
     words = np.ascontiguousarray(words, dtype=np.uint8)
     reliabilities = np.asarray(reliabilities, dtype=np.float64)
-    nrows, n = words.shape
-    rows = np.arange(nrows)[:, None]
+    nrows = len(words)
 
     peak = reliabilities.max(axis=1, keepdims=True)
     alphas = np.where(peak > 0, reliabilities / np.where(peak > 0, peak, 1.0), 1.0)
     profile = sorted(erasure_profile(spec.d_min))
     order = least_reliable(reliabilities, profile[-1])
-    best_word = words.copy()
-    best_metric = np.full(nrows, np.inf)
-    any_ok = np.zeros(nrows, dtype=bool)
-    stats = {"attempts": nrows * (len(profile) + 1), "gd_evals": 0}
+    # trials [none, (s1, fill 0), (s1, fill 1), (s2, fill 0), ...]: trial j
+    # sets the sizes[j] least reliable bits to fill[j]
+    sizes = np.repeat([0] + profile, [1] + [2] * len(profile))
+    fill = np.arange(len(sizes)) % 2 == 0
+    erased = np.arange(profile[-1]) < sizes[:, None]
+    least = np.take_along_axis(words, order, axis=1)[:, None, :]
+    cands, ok, disc = kernel_for(spec).decode_trials(
+        words, order, erased & (least ^ fill[:, None]), alphas)
 
-    def consider(cand: np.ndarray, valid: np.ndarray) -> None:
-        nonlocal best_word, best_metric, any_ok
-        if not valid.any():
-            return
-        disagree = cand != words
-        metric = np.sum(1.0 - alphas, axis=1) + 2.0 * np.sum(disagree * alphas, axis=1)
-        better = valid & (metric < best_metric)
-        best_metric[better] = metric[better]
-        best_word[better] = cand[better]
-        any_ok |= valid
-        stats["gd_evals"] += int(valid.sum())
+    # errors outside the erasures
+    diff = cands != words[:, None, :]
+    e = diff.sum(axis=2) - (np.take_along_axis(diff, order[:, None, :], axis=2)
+                            & erased).sum(axis=2)
+    valid = ok & (2 * e + sizes <= spec.d_min - 1)
+    # two-fill selection: smaller e wins, ties to the zeros fill
+    use1 = valid[:, 2::2] & (~valid[:, 1::2] | (e[:, 2::2] < e[:, 1::2]))
+    valid[:, 1::2] &= ~use1
+    valid[:, 2::2] &= use1
 
-    out0, ok0 = kern.batch_bdd(words)
-    consider(out0, ok0)
-
-    for s in profile:
-        idx = order[:, :s]
-        for fill in (0, 1):
-            trial = words.copy()
-            trial[rows, idx] = fill
-            cand, ok = kern.batch_bdd(trial)
-            diff = cand != words
-            diff[rows, idx] = False
-            e = diff.sum(axis=1)
-            valid = ok & (2 * e + s <= spec.d_min - 1)
-            if fill == 0:
-                cand0, valid0, e0 = cand, valid, e
-            else:
-                # two-fill selection: smaller e wins, ties to the zeros fill
-                use1 = valid & (~valid0 | (e < e0))
-                merged = np.where(use1[:, None], cand, cand0)
-                consider(merged, valid0 | valid)
-
-    final = np.where(any_ok[:, None], best_word, words)
-    return final.astype(np.uint8), any_ok, stats
+    # generalized distance; argmin keeps the first minimum
+    metric = np.where(valid, np.sum(1.0 - alphas, axis=1)[:, None] + 2.0 * disc, np.inf)
+    best = cands[np.arange(nrows), np.argmin(metric, axis=1)]
+    any_ok = valid.any(axis=1)
+    stats = {"attempts": nrows * (len(profile) + 1), "gd_evals": int(valid.sum())}
+    return np.where(any_ok[:, None], best, words), any_ok, stats

@@ -158,6 +158,27 @@ class ComponentKernel:
             out[rows, spec.n - 1] ^= 1
         return out, ok
 
+    def decode_trials(self, words: np.ndarray, positions: np.ndarray,
+                      flips: np.ndarray, weights: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """BDD-decode T trial words per row in one batch_bdd call: trial j
+        of row r is words[r] with the bits at positions[r] (distinct per
+        row) XORed with flips[r, j]. Returns the candidates (rows, T, n),
+        the corrected mask (rows, T) and each trial's discrepancy (rows, T),
+        the sum of weights[r] where the candidate differs from words[r]."""
+        rows, n = words.shape
+        ntrials = flips.shape[-2]
+        trials = np.repeat(words[:, None, :], ntrials, axis=1)
+        for k in range(positions.shape[1]):
+            trials[np.arange(rows), :, positions[:, k]] ^= flips[..., k]
+        cands, ok = self.batch_bdd(trials.reshape(-1, n))
+        cands = cands.reshape(rows, ntrials, n)
+        # one trial at a time, so float temporaries are (rows, n)
+        disc = np.empty((rows, ntrials))
+        for j in range(ntrials):
+            disc[:, j] = ((cands[:, j] != words) * weights).sum(axis=1)
+        return cands, ok.reshape(rows, ntrials), disc
+
     def batch_genie(self, words: np.ndarray,
                     true_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """batch_bdd with corrections onto anything but the true codeword

@@ -36,6 +36,10 @@ Three half-steps serve the six decoders:
                        w * mubar + L.
 * ``tpd.tpd_decode`` -- the Chase-Pyndiah turbo baseline.
 
+GMD and Chase BDD-decode 2t+1 and 2^p trial words per component, in one
+``ComponentKernel.decode_trials`` call per slice of rows, and count them
+all in ``bdd_calls``.
+
 Each decoder has a ``*_stack`` form taking a (B, n, n) stack; the
 per-frame form is that decoder on a stack of one.
 
@@ -212,7 +216,7 @@ def _pass_rows(state: dict, name: str, half: int) -> np.ndarray:
     return array.reshape(-1, array.shape[-1])
 
 
-# Cap on the test-pattern words per kernel call in the Chase and GMD
+# Cap on the trial words per kernel call in the Chase and GMD
 # half-steps: one m=8 Chase call (256 rows x 2^4 patterns). They decode the
 # rows of a stack in slices of this size, so peak memory does not grow with
 # the stack.
@@ -367,6 +371,7 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
     """``igmdd_sr`` on a (B, n, n) stack of LLR frames."""
     sched = _as_schedule(w, l_max)
     comp = spec.component
+    trials = 2 * comp.t + 1  # BDD trial words per component in batch_gmd
     llrs = _stack(spec, llrs, "llrs", bits=False)
     # row inputs of iteration 1 are the channel LLRs
     state = {"soft": llrs.copy(), **_both_passes("llr", llrs),
@@ -379,10 +384,11 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         hard = _binary_message(words, _pass_rows(s, "ch", half))
         out = np.empty_like(hard)
         ok = np.empty(len(words), dtype=bool)
-        for sl in _row_slices(len(words), 1):
+        for sl in _row_slices(len(words), trials):
             out[sl], ok[sl], stats = batch_gmd(comp, hard[sl], np.abs(words[sl]))
             ops["erasure_calls"] += stats["attempts"]
             ops["gd_evals"] += stats["gd_evals"]
+        ops["bdd_calls"] += len(words) * trials
         mubar = (1.0 - 2.0 * out) * ok[:, None]
         _put_rows(s["soft"], half, sched[half // 2] * mubar + _pass_rows(s, "llr", half))
         ops["msg_updates"] += words.size

@@ -66,13 +66,11 @@ class ChaseConfig:
 
 
 def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
-                 cfg: ChaseConfig, half_iter: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of soft_in: (scaled extrinsic, decision word, decoded flag).
+                 cfg: ChaseConfig, half_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of soft_in: (scaled extrinsic, decision word).
 
     Rows where every test pattern fails keep their input hard decision as
     the decision word and emit the all-zero extrinsic."""
-    kern = kernel_for(spec)
     soft_in = np.asarray(soft_in, dtype=np.float64)
     nrows, n = soft_in.shape
     hard = (soft_in < 0).astype(np.uint8)
@@ -80,21 +78,9 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
 
     p = cfg.p
     npat = 1 << p
-    least = least_reliable(mag, p)
     flip = ((np.arange(npat)[:, None] >> np.arange(p)[None, :]) & 1).astype(np.uint8)
-    words = np.repeat(hard[:, None, :], npat, axis=1)
-    for j in range(p):
-        sel = np.flatnonzero(flip[:, j])
-        words[np.arange(nrows)[:, None], sel[None, :], least[:, j, None]] ^= 1
-
-    cands, ok = kern.batch_bdd(words.reshape(nrows * npat, n))
-    cands = cands.reshape(nrows, npat, n)
-    ok = ok.reshape(nrows, npat)
-
-    # one test pattern at a time, so float temporaries are (nrows, n)
-    metric = np.empty((nrows, npat))
-    for j in range(npat):
-        metric[:, j] = np.where(cands[:, j] != hard, mag, 0.0).sum(axis=1)
+    cands, ok, metric = kernel_for(spec).decode_trials(
+        hard, least_reliable(mag, p), flip, mag)
     metric[~ok] = np.inf
     any_ok = ok.any(axis=1)
 
@@ -119,7 +105,7 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
                          beta * dsign)
     extrinsic[~any_ok] = 0.0
     decision[~any_ok] = hard[~any_ok]
-    return cfg.alpha(half_iter) * extrinsic, decision, any_ok
+    return cfg.alpha(half_iter) * extrinsic, decision
 
 
 def chase_pyndiah_component(spec: ComponentCodeSpec, soft_in: np.ndarray,
@@ -151,7 +137,7 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
         ext = np.empty_like(soft)
         dec = np.empty(soft.shape, dtype=np.uint8)
         for sl in _row_slices(len(soft), 1 << cfg.p):
-            ext[sl], dec[sl], _ = _chase_batch(spec.component, soft[sl], cfg, half)
+            ext[sl], dec[sl] = _chase_batch(spec.component, soft[sl], cfg, half)
         _put_rows(s["ext"], half, ext)
         _put_rows(s["dec"], half, dec)
         ops["bdd_calls"] += len(soft) << cfg.p

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import all_codewords
 from pcdec.bch import bdd, construct_ebch, error_erasure_decode
@@ -12,6 +14,7 @@ from pcdec.gmd import (
     generalized_distance,
     gmd_decode,
 )
+from pcdec.kernels import kernel_for
 
 
 @pytest.fixture(scope="module")
@@ -178,21 +181,44 @@ def test_gmd_relabeling_equivariance(bch15):
         assert np.array_equal(gp.word, g.word[perm])
 
 
-@pytest.mark.parametrize("m,extend", [(4, False), (6, True)])
-def test_batch_gmd_matches_scalar(m, extend):
-    spec = construct_ebch(build_field(m), 2, extend=extend)
-    rng = np.random.default_rng(38)
-    nrows = 200
-    words = rng.integers(0, 2, size=(nrows, spec.n)).astype(np.uint8)
-    # bias half the rows toward decodable patterns
-    words[:nrows // 2] = 0
-    for row in words[:nrows // 2]:
-        e = rng.integers(0, 4)
-        row[rng.choice(spec.n, size=e, replace=False)] = 1
-    reliab = rng.random((nrows, spec.n))
+@st.composite
+def gmd_rows(draw):
+    """A t = 2 code with m = 4..6, rows near codewords (0-6 errors) or
+    random, and reliabilities that are continuous or from two or three
+    levels, with some rows all zero. With levels, the errors sit on
+    zero-reliability bits half the time: then distinct candidates often
+    tie on the generalized distance, and the first trial in order must
+    win."""
+    m = draw(st.sampled_from([4, 5, 6]))
+    spec = construct_ebch(build_field(m), 2, extend=draw(st.booleans()))
+    nrows = draw(st.integers(1, 64))
+    levels = draw(st.sampled_from([None, 2, 3]))
+    zero = draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    words = kernel_for(spec).encode(rng.integers(0, 2, (nrows, spec.k)))
+    if levels is None:
+        reliab = rng.random((nrows, spec.n))
+    else:
+        reliab = rng.integers(0, levels, (nrows, spec.n)).astype(np.float64)
+    for row, rel in zip(words, reliab):
+        if rng.random() < 0.1:
+            row[:] = rng.integers(0, 2, spec.n)
+            continue
+        err = rng.choice(spec.n, size=rng.integers(0, 7), replace=False)
+        row[err] ^= 1
+        if rng.random() < 0.5:
+            rel[err] = 0.0
+    reliab[zero] = 0.0
+    return spec, words, reliab
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=gmd_rows())
+def test_batch_gmd_matches_scalar(case):
+    spec, words, reliab = case
     out, ok, stats = batch_gmd(spec, words, reliab)
-    assert stats["attempts"] == nrows * (spec.t + 1)
-    for i in range(nrows):
+    assert stats["attempts"] == len(words) * (spec.t + 1)
+    for i in range(len(words)):
         ref = gmd_decode(spec, words[i], ReliabilityVector.from_values(reliab[i]))
         assert ok[i] == ref.corrected
         assert np.array_equal(out[i], ref.word)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_codewords, oracle_anchor_decode
-from pcdec import bch
+from pcdec import bch, kernels, product
 from pcdec.channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
 from pcdec.gf import build_field
 from pcdec.gmd import ReliabilityVector, gmd_decode
@@ -259,6 +259,32 @@ def test_anchor_stack_matches_sequential_oracle():
     assert seen["backtracks"] and seen["redecodes"], seen
 
 
+# A 31x31 hard-decision frame (packed bits) on which anchor decoding with
+# threshold 1 backtracks 16 times in 4 iterations. Conflicts recorded
+# against a component that loses its anchor status must be dropped at the
+# end of the pass: kept, they count toward its threshold once it is an
+# anchor again, and it is backtracked too early (3 bits and one BDD call
+# differ from the sequential walk).
+STALE_CONFLICT_FRAME = (
+    "0210008280100080410002040420400200200000022808020105442846400100"
+    "010c8800000820060000000904000000008021002040040e4088019000000006"
+    "8445002108000020404002004018000200c10000600000888000004041110000"
+    "02200080028000000008160000020000000010112000120080")
+
+
+def test_anchor_drops_conflicts_against_lost_anchors():
+    pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(STALE_CONFLICT_FRAME), np.uint8))
+    received = bits[:pc.n * pc.n].reshape(pc.n, pc.n)
+    res = anchor_decode(pc, received, 4, threshold=1)
+    array, iterations, converged, ops, backtracks = oracle_anchor_decode(
+        pc, received, 4, 1)
+    assert backtracks == 16
+    assert np.array_equal(res.array, array)
+    assert (res.iterations_used, res.converged) == (iterations, converged)
+    assert res.op_counters == ops
+
+
 # ---------------------------------------------------------------- iBDD-SR
 
 
@@ -419,11 +445,17 @@ def test_igmdd_sr_gmd_failure_falls_back_to_llr(pc15):
 
 
 def test_igmdd_sr_erasure_call_budget(pc15):
+    # every component runs t + 1 error-erasure trials, 2t + 1 BDDs (the
+    # unerased word and both fills of each erasure set); gd_evals is the
+    # count of valid candidates that the two-fill code scored on this frame
     _, L = noisy_frame(pc15, 1.5, 301)
     res = igmdd_sr(pc15, L, ScalingSchedule.constant(1.0, 4), l_max=4)
     t = pc15.component.t
-    assert res.op_counters["erasure_calls"] <= 2 * pc15.n * (t + 1) * res.iterations_used
-    assert res.op_counters["gd_evals"] > 0
+    components = 2 * pc15.n * res.iterations_used
+    assert res.iterations_used == 4
+    assert res.op_counters["erasure_calls"] == (t + 1) * components
+    assert res.op_counters["bdd_calls"] == (2 * t + 1) * components
+    assert res.op_counters["gd_evals"] == 123
 
 
 # ---------------------------------------------------------------- genie
@@ -616,6 +648,36 @@ def test_stack_frames_leave_at_their_own_iteration(name):
     res = assert_stack_equals_frames(name, pc, L, sent, 10)
     assert res.converged[0] and not res.converged[-1]
     assert len(set(res.iterations_used[res.converged].tolist())) >= 2
+
+
+def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
+    # 28 frames of 31 rows: the Chase half-step (16 trials per row) and the
+    # GMD half-step (5 per row) each need several slices
+    pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
+    L, _ = frame_stack(pc, [3.0] * 28, 5, [False] * 28)
+    sizes, gmd_bdds = [], []
+    bdd = kernels.ComponentKernel.batch_bdd
+    gmd = product.batch_gmd
+
+    def counted_bdd(self, words):
+        sizes.append(len(words))
+        return bdd(self, words)
+
+    def counted_gmd(*args):
+        before = len(sizes)
+        out = gmd(*args)
+        gmd_bdds.append(len(sizes) - before)
+        return out
+
+    monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", counted_bdd)
+    monkeypatch.setattr(product, "batch_gmd", counted_gmd)
+    tpd_stack(pc, L, ChaseConfig.default(1), 1)
+    assert len(sizes) == 2 * 4  # slices of 256 rows: 4 per half-iteration
+    assert max(sizes) <= product.MAX_WORDS_PER_CALL
+    sizes.clear()
+    igmdd_sr_stack(pc, L, (2.0,), 1)
+    assert gmd_bdds == [1] * (2 * 2)  # 2 slices of 819 rows, one BDD call each
+    assert max(sizes) <= product.MAX_WORDS_PER_CALL
 
 
 def test_stack_decoders_reject_malformed_stacks(pc15):

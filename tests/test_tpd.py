@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import all_codewords
 from pcdec import bch
 from pcdec.channel import ChannelParams, frame_rng, llr, modulate, transmit
 from pcdec.gf import build_field
 from pcdec.product import ProductCodeSpec, is_pc_codeword
-from pcdec.tpd import ChaseConfig, chase_pyndiah_component, tpd_decode
+from pcdec.kernels import kernel_for
+from pcdec.tpd import ChaseConfig, _chase_batch, chase_pyndiah_component, tpd_decode
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,25 @@ def test_chase_matches_reference(comp15, cfg):
             got = chase_pyndiah_component(comp15, soft, cfg, half)
             want, _ = ref_chase(comp15, soft, cfg, half)
             assert np.allclose(got, want, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(m=st.sampled_from([4, 6]), extend=st.booleans(), nrows=st.integers(2, 40),
+       quantized=st.booleans(), half=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_chase_batch_rows_equal_single_rows(m, extend, nrows, quantized, half, seed):
+    # noisy codewords; quantized inputs tie on |soft| and include zeros
+    spec = bch.construct_ebch(build_field(m), 2, extend=extend)
+    cfg = ChaseConfig.default(l_max=4)
+    rng = np.random.default_rng(seed)
+    cw = kernel_for(spec).encode(rng.integers(0, 2, (nrows, spec.k)))
+    soft = 2.0 * (1.0 - 2.0 * cw) + rng.normal(0, 1.5, cw.shape)
+    if quantized:
+        soft = np.round(soft)
+    ext, dec = _chase_batch(spec, soft, cfg, half)
+    for i in range(nrows):
+        ext_i, dec_i = _chase_batch(spec, soft[i:i + 1], cfg, half)
+        assert np.array_equal(ext[i], ext_i[0])
+        assert np.array_equal(dec[i], dec_i[0])
 
 
 def test_chase_pattern_list_recovers_beyond_t(comp15, cw15, cfg):
