@@ -149,6 +149,11 @@ class SimConfig:
                             ("opt_frames", 1), ("chase_p", 1), ("anchor_threshold", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if "chase_p" in REGISTRY[self.algorithm].fields:
+            try:
+                ChaseConfig.default(self.iterations, self.chase_p)
+            except ValueError as exc:
+                raise ValueError(f"chase_p: {exc}") from None
         if self.w is not None and len(self.w) != self.iterations:
             raise ValueError(f"w must hold {self.iterations} weights, one per "
                              f"iteration, got {len(self.w)}")
@@ -200,6 +205,7 @@ class _FrameSimulator:
     process."""
 
     def __init__(self, cfg: SimConfig, ebno_db: float):
+        _one_blas_thread()
         self.cfg = cfg
         self.spec = cfg.product_spec()
         self.params = ChannelParams.make(ebno_db, self.spec.rate)
@@ -227,11 +233,13 @@ _POOL_SIM: _FrameSimulator | None = None
 
 
 def _one_blas_thread() -> None:
-    """Limit the OpenBLAS bundled with numpy to one thread in this process.
-    A pool's workers already share the cores, and the syndrome GEMM of a
-    stack is large enough for OpenBLAS to start threads of its own, which
-    oversubscribes them (a pooled C5 smoke point ran 3x slower). Does
-    nothing when numpy uses another BLAS."""
+    """Limit the OpenBLAS bundled with numpy to one thread in this process;
+    every simulating process, serial or pool worker, calls it. The
+    syndrome GEMM of a stack is large enough for OpenBLAS to start threads
+    of its own. They stall a serial run (an m=6 ibdd point of 256 frames
+    took up to 5x longer on 2 cores) and oversubscribe the cores that a
+    pool's workers already share (a pooled C5 smoke point ran 3x slower).
+    Does nothing when numpy uses another BLAS."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "lib*openblas*")):
         lib = ctypes.CDLL(path)
@@ -246,7 +254,6 @@ def _one_blas_thread() -> None:
 
 def _pool_init(cfg: SimConfig, ebno_db: float) -> None:
     global _POOL_SIM
-    _one_blas_thread()
     _POOL_SIM = _FrameSimulator(cfg, ebno_db)
 
 

@@ -1,11 +1,13 @@
 """Vectorized component decoding used by the product decoders.
 
-A ComponentKernel decodes a whole batch of received words at once:
-syndromes come from one GF(2) matrix product (BLAS sgemm on 0/1 data),
-and for double-error-correcting codes the key equation is solved in
-closed form with quadratic-root lookup tables, so the per-word work is a
-handful of fancy-indexing operations. Codes with t != 2 fall back to the
-scalar decoder row by row. Encoding is one GF(2) product with the
+A ComponentKernel decodes a whole batch of received words at once as a
+syndrome (coset-leader) decoder: one GF(2) matrix product (BLAS sgemm on
+0/1 data) gives each word's m*t odd-syndrome bits, which read as an
+integer key index a table of the unique error pattern of weight <= t with
+those syndromes; keys without one mean failure. The table has 2^(m*t)
+entries and is built on first use for codes with m*t <= MAX_KEY_BITS (t = 1,
+t = 2 up to m = 10, t = 3 up to m = 6); larger codes are decoded row by
+row with the scalar decoder. ``kernel_for`` keeps one kernel per code. Encoding is one GF(2) product with the
 systematic generator matrix, built from ``bch.encode`` on first use.
 
 The batch results are bit-exact with ``bch.bdd`` on every input; the test
@@ -14,27 +16,17 @@ suite pins this equivalence exhaustively for small codes.
 
 from __future__ import annotations
 
-import weakref
+import itertools
+import math
 from functools import cached_property
 
 import numpy as np
 
 from . import bch
-from .gf import FieldSpec
 
-
-def _quad_root_table(field: FieldSpec) -> np.ndarray:
-    """qroot[c] = smallest y with y^2 + y = c, or -1 when unsolvable."""
-    size = field.size
-    table = np.full(size, -1, dtype=np.int64)
-    for y in range(size):
-        y2 = 0
-        if y:
-            y2 = int(field.antilog_table[(2 * field.log_table[y]) % field.order])
-        c = y2 ^ y
-        if table[c] < 0 or y < table[c]:
-            table[c] = y
-    return table
+# largest m*t whose coset-leader table (2^(m*t) entries) batch_bdd builds;
+# beyond it batch_bdd decodes row by row
+MAX_KEY_BITS = 20
 
 
 class ComponentKernel:
@@ -44,16 +36,13 @@ class ComponentKernel:
         self.spec = spec
         field = spec.field
         m = field.m
-        self.order = field.order
-        self.log = field.log_table
-        self.antilog = field.antilog_table
 
         # bits of alpha^(j*p) for the odd syndromes j = 1, 3, ..., 2t-1,
         # one m-bit block per j, plus a final overall-parity column
         pos = np.arange(spec.inner_n, dtype=np.int64)
         blocks = []
         for j in range(1, 2 * spec.t, 2):
-            vals = field.antilog_table[(j * pos) % self.order]
+            vals = field.antilog_table[(j * pos) % field.order]
             blocks.append(((vals[:, None] >> np.arange(m)[None, :]) & 1))
         smat = np.concatenate(blocks + [np.ones((spec.inner_n, 1), dtype=np.int64)],
                               axis=1)
@@ -62,21 +51,36 @@ class ComponentKernel:
             ext_row[0, -1] = 1
             smat = np.concatenate([smat, ext_row], axis=0)
         self._smat = smat.astype(np.float32)
-        self._pow2 = (1 << np.arange(m)).astype(np.int64)
-
-        if spec.t == 2:
-            x = np.arange(field.size, dtype=np.int64)
-            cube = np.zeros(field.size, dtype=np.int64)
-            nz = x[1:]
-            cube[1:] = field.antilog_table[(3 * field.log_table[nz]) % self.order]
-            self._cube = cube
-            self._qroot = _quad_root_table(field)
 
     @cached_property
     def _generator(self) -> np.ndarray:
         """k x n generator matrix: row i is bch.encode of unit message i."""
         eye = np.eye(self.spec.k, dtype=np.uint8)
         return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
+
+    @cached_property
+    def _leaders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The key weights, which turn a row of syndrome bits into its key
+        (the parity bit does not enter it), and the coset-leader table
+        indexed by the key: the weight of the unique error pattern of
+        weight <= t with that key (t + 1 when there is none) and its
+        positions in ascending order. The slots past the weight hold n - 1,
+        where an extended code flips its parity bit."""
+        spec = self.spec
+        t = spec.t
+        key_weights = np.append(1 << np.arange(spec.field.m * t), 0)
+        col_keys = self._smat[:spec.inner_n].astype(np.int64) @ key_weights
+        weight = np.full(1 << (spec.field.m * t), t + 1, dtype=np.uint8)
+        positions = np.full((len(weight), t), spec.n - 1, dtype=np.uint16)
+        weight[0] = 0
+        for w in range(1, t + 1):
+            combos = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(spec.inner_n), w)),
+                dtype=np.int64, count=w * math.comb(spec.inner_n, w)).reshape(-1, w)
+            keys = np.bitwise_xor.reduce(col_keys[combos], axis=1)
+            weight[keys] = w
+            positions[keys, :w] = combos
+        return key_weights, weight, positions
 
     def encode(self, messages: np.ndarray) -> np.ndarray:
         """Systematic encoding of each row of a (rows, k) 0/1 matrix;
@@ -100,63 +104,34 @@ class ComponentKernel:
         """Decode each row; returns (decoded words, corrected mask).
         Failed rows are echoed unchanged."""
         words = np.ascontiguousarray(words, dtype=np.uint8)
-        if self.spec.t == 2:
-            return self._batch_bdd_t2(words)
         out = words.copy()
-        ok = np.zeros(len(words), dtype=bool)
-        for i, row in enumerate(words):
-            res = bch.bdd(self.spec, row)
-            if res.corrected:
-                out[i] = res.word
-                ok[i] = True
+        if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
+            ok = np.zeros(len(words), dtype=bool)
+            for i, row in enumerate(words):
+                res = bch.bdd(self.spec, row)
+                if res.corrected:
+                    out[i] = res.word
+                    ok[i] = True
+            return out, ok
+        rows, pos, ok = self._error_positions(self._syndrome_bits(words))
+        out[rows, pos] ^= 1
         return out, ok
 
-    def _batch_bdd_t2(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.spec
-        m = spec.field.m
-        bits = self._syndrome_bits(words)
-        s1 = bits[:, :m] @ self._pow2
-        s3 = bits[:, m:2 * m] @ self._pow2
-
-        s1_nz = s1 != 0
-        cube_s1 = self._cube[s1]
-        zero = ~s1_nz & (s3 == 0)
-        single = s1_nz & (s3 == cube_s1)
-        double = s1_nz & ~single
-
-        # c = s3 / s1^3 + 1; the double branch has c != 0 by construction
-        safe_s3 = np.maximum(s3, 1)
-        ratio = np.where(
-            s3 == 0, 0,
-            self.antilog[(self.log[safe_s3] - self.log[np.maximum(cube_s1, 1)])
-                         % self.order])
-        c = np.where(double, ratio ^ 1, 0)
-        y0 = self._qroot[c]
-        solvable = double & (y0 > 0)
-
-        log_s1 = self.log[np.maximum(s1, 1)]
-        p_single = log_s1
-        x1 = self.antilog[(log_s1 + self.log[np.maximum(y0, 1)]) % self.order]
-        x2 = x1 ^ s1
-        p_a = self.log[np.maximum(x1, 1)]
-        p_b = self.log[np.maximum(x2, 1)]
-
-        e_inner = single.astype(np.int64) + 2 * solvable
-        ok = zero | single | solvable
-        if spec.extended:
-            parity = bits[:, -1]
-            ext_flip = (parity ^ e_inner) & 1
-            ok &= (e_inner + ext_flip) <= spec.t
-        out = words.copy()
-        rows = np.flatnonzero(single & ok)
-        out[rows, p_single[rows]] ^= 1
-        rows = np.flatnonzero(solvable & ok)
-        out[rows, p_a[rows]] ^= 1
-        out[rows, p_b[rows]] ^= 1
-        if spec.extended:
-            rows = np.flatnonzero(ok & (ext_flip == 1))
-            out[rows, spec.n - 1] ^= 1
-        return out, ok
+    def _error_positions(self, bits: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The corrections for rows of syndrome bits: (row indices,
+        positions) of the bits to flip, one pair per bit, and the
+        corrected mask. An extended code also flips its parity bit when
+        the overall parity disagrees with the error weight, and fails when
+        that makes more than t flips."""
+        key_weights, weight, positions = self._leaders
+        key = bits @ key_weights
+        flips = weight[key]
+        if self.spec.extended:
+            flips = flips + ((bits[:, -1] ^ flips) & 1)
+        ok = flips <= self.spec.t
+        rows, slot = np.nonzero(np.arange(self.spec.t) < np.where(ok, flips, 0)[:, None])
+        return rows, positions[key[rows], slot], ok
 
     def decode_trials(self, words: np.ndarray, positions: np.ndarray,
                       flips: np.ndarray, weights: np.ndarray
@@ -210,14 +185,14 @@ def least_reliable(values: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=1)
 
 
-_KERNEL_CACHE: "weakref.WeakKeyDictionary[bch.ComponentCodeSpec, ComponentKernel]" = (
-    weakref.WeakKeyDictionary())
+# one kernel per code, not per spec object: a run builds a fresh spec for
+# every point, and each kernel's tables would be built again
+_KERNEL_CACHE: dict[tuple, ComponentKernel] = {}
 
 
 def kernel_for(spec: bch.ComponentCodeSpec) -> ComponentKernel:
-    try:
-        return _KERNEL_CACHE[spec]
-    except KeyError:
-        kern = ComponentKernel(spec)
-        _KERNEL_CACHE[spec] = kern
-        return kern
+    key = (spec.field.m, spec.field.primitive_poly, spec.generator_poly, spec.t,
+           spec.extended)
+    if key not in _KERNEL_CACHE:
+        _KERNEL_CACHE[key] = ComponentKernel(spec)
+    return _KERNEL_CACHE[key]

@@ -224,9 +224,8 @@ MAX_WORDS_PER_CALL = 4096
 
 
 def _row_slices(rows: int, words_per_row: int) -> list[slice]:
-    """Slices of ``rows`` rows with at most MAX_WORDS_PER_CALL words each
-    (at least one row)."""
-    step = max(1, MAX_WORDS_PER_CALL // words_per_row)
+    """Slices of ``rows`` rows with at most MAX_WORDS_PER_CALL words each."""
+    step = MAX_WORDS_PER_CALL // words_per_row
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .bch import ComponentCodeSpec
 from .kernels import kernel_for, least_reliable
 from .product import (
+    MAX_WORDS_PER_CALL,
     DecoderResult,
     ProductCodeSpec,
     _both_passes,
@@ -35,6 +36,8 @@ from .product import (
 # longer runs
 DEFAULT_ALPHA = (0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
 DEFAULT_BETA = (0.2, 0.4, 0.6, 0.8, 1.0)
+# most test-pattern bits: 2^MAX_P = MAX_WORDS_PER_CALL
+MAX_P = MAX_WORDS_PER_CALL.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,9 @@ class ChaseConfig:
     beta_schedule: tuple[float, ...]
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1 <= self.p <= MAX_P:
+            raise ValueError(f"p must be between 1 and {MAX_P}, so that a row's 2^p "
+                             f"test words fit one kernel call, got {self.p}")
         if not self.alpha_schedule or not self.beta_schedule:
             raise ValueError("schedules must be non-empty")
 

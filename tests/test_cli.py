@@ -230,6 +230,8 @@ def test_strict_mode_flags_budget_exhaustion(tmp_path):
     (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,ibdd-sr")
      .replace("iterations = 2", "iterations = 3") + "[ibdd-sr]\nw = 5;5\n",
      "w must hold 3 weights"),
+    (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,tpd") + "[tpd]\np = 13\n",
+     "chase_p: p must be between 1 and 12"),
 ])
 def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
     cfg = write(tmp_path, "bad.ini", fault)

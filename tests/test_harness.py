@@ -1,8 +1,11 @@
 import ctypes
 import dataclasses
 import glob
+import inspect
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +75,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be >= {least}, got {value}"):
             SimConfig("ibdd", **{field: value})
     SimConfig("ad", anchor_threshold=0)
+    # 2^13 Chase test words per row would overrun one kernel call
+    with pytest.raises(ValueError, match="chase_p: p must be between 1 and 12"):
+        SimConfig("tpd", chase_p=13)
     # an explicit schedule is checked here, not in the first decoded batch
     with pytest.raises(ValueError, match="w must hold 3 weights, one per iteration, got 2"):
         SimConfig("ibdd-sr", iterations=3, w=(5.0, 5.0))
@@ -156,6 +162,25 @@ def test_pool_workers_run_one_blas_thread():
     with ctx.Pool(1, initializer=harness._pool_init,
                   initargs=(small_cfg("ibdd"), 3.0)) as pool:
         assert pool.apply_async(blas_threads).get(timeout=60) in (None, 1)
+
+
+def test_serial_run_uses_one_blas_thread():
+    # a fresh process, so that no earlier test has pinned BLAS already
+    child = "\n".join([
+        "import ctypes, glob, os",
+        "import numpy as np",
+        "from pcdec.harness import SimConfig, run_ber_point",
+        inspect.getsource(blas_threads),
+        "run_ber_point(SimConfig('ibdd', code_m=4, extended=False, iterations=3,"
+        " max_frames=16, batch_frames=16), 3.0)",
+        "print(blas_threads())"])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split()[-1] in ("None", "1")
 
 
 def test_random_codeword_transmission():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pcdec import kernels
 from pcdec.bch import (
     UnsupportedParametersError,
     bdd,
@@ -68,15 +69,56 @@ def test_batch_matches_scalar_larger_codes(m, extend):
     assert np.array_equal(out, ref_out)
 
 
-def test_batch_generic_t3_fallback():
-    spec = construct_ebch(build_field(4), 3, extend=False)  # (15, 5, 7)
+def light_errors(spec, rng, rows):
+    """Codewords with 0..t+2 flipped bits: decodable, miscorrected and
+    failed words."""
+    words = np.stack([encode(spec, rng.integers(0, 2, spec.k).astype(np.uint8))
+                      for _ in range(rows)])
+    for row in words:
+        row[rng.choice(spec.n, size=rng.integers(0, spec.t + 3), replace=False)] ^= 1
+    return words
+
+
+# (15, 5, 7) decodes by table lookup; m = 8 is beyond MAX_KEY_BITS and
+# decodes row by row
+@pytest.mark.parametrize("m,extend", [(4, False), (8, True)])
+def test_batch_generic_t3_fallback(m, extend):
+    spec = construct_ebch(build_field(m), 3, extend=extend)
     kern = kernel_for(spec)
     rng = np.random.default_rng(23)
-    words = rng.integers(0, 2, size=(400, 15)).astype(np.uint8)
+    words = rng.integers(0, 2, size=(400, spec.n)).astype(np.uint8)
+    words = np.concatenate([words, light_errors(spec, rng, 200)])
     out, ok = kern.batch_bdd(words)
     ref_out, ref_ok = scalar_reference(spec, words)
     assert np.array_equal(ok, ref_ok)
     assert np.array_equal(out, ref_out)
+
+
+@pytest.mark.parametrize("m,t,extend", [(4, 1, False), (8, 1, True), (10, 2, True),
+                                         (4, 3, False), (5, 3, True), (6, 3, True)])
+def test_table_path_never_calls_the_scalar_decoder(monkeypatch, m, t, extend):
+    spec = construct_ebch(build_field(m), t, extend=extend)
+    assert m * t <= kernels.MAX_KEY_BITS
+    rng = np.random.default_rng([27, m, t])
+    words = np.concatenate([light_errors(spec, rng, 300),
+                            rng.integers(0, 2, (100, spec.n)).astype(np.uint8)])
+    ref_out, ref_ok = scalar_reference(spec, words)
+
+    def no_scalar(*args):
+        raise AssertionError("row-by-row fallback")
+
+    monkeypatch.setattr(kernels.bch, "bdd", no_scalar)
+    out, ok = kernel_for(spec).batch_bdd(words)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(out, ref_out)
+
+
+def test_specs_of_one_code_share_a_kernel():
+    # a run builds a fresh spec per point; the tables are built once per code
+    spec = construct_ebch(build_field(6), 2)
+    assert kernel_for(construct_ebch(build_field(6), 2)) is kernel_for(spec)
+    assert kernel_for(construct_ebch(build_field(6), 2, extend=False)) is not kernel_for(spec)
+    assert kernel_for(construct_ebch(build_field(6, 0b1100111), 2)) is not kernel_for(spec)
 
 
 def test_codeword_mask():
@@ -108,10 +150,11 @@ def test_batch_genie_matches_scalar():
 
 
 @settings(deadline=None, max_examples=200)
-@given(m=st.integers(3, 10), t=st.integers(1, 3), extend=st.booleans(),
+@given(m=st.integers(3, 10), t=st.integers(1, 4), extend=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
-    # t = 2 runs the closed-form path, t = 1 and t = 3 the per-row fallback
+    # codes with m * t <= MAX_KEY_BITS decode by table lookup, larger ones
+    # row by row
     try:
         spec = construct_ebch(build_field(m), t, extend=extend)
     except UnsupportedParametersError:

@@ -68,6 +68,10 @@ def test_chase_config_defaults():
     assert c.alpha(100) == 1.0
     with pytest.raises(ValueError):
         ChaseConfig(p=0, alpha_schedule=(1.0,), beta_schedule=(1.0,))
+    # a row's 2^p test words must fit one kernel call
+    assert ChaseConfig(p=12, alpha_schedule=(1.0,), beta_schedule=(1.0,)).p == 12
+    with pytest.raises(ValueError, match="p must be between 1 and 12"):
+        ChaseConfig(p=13, alpha_schedule=(1.0,), beta_schedule=(1.0,))
 
 
 def test_chase_noiseless_decision_and_extrinsic_signs(comp15, cw15, cfg):
