@@ -85,13 +85,12 @@ SECTION_KEYS["simulation"] = [
     k for k in KEYS if not any(k in keys for keys in SECTION_KEYS.values())]
 
 
-def _parse(key: str, text: str, name: str | None = None):
-    """``text`` parsed as the value of ``key``; a malformed value raises a
-    ValueError naming ``name`` (default: the key)."""
+def _parse(parse, text: str, name: str):
+    """``parse(text)``, with ``name`` leading the ValueError it raises."""
     try:
-        return KEYS[key][1](text)
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"{name or key}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _flag(key: str):
@@ -124,12 +123,13 @@ def load_config(paths: list[str], overrides: argparse.Namespace) -> dict:
             if key not in allowed:
                 raise ValueError(f"key {key!r} is not allowed in [{name}], which "
                                  f"takes: {', '.join(allowed) or 'no keys'}")
-        sections[name] = {KEYS[k][0]: _parse(k, v) for k, v in parser[name].items()}
+        sections[name] = {KEYS[k][0]: _parse(KEYS[k][1], v, k)
+                          for k, v in parser[name].items()}
     shared = sections.pop("simulation", {})
     shared.update({KEYS[k][0]: getattr(overrides, k) for k in SECTION_KEYS["simulation"]
                    if getattr(overrides, k, None) is not None})
     if "workers" not in shared and "PCDEC_WORKERS" in os.environ:
-        shared["workers"] = _parse("workers", os.environ["PCDEC_WORKERS"],
+        shared["workers"] = _parse(KEYS["workers"][1], os.environ["PCDEC_WORKERS"],
                                    "PCDEC_WORKERS")
     algorithms, out, optimize_at = (
         shared.pop(k, None) for k in ("algorithms", "out", "optimize_at"))
@@ -204,10 +204,14 @@ def cmd_optimize_w(args) -> int:
         print("error: give the Eb/N0 to optimize at with --at or optimize_at",
               file=sys.stderr)
         return 2
+    tuned = {a: cfg for a, cfg in setup["configs"].items() if "w" in REGISTRY[a].fields}
+    if not tuned:
+        takes_w = ", ".join(a for a in ALGORITHMS if "w" in REGISTRY[a].fields)
+        print(f"error: nothing to optimize: only {takes_w} take a w schedule",
+              file=sys.stderr)
+        return 2
     parser = configparser.ConfigParser()
-    for alg, cfg in setup["configs"].items():
-        if "w" not in REGISTRY[alg].fields:
-            continue
+    for alg, cfg in tuned.items():
         w = ";".join(str(x) for x in optimize_scaling(cfg, ebno).w)
         parser[alg] = {"w": w}
         print(f"{alg}: w = {w}", file=sys.stderr)
@@ -216,20 +220,28 @@ def cmd_optimize_w(args) -> int:
     return 0
 
 
+# the parser of each CSV_HEADER field, named as in BerRecord
+CSV_FIELDS = dict(zip(CSV_HEADER.split(","), (
+    str, float, int, int, int, int, float, float, int,
+    lambda s: _parse_tuple(s, sep=";") or None)))
+
+
 def _read_csv(path: str) -> dict[str, list]:
+    """The records of a results CSV by algorithm. A short row or a bad value
+    raises a ValueError naming ``path:line`` (and the field)."""
     curves: dict[str, list] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("algorithm,"):
                 continue
-            f = line.split(",")
-            rec = BerRecord(
-                algorithm=f[0], ebno_db=float(f[1]), iterations=int(f[2]),
-                frames=int(f[3]), bit_errors=int(f[4]), frame_errors=int(f[5]),
-                ber=float(f[6]), fer=float(f[7]), seed=int(f[8]),
-                w=_parse_tuple(f[9], sep=";") or None,
-                wall_time=0.0, budget_exhausted=False)
+            where, values = f"{path}:{lineno}", line.split(",")
+            if len(values) != len(CSV_FIELDS):
+                raise ValueError(f"{where}: {len(values)} fields, expected "
+                                 f"{len(CSV_FIELDS)} ({CSV_HEADER})")
+            fields = {name: _parse(parse, text, f"{where}: {name}")
+                      for (name, parse), text in zip(CSV_FIELDS.items(), values)}
+            rec = BerRecord(**fields, wall_time=0.0, budget_exhausted=False)
             curves.setdefault(rec.algorithm, []).append(rec)
     return curves
 

@@ -3,17 +3,17 @@
 Every decoder runs on one iteration loop, ``_iterate``, over a stack of
 frames, an array of shape (B, n, n). It owns the iteration count, the
 order "rows, then columns" within an iteration, the per-frame early stop
-once a frame's decision array is a product codeword, the op counters and
-the ``DecoderResult``. A decoder supplies its state (arrays with the
-frames along axis 0) and two functions: a half-step, which decodes all
-rows (even half-iterations) or all columns (odd ones) of every frame
-still iterating, in one kernel call on their rows stacked to
-(B * n, n), and a decision, which maps the state to hard bits. A frame
-that has converged leaves the state, so it stops at the same iteration
-as it would alone. ``_lines`` presents an array so that the half-step's
-component words are its rows, and ``_rows`` stacks them.
+once a frame's decisions (the state entry ``dec``) are a product
+codeword, the op counters and the ``DecoderResult``. A decoder supplies
+its state (arrays with the frames along axis 0) and a half-step, which
+decodes all rows (even half-iterations) or all columns (odd ones) of
+every frame still iterating, in one kernel call on their rows stacked to
+(B * n, n). A frame that has converged leaves the state, so it stops at
+the same iteration as it would alone. ``_lines`` presents an array so
+that the half-step's component words are its rows, and ``_rows`` stacks
+them.
 
-Three half-steps serve the six decoders:
+Two half-steps serve the six decoders:
 
 * ``_bdd_stack``    -- BDD of every component; a message rule turns the
                        result into the next hard message:
@@ -22,19 +22,16 @@ Three half-steps serve the six decoders:
                       miscorrection into a failure (reference curve);
   - ``ibdd_sr``       keeps a decoded bit only where |L| < w, the 1-bit
                       message psi = B(w * mubar + L);
-  - ``anchor_decode`` takes each frame's components in index order:
-                      decoded components become anchors; a correction
-                      that would overturn an anchor is blocked (the
-                      proposer keeps its word for the rest of the
-                      iteration) until too many components conflict with
-                      it, then it is backtracked. The crossing anchors
-                      change only at backtracks, so a pass runs as rounds
-                      of array operations over the stack, one backtrack
-                      per frame and one BDD call for the changed words
-                      per round.
-* ``igmdd_sr``      -- GMD component decoding with the soft messages
-                       w * mubar + L.
-* ``tpd.tpd_decode`` -- the Chase-Pyndiah turbo baseline.
+  - ``anchor_decode`` takes each frame's components in index order: a
+                      decoded component becomes an anchor, and a
+                      correction that would overturn an anchor is blocked
+                      until too many components conflict with it, then
+                      the anchor is backtracked (see ``_anchor_pass``).
+* ``_soft_stack``   -- soft messages: a rule decodes L plus the message
+                       ext of the crossing half-step and returns the next
+                       ext and the decisions:
+  - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
+  - ``tpd.tpd_decode`` Chase-Pyndiah, ext = the damped extrinsic.
 
 GMD and Chase BDD-decode 2t+1 and 2^p trial words per component, in one
 ``ComponentKernel.decode_trials`` call per slice of rows, and count them
@@ -230,19 +227,19 @@ def _row_slices(rows: int, words_per_row: int) -> list[slice]:
 
 
 def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
-             half_step, decide) -> DecoderResult:
+             half_step) -> DecoderResult:
     """Run up to l_max iterations of ``half_step(state, half, ops)`` over
     the rows (half = 2 * iteration - 2), then the columns (half + 1). A
-    frame stops after the first iteration whose ``decide(state)`` is a
-    product codeword, and is then dropped from every array of ``state``
-    (each holds the frames still iterating along axis 0). ``half_step``
-    updates the decoder's working state and adds its work to the op
-    counters ``ops``."""
+    frame stops after the first iteration whose decisions ``state["dec"]``
+    are a product codeword, and is then dropped from every array of
+    ``state`` (each holds the frames still iterating along axis 0).
+    ``half_step`` updates the decoder's working state and adds its work to
+    the op counters ``ops``."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     kern = kernel_for(spec.component)
     ops = {"bdd_calls": 0, "erasure_calls": 0, "gd_evals": 0, "msg_updates": 0}
-    frames = len(next(iter(state.values())))
+    frames = len(state["dec"])
     arrays = np.empty((frames, spec.n, spec.n), dtype=np.uint8)
     iterations = np.full(frames, l_max)
     converged = np.zeros(frames, dtype=bool)
@@ -250,9 +247,8 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
     for it in range(1, l_max + 1):
         half_step(state, 2 * it - 2, ops)
         half_step(state, 2 * it - 1, ops)
-        hard = np.ascontiguousarray(decide(state), dtype=np.uint8)
-        done = _codewords(kern, hard)
-        arrays[active] = hard
+        done = _codewords(kern, state["dec"])
+        arrays[active] = state["dec"]
         iterations[active[done]] = it
         converged[active[done]] = True
         if done.any():
@@ -269,14 +265,39 @@ def _bdd_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     BDD-decodes the component words (rows, which it may update in place),
     returns the words that replace them and adds work beyond one BDD per
     word to ``ops``. ``inputs`` are extra state entries."""
-    state = {"arr": _stack(spec, received, "received", bits=True), **inputs}
+    state = {"dec": _stack(spec, received, "received", bits=True), **inputs}
 
     def half_step(s, half, ops):
-        words = _rows(s["arr"], half)
-        _put_rows(s["arr"], half, rule(words, s, half, ops))
+        words = _rows(s["dec"], half)
+        _put_rows(s["dec"], half, rule(words, s, half, ops))
         ops["bdd_calls"] += len(words)
 
-    return _iterate(spec, l_max, state, half_step, lambda s: s["arr"])
+    return _iterate(spec, l_max, state, half_step)
+
+
+def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
+                rule) -> DecoderResult:
+    """Soft messages from the channel LLRs L on: ``rule(soft, llr, half,
+    ops) -> (ext, decisions)`` decodes the component words L + ext, ext the
+    soft message of the crossing half-step (zero at first), in slices with
+    ``trials`` BDD trial words per row, and adds its other work to ``ops``."""
+    llrs = _stack(spec, llrs, "llrs", bits=False)
+    state = {**_both_passes("llr", llrs), "ext": np.zeros_like(llrs),
+             "dec": np.zeros(llrs.shape, dtype=np.uint8)}
+
+    def half_step(s, half, ops):
+        llr = _pass_rows(s, "llr", half)
+        # batch_gmd sums reliabilities along rows, so it gets them
+        # C-contiguous: the summation order fixes the last bits
+        soft = llr + _rows(s["ext"], half)
+        ext, dec = np.empty_like(soft), np.empty(soft.shape, dtype=np.uint8)
+        for sl in _row_slices(len(soft), trials):
+            ext[sl], dec[sl] = rule(soft[sl], llr[sl], half, ops)
+        _put_rows(s["ext"], half, ext)
+        _put_rows(s["dec"], half, dec)
+        ops["bdd_calls"] += len(soft) * trials
+
+    return _iterate(spec, l_max, state, half_step)
 
 
 def ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
@@ -315,7 +336,7 @@ def ideal_ibdd(spec: ProductCodeSpec, received: np.ndarray,
 
 def _binary_message(val: np.ndarray, channel_hard: np.ndarray) -> np.ndarray:
     """B(val) with B(0) resolved to the channel hard decision."""
-    return np.where(val > 0, 0, np.where(val < 0, 1, channel_hard)).astype(np.uint8)
+    return np.where((val > 0) | (val < 0), val < 0, channel_hard)
 
 
 def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
@@ -370,30 +391,17 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
     """``igmdd_sr`` on a (B, n, n) stack of LLR frames."""
     sched = _as_schedule(w, l_max)
     comp = spec.component
-    trials = 2 * comp.t + 1  # BDD trial words per component in batch_gmd
-    llrs = _stack(spec, llrs, "llrs", bits=False)
-    # row inputs of iteration 1 are the channel LLRs
-    state = {"soft": llrs.copy(), **_both_passes("llr", llrs),
-             **_both_passes("ch", hard_decide(llrs))}
 
-    def half_step(s, half, ops):
-        # batch_gmd sums reliabilities along rows, so it gets them
-        # C-contiguous: the summation order fixes the last bits
-        words = _rows(s["soft"], half)
-        hard = _binary_message(words, _pass_rows(s, "ch", half))
-        out = np.empty_like(hard)
-        ok = np.empty(len(words), dtype=bool)
-        for sl in _row_slices(len(words), trials):
-            out[sl], ok[sl], stats = batch_gmd(comp, hard[sl], np.abs(words[sl]))
-            ops["erasure_calls"] += stats["attempts"]
-            ops["gd_evals"] += stats["gd_evals"]
-        ops["bdd_calls"] += len(words) * trials
-        mubar = (1.0 - 2.0 * out) * ok[:, None]
-        _put_rows(s["soft"], half, sched[half // 2] * mubar + _pass_rows(s, "llr", half))
-        ops["msg_updates"] += words.size
+    def rule(soft, llr, half, ops):
+        ch = hard_decide(llr)
+        out, ok, stats = batch_gmd(comp, _binary_message(soft, ch), np.abs(soft))
+        ops["erasure_calls"] += stats["attempts"]
+        ops["gd_evals"] += stats["gd_evals"]
+        ops["msg_updates"] += soft.size
+        ext = sched[half // 2] * (1.0 - 2.0 * out) * ok[:, None]  # w * mubar
+        return ext, _binary_message(llr + ext, ch)
 
-    return _iterate(spec, l_max, state, half_step,
-                    lambda s: _binary_message(s["soft"], s["ch"]))
+    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule)  # 2t+1 GMD trials
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:

@@ -7,6 +7,9 @@ and emits per-bit extrinsics from the metric gap to the best competitor
 with the opposite bit (or the reliability fallback beta when no
 competitor exists). Extrinsics are damped by the per-half-iteration
 alpha before the crossing dimension consumes them.
+
+Each half-step is a rule on ``product._soft_stack``: a component
+Chase-decodes L plus the crossing half-step's damped extrinsic.
 """
 
 from __future__ import annotations
@@ -17,20 +20,8 @@ import numpy as np
 
 from .bch import ComponentCodeSpec
 from .kernels import kernel_for, least_reliable
-from .product import (
-    MAX_WORDS_PER_CALL,
-    DecoderResult,
-    ProductCodeSpec,
-    _both_passes,
-    _frame,
-    _iterate,
-    _one,
-    _pass_rows,
-    _put_rows,
-    _row_slices,
-    _rows,
-    _stack,
-)
+from .product import (MAX_WORDS_PER_CALL, DecoderResult, ProductCodeSpec, _frame, _one,
+                      _soft_stack)
 
 # classic damping/fallback schedules; repeated-last-value padding covers
 # longer runs
@@ -131,22 +122,9 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
     if (len(cfg.alpha_schedule) < 2 * l_max
             or len(cfg.beta_schedule) < 2 * l_max):
         raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
-    llrs = _stack(spec, llrs, "llrs", bits=False)
-    state = {**_both_passes("llr", llrs),
-             "ext": np.zeros_like(llrs),  # from the last half-iteration
-             "dec": np.zeros(llrs.shape, dtype=np.uint8)}
-
-    def half_step(s, half, ops):
-        soft = _pass_rows(s, "llr", half) + _rows(s["ext"], half)
-        ext = np.empty_like(soft)
-        dec = np.empty(soft.shape, dtype=np.uint8)
-        for sl in _row_slices(len(soft), 1 << cfg.p):
-            ext[sl], dec[sl] = _chase_batch(spec.component, soft[sl], cfg, half)
-        _put_rows(s["ext"], half, ext)
-        _put_rows(s["dec"], half, dec)
-        ops["bdd_calls"] += len(soft) << cfg.p
-
-    return _iterate(spec, l_max, state, half_step, lambda s: s["dec"])
+    return _soft_stack(spec, llrs, l_max, 1 << cfg.p,
+                       lambda soft, llr, half, ops:
+                           _chase_batch(spec.component, soft, cfg, half))
 
 
 def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,

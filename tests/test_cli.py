@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pcdec.cli import load_config, main
+from pcdec.cli import CSV_HEADER, load_config, main
 from pcdec.harness import ALGORITHMS, SimConfig
 
 MINI_SIM = """
@@ -203,6 +203,18 @@ def test_report_without_rate_or_manifest_exits(tmp_path, capsys):
     assert main(["report", csv, "--target-ber", "1e-5", "--rate", "0.8622"]) == 0
 
 
+@pytest.mark.parametrize("text,where", [
+    ("algorithm,ebno_db\nibdd,3.0\n", ":2: 2 fields, expected 10"),
+    (CSV_HEADER + "\nibdd,4.4,10,1000,1,1,x,0.001,1,\n", ":2: ber: "),
+    ("# manifest=0\n" + CSV_HEADER + "\nibdd,4.4,10,1000,1,1,1e-6,0.001,1,\n"
+     "ibdd,4.6,10,1000,1,1,1e-7,0.001,1,0.5;y\n", ":4: w: "),
+], ids=["short-row", "bad-ber", "bad-w"])
+def test_report_malformed_csv_row_exits_2_naming_its_line(tmp_path, capsys, text, where):
+    csv = write(tmp_path, "bad.csv", text)
+    assert main(["report", csv, "--rate", "0.8622"]) == 2
+    assert f"error: {csv}{where}" in capsys.readouterr().err
+
+
 def test_bad_config_exits_nonzero(tmp_path):
     cfg = write(tmp_path, "bad.ini", "[simulation]\nalgorithms = warp\nebno = 4\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
@@ -341,4 +353,13 @@ def test_optimize_w_needs_an_ebno(tmp_path, capsys):
     frag = str(tmp_path / "sched.ini")
     assert main(["optimize-w", "--config", base, "--out", frag]) == 2
     assert "--at" in capsys.readouterr().err
+    assert not os.path.exists(frag)
+
+
+def test_optimize_w_without_a_schedule_to_tune_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "sim.ini", MINI_SIM)
+    frag = str(tmp_path / "sched.ini")
+    assert main(["optimize-w", "--config", cfg, "--algorithms", "ibdd,ad",
+                 "--at", "4.0", "--out", frag]) == 2
+    assert "ibdd-sr, igmdd-sr" in capsys.readouterr().err
     assert not os.path.exists(frag)

@@ -427,6 +427,20 @@ def test_igmdd_sr_matches_scalar_reference(pc15):
         assert np.array_equal(res.array, ref_igmdd_sr(pc15, L, w, 3))
 
 
+def test_igmdd_sr_matches_scalar_reference_at_weight_ties(pc15):
+    # |L| exactly at, just below and just above each weight: where |L| = w
+    # and the component disagrees with the channel, w * mubar + L is 0, and
+    # both the GMD input and the decision resolve B(0) to B(L)
+    w = (0.6, 0.9, 0.9, 1.4)
+    levels = np.array([0.0, 0.6, 0.9, 1.4, 3.0])
+    levels = np.concatenate([levels, np.nextafter(levels, -1), np.nextafter(levels, 9)])
+    rng = np.random.default_rng(59)
+    for _ in range(8):
+        L = rng.choice(levels, (15, 15)) * rng.choice([-1.0, 1.0], (15, 15))
+        res = igmdd_sr(pc15, L, w, l_max=4)
+        assert np.array_equal(res.array, ref_igmdd_sr(pc15, L, w, 4))
+
+
 def test_igmdd_sr_noiseless_converges(pc15):
     L = np.full((15, 15), 9.0)
     res = igmdd_sr(pc15, L, (1.0,), l_max=1)

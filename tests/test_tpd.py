@@ -7,7 +7,7 @@ from helpers import all_codewords
 from pcdec import bch
 from pcdec.channel import ChannelParams, frame_rng, llr, modulate, transmit
 from pcdec.gf import build_field
-from pcdec.product import ProductCodeSpec, is_pc_codeword
+from pcdec.product import ProductCodeSpec, is_pc_codeword, pc_encode
 from pcdec.kernels import kernel_for
 from pcdec.tpd import ChaseConfig, _chase_batch, chase_pyndiah_component, tpd_decode
 
@@ -194,6 +194,47 @@ def test_tpd_fixed_point_persists(comp15, cfg):
         assert is_pc_codeword(pc, longer.array)
         checked += 1
     assert checked >= 5
+
+
+def ref_tpd(pc, L, cfg, l_max):
+    """Row-by-row reference for tpd_decode built on ref_chase: each
+    component decodes L plus the extrinsic of the crossing half-step, the
+    decisions are those of the last half-step, and the run stops after the
+    first iteration that ends on a product codeword. Returns (array,
+    iterations used, converged)."""
+    n = pc.n
+    ext = np.zeros((n, n))
+    dec = np.zeros((n, n), dtype=np.uint8)
+    for it in range(1, l_max + 1):
+        for half in (2 * it - 2, 2 * it - 1):
+            # the components of this half-step are the rows of these views
+            llr_t, ext_t, dec_t = (x if half % 2 == 0 else x.T for x in (L, ext, dec))
+            new = np.zeros((n, n))
+            for a in range(n):
+                soft = llr_t[a] + ext_t[a]
+                new[a], word = ref_chase(pc.component, soft, cfg, half)
+                dec_t[a] = (soft < 0) if word is None else word
+            ext = new if half % 2 == 0 else new.T
+        if is_pc_codeword(pc, dec):
+            return dec, it, True
+    return dec, l_max, False
+
+
+def test_tpd_matches_row_by_row_reference(comp15, cfg):
+    pc = ProductCodeSpec(comp15)
+    rng = np.random.default_rng(65)
+    # two iterations: one frame stops after the first, one never converges
+    iterations = []
+    for ebno in (2.5, 2.5, 3.0, 3.0, 3.5):
+        params = ChannelParams.make(ebno, pc.rate)
+        c = pc_encode(pc, rng.integers(0, 2, (pc.k, pc.k)))
+        L = llr(transmit(modulate(c), params, rng), params)
+        res = tpd_decode(pc, L, cfg, l_max=2)
+        array, used, ok = ref_tpd(pc, L, cfg, 2)
+        assert np.array_equal(res.array, array)
+        assert (res.iterations_used, res.converged) == (used, ok)
+        iterations.append(used if ok else None)
+    assert {1, 2, None} <= set(iterations)
 
 
 def test_tpd_rejects_short_schedules(comp15):
