@@ -11,7 +11,8 @@ with a_i the reliabilities normalized to a maximum of 1.
 
 ``batch_gmd`` applies the same decoding to every row of a matrix at once,
 BDD-decoding the 2t+1 trial words of all rows (the unerased row and both
-fills of each erasure set) in one ``decode_trials`` call; it is
+fills of each erasure set) in one ``decode_trials`` call and reading the
+candidates' supports; it is
 bit-equivalent to ``gmd_decode`` and exists for the iterative decoders.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import ComponentCodeSpec, error_erasure_decode
-from .kernels import kernel_for, least_reliable
+from .kernels import flip_support, kernel_for, least_reliable
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,17 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     fill = np.arange(len(sizes)) % 2 == 0
     erased = np.arange(profile[-1]) < sizes[:, None]
     least = np.take_along_axis(words, order, axis=1)[:, None, :]
-    cands, ok, disc = kernel_for(spec).decode_trials(
+    support, ok, disc = kernel_for(spec).decode_trials(
         words, order, erased & (least ^ fill[:, None]), alphas)
 
-    # errors outside the erasures
-    diff = cands != words[:, None, :]
-    e = diff.sum(axis=2) - (np.take_along_axis(diff, order[:, None, :], axis=2)
-                            & erased).sum(axis=2)
+    # errors outside the erasures: support positions whose rank in order
+    # (profile[-1] if unerased, -1 if unused) is >= the trial's erasures
+    n = spec.n
+    rank = np.full((nrows, n + 1), profile[-1], dtype=np.int8)
+    np.put_along_axis(rank, order, np.arange(profile[-1], dtype=np.int8)[None, :], axis=1)
+    rank[:, n] = -1
+    e = (np.take_along_axis(rank, support.reshape(nrows, -1), axis=1).reshape(support.shape)
+         >= sizes[:, None]).sum(axis=2)
     valid = ok & (2 * e + sizes <= spec.d_min - 1)
     # two-fill selection: smaller e wins, ties to the zeros fill
     use1 = valid[:, 2::2] & (~valid[:, 1::2] | (e[:, 2::2] < e[:, 1::2]))
@@ -149,7 +154,7 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
 
     # generalized distance; argmin keeps the first minimum
     metric = np.where(valid, np.sum(1.0 - alphas, axis=1)[:, None] + 2.0 * disc, np.inf)
-    best = cands[np.arange(nrows), np.argmin(metric, axis=1)]
     any_ok = valid.any(axis=1)
+    best = support[np.arange(nrows), np.argmin(metric, axis=1)]
     stats = {"attempts": nrows * (len(profile) + 1), "gd_evals": int(valid.sum())}
-    return np.where(any_ok[:, None], best, words), any_ok, stats
+    return flip_support(words, np.where(any_ok[:, None], best, n)), any_ok, stats

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import glob
+import math
 import multiprocessing
 import os
 import time
@@ -157,8 +158,9 @@ class SimConfig:
         if self.w is not None and len(self.w) != self.iterations:
             raise ValueError(f"w must hold {self.iterations} weights, one per "
                              f"iteration, got {len(self.w)}")
-        if self.w is not None and any(x <= 0 for x in self.w):
-            raise ValueError(f"w must hold positive weights, got {self.w}")
+        if self.w is not None and any(not 0 < x < math.inf for x in self.w):
+            raise ValueError("w must hold positive weights, not NaN or infinite, "
+                             f"got {self.w}")
         if self.transmission not in ("all-zero", "random"):
             raise ValueError("transmission must be 'all-zero' or 'random'")
         if any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):
@@ -340,8 +342,8 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
     """
     if "w" not in REGISTRY[cfg.algorithm].fields:
         raise ValueError(f"{cfg.algorithm} takes no scaling schedule")
-    if not cfg.opt_grid or any(g <= 0 for g in cfg.opt_grid):
-        raise ValueError("grid must be positive")
+    if not cfg.opt_grid or any(not 0 < g < math.inf for g in cfg.opt_grid):
+        raise ValueError(f"grid must be positive and finite, got {cfg.opt_grid}")
     scale = 2.0 / ChannelParams.make(ebno_db, cfg.product_spec().rate).sigma2
     grid = tuple(sorted(round(float(g) * scale, 4) for g in cfg.opt_grid))
     l_max = cfg.iterations

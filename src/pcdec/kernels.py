@@ -2,13 +2,21 @@
 
 A ComponentKernel decodes a whole batch of received words at once as a
 syndrome (coset-leader) decoder: one GF(2) matrix product (BLAS sgemm on
-0/1 data) gives each word's m*t odd-syndrome bits, which read as an
-integer key index a table of the unique error pattern of weight <= t with
-those syndromes; keys without one mean failure. The table has 2^(m*t)
-entries and is built on first use for codes with m*t <= MAX_KEY_BITS (t = 1,
-t = 2 up to m = 10, t = 3 up to m = 6); larger codes are decoded row by
-row with the scalar decoder. ``kernel_for`` keeps one kernel per code. Encoding is one GF(2) product with the
-systematic generator matrix, built from ``bch.encode`` on first use.
+0/1 data) gives each word's m*t odd-syndrome bits and its overall parity,
+which read as an integer key (the parity its top bit) index a table of the
+corrections: the unique error pattern of weight <= t with those syndromes,
+plus the parity bit of an extended code where the parity disagrees; keys
+without one mean failure. The table has 2^(m*t+1) entries and is built on
+first use for codes with m*t <= MAX_KEY_BITS (t = 1, t = 2 up to m = 10,
+t = 3 up to m = 6); larger codes are decoded row by row with the scalar
+decoder. ``kernel_for`` keeps one kernel per code. Encoding is one GF(2)
+product with the systematic generator matrix, built from ``bch.encode`` on
+first use.
+
+``decode_trials`` (Chase, GMD) builds no trial word and skips batch_bdd: a
+trial's key is its hard word's key XOR its flipped bits' keys. Candidates
+come back as supports (where they differ from the hard word), scored in
+numpy's pairwise summation order.
 
 The batch results are bit-exact with ``bch.bdd`` on every input; the test
 suite pins this equivalence exhaustively for small codes.
@@ -18,13 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from collections.abc import Callable
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import bch
 
-# largest m*t whose coset-leader table (2^(m*t) entries) batch_bdd builds;
+# largest m*t whose coset-leader table (2^(m*t+1) entries) batch_bdd builds;
 # beyond it batch_bdd decodes row by row
 MAX_KEY_BITS = 20
 
@@ -59,28 +68,35 @@ class ComponentKernel:
         return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
 
     @cached_property
-    def _leaders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _leaders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The key weights, which turn a row of syndrome bits into its key
-        (the parity bit does not enter it), and the coset-leader table
-        indexed by the key: the weight of the unique error pattern of
-        weight <= t with that key (t + 1 when there is none) and its
-        positions in ascending order. The slots past the weight hold n - 1,
-        where an extended code flips its parity bit."""
+        (the overall parity is the top bit), the key of a single error at
+        each of the n positions, and the coset-leader table indexed by the
+        key: the positions of the unique error pattern of weight <= t with
+        those syndromes in ascending order, in t slots whose unused ones
+        hold n, and whether the word is corrected. An extended code also
+        flips its parity bit when the parity disagrees with the error
+        weight, and fails when that makes more than t flips."""
         spec = self.spec
         t = spec.t
-        key_weights = np.append(1 << np.arange(spec.field.m * t), 0)
-        col_keys = self._smat[:spec.inner_n].astype(np.int64) @ key_weights
-        weight = np.full(1 << (spec.field.m * t), t + 1, dtype=np.uint8)
+        mt = spec.field.m * t
+        key_weights = 1 << np.arange(mt + 1)
+        col_keys = self._smat.astype(np.int64) @ key_weights
+        weight = np.full(1 << mt, t + 1, dtype=np.uint8)
         positions = np.full((len(weight), t), spec.n - 1, dtype=np.uint16)
         weight[0] = 0
         for w in range(1, t + 1):
             combos = np.fromiter(
                 itertools.chain.from_iterable(itertools.combinations(range(spec.inner_n), w)),
                 dtype=np.int64, count=w * math.comb(spec.inner_n, w)).reshape(-1, w)
-            keys = np.bitwise_xor.reduce(col_keys[combos], axis=1)
+            keys = np.bitwise_xor.reduce(col_keys[combos], axis=1) & ((1 << mt) - 1)
             weight[keys] = w
             positions[keys, :w] = combos
-        return key_weights, weight, positions
+        flips = weight + spec.extended * ((np.arange(2)[:, None] ^ weight) & 1)
+        ok = flips <= t
+        used = np.arange(t) < np.where(ok, flips, 0)[..., None]
+        return (key_weights, col_keys,
+                np.where(used, positions, spec.n).astype(np.uint16).reshape(-1, t), ok.reshape(-1))
 
     def encode(self, messages: np.ndarray) -> np.ndarray:
         """Systematic encoding of each row of a (rows, k) 0/1 matrix;
@@ -104,8 +120,8 @@ class ComponentKernel:
         """Decode each row; returns (decoded words, corrected mask).
         Failed rows are echoed unchanged."""
         words = np.ascontiguousarray(words, dtype=np.uint8)
-        out = words.copy()
         if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
+            out = words.copy()
             ok = np.zeros(len(words), dtype=bool)
             for i, row in enumerate(words):
                 res = bch.bdd(self.spec, row)
@@ -113,46 +129,50 @@ class ComponentKernel:
                     out[i] = res.word
                     ok[i] = True
             return out, ok
-        rows, pos, ok = self._error_positions(self._syndrome_bits(words))
-        out[rows, pos] ^= 1
-        return out, ok
-
-    def _error_positions(self, bits: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The corrections for rows of syndrome bits: (row indices,
-        positions) of the bits to flip, one pair per bit, and the
-        corrected mask. An extended code also flips its parity bit when
-        the overall parity disagrees with the error weight, and fails when
-        that makes more than t flips."""
-        key_weights, weight, positions = self._leaders
-        key = bits @ key_weights
-        flips = weight[key]
-        if self.spec.extended:
-            flips = flips + ((bits[:, -1] ^ flips) & 1)
-        ok = flips <= self.spec.t
-        rows, slot = np.nonzero(np.arange(self.spec.t) < np.where(ok, flips, 0)[:, None])
-        return rows, positions[key[rows], slot], ok
+        key_weights, _, fixes, fixed = self._leaders
+        key = self._syndrome_bits(words) @ key_weights
+        return flip_support(words, fixes[key]), fixed[key]
 
     def decode_trials(self, words: np.ndarray, positions: np.ndarray,
                       flips: np.ndarray, weights: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """BDD-decode T trial words per row in one batch_bdd call: trial j
-        of row r is words[r] with the bits at positions[r] (distinct per
-        row) XORed with flips[r, j]. Returns the candidates (rows, T, n),
-        the corrected mask (rows, T) and each trial's discrepancy (rows, T),
-        the sum of weights[r] where the candidate differs from words[r]."""
+        """BDD-decode T trial words per row: trial j of row r is words[r]
+        with the bits at positions[r] (P distinct positions per row) XORed
+        with flips[r, j] (or flips[j], shared by all rows). Returns the
+        candidates' supports (rows, T, P + t): the positions where each
+        differs from words[r], ascending, n in unused slots (anywhere); the
+        corrected mask (rows, T), a failed trial's candidate being its trial
+        word; and each trial's discrepancy (rows, T), the sum of weights[r]
+        over its support, bit-equal to the dense row sum."""
         rows, n = words.shape
-        ntrials = flips.shape[-2]
-        trials = np.repeat(words[:, None, :], ntrials, axis=1)
-        for k in range(positions.shape[1]):
-            trials[np.arange(rows), :, positions[:, k]] ^= flips[..., k]
-        cands, ok = self.batch_bdd(trials.reshape(-1, n))
-        cands = cands.reshape(rows, ntrials, n)
-        # one trial at a time, so float temporaries are (rows, n)
-        disc = np.empty((rows, ntrials))
-        for j in range(ntrials):
-            disc[:, j] = ((cands[:, j] != words) * weights).sum(axis=1)
-        return cands, ok.reshape(rows, ntrials), disc
+        flips = np.asarray(flips, dtype=bool)
+        positions = np.asarray(positions, dtype=np.intp)
+        fpos = np.where(flips, positions[:, None, :], n)
+        if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
+            # past the table: each trial word decoded by the scalar decoder
+            ok = np.zeros(fpos.shape[:2], dtype=bool)
+            cpos = np.full(fpos.shape[:2] + (self.spec.t,), n)
+            for r, j in np.ndindex(ok.shape):
+                trial = words[r].copy()
+                trial[fpos[r, j][fpos[r, j] < n]] ^= 1
+                res = bch.bdd(self.spec, trial)
+                ok[r, j] = res.corrected
+                cpos[r, j, :len(res.flips)] = sorted(res.flips)
+        else:
+            key_weights, col_keys, fixes, fixed = self._leaders
+            bits = self._syndrome_bits(words)
+            key = np.repeat((bits @ key_weights)[:, None], flips.shape[-2], axis=1)
+            trial_keys = col_keys[positions]
+            for k in range(positions.shape[1]):
+                key ^= np.where(flips[..., k], trial_keys[:, k, None], 0)
+            cpos, ok = fixes[key], fixed[key]
+        # sorted, a correction on a flipped bit sits next to it; the pair
+        # restores the hard bit
+        support = np.sort(np.concatenate([fpos, cpos], axis=-1), axis=-1)
+        pair = support[..., 1:] == support[..., :-1]
+        support[..., 1:][pair] = n
+        support[..., :-1][pair] = n
+        return support, ok, _support_sum(weights, support)
 
     def batch_genie(self, words: np.ndarray,
                     true_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,23 +186,81 @@ class ComponentKernel:
         return out, ok
 
 
+def flip_support(words: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """words (rows, n) with the bits at each row's support (rows, S),
+    distinct positions and n for empty slots, flipped."""
+    rows, n = words.shape
+    out = np.array(words, dtype=np.uint8)
+    used = support < n
+    out.reshape(-1)[(np.arange(rows)[:, None] * n + support)[used]] ^= 1
+    return out
+
+
+@cache
+def _lane_plan(n: int) -> tuple[np.ndarray, int, Callable]:
+    """numpy's pairwise summation order for a contiguous row of n float64:
+    up to 128 values go into 8 lanes (position i into lane i mod 8, in
+    order; none when n < 8) summed as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the n mod 8 tail is added in order; longer rows are split at n//2
+    rounded down to a multiple of 8. Returns each position's lane (n: a
+    spare lane), the lane count and the (lanes, N) -> N combining sum."""
+    lane = np.empty(n + 1, dtype=np.intp)
+
+    def build(start, size, base):
+        if size > 128:
+            half = size // 2 - size // 2 % 8
+            left, base = build(start, half, base)
+            right, base = build(start + half, size - half, base)
+            return (lambda acc: left(acc) + right(acc)), base
+        body = size - size % 8 if size >= 8 else 0
+        i = np.arange(size)
+        lane[start:start + size] = base + np.where(i < body, i % 8, 8 + i - body)
+
+        def combine(acc):
+            r = acc[base:base + 8]
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for j in range(base + 8, base + 8 + size - body):
+                res = res + acc[j]
+            return res
+
+        return combine, base + 8 + size - body
+
+    combine, lane[n] = build(0, n, 0)
+    return lane, lane[n] + 1, combine
+
+
+def _support_sum(weights: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Per row r and trial j, the sum of weights[r] (nonnegative) over
+    support[r, j] (ascending positions, n in unused slots), bit-equal to the
+    dense row sum: one bincount adds each weight into its lane in order,
+    and the dense sum's added +0.0 terms are exact."""
+    rows, n = weights.shape
+    cells = support.shape[1]
+    lane, lanes, combine = _lane_plan(n)
+    # an unused slot (n) reads the next row's first weight into the spare lane
+    vals = np.take(weights, support + np.arange(0, rows * n, n)[:, None, None], mode="clip")
+    bins = lane[support] + np.arange(0, rows * cells * lanes, lanes).reshape(rows, cells, 1)
+    acc = np.bincount(bins.reshape(-1), vals.reshape(-1), minlength=rows * cells * lanes)
+    return combine(acc.reshape(-1, lanes).T).reshape(rows, cells)
+
+
 def least_reliable(values: np.ndarray, k: int) -> np.ndarray:
     """Per row, the indices of the k smallest values in ascending order,
     ties to the lowest index: np.argsort(values, axis=1, kind="stable")[:, :k]
-    without sorting whole rows. np.partition finds the k-th smallest value;
-    every smaller value is taken, and of the values equal to it the ones
-    with the lowest indices; a stable sort then orders the k picks."""
+    without sorting whole rows: k rounds of argmin, which returns the first
+    minimum, each setting its pick to +inf in a copy. Arrays holding
+    anything but finite floats take the stable sort."""
     values = np.asarray(values)
-    if k >= values.shape[1]:
+    if (k >= values.shape[1] or values.dtype.kind != "f"
+            or not np.isfinite(values).all()):
         return np.argsort(values, axis=1, kind="stable")[:, :k]
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1, None]
-    below = values < kth
-    tie = values == kth
-    need = k - below.sum(axis=1, keepdims=True)
-    pick = below | (tie & (np.cumsum(tie, axis=1) <= need))
-    idx = np.nonzero(pick)[1].reshape(-1, k)  # ascending index within a row
-    order = np.argsort(np.take_along_axis(values, idx, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1)
+    work = values.copy()
+    rows = np.arange(len(values))
+    picks = np.empty((len(values), k), dtype=np.intp)
+    for i in range(k):
+        picks[:, i] = work.argmin(axis=1)
+        work[rows, picks[:, i]] = np.inf
+    return picks
 
 
 # one kernel per code, not per spec object: a run builds a fresh spec for

@@ -47,6 +47,7 @@ decision of that position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,8 @@ class ScalingSchedule:
     w: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.w or any(x <= 0 for x in self.w):
-            raise ValueError("scaling weights must be positive")
+        if not self.w or any(not 0 < x < math.inf for x in self.w):
+            raise ValueError(f"scaling weights must be positive and finite, got {self.w}")
 
     @classmethod
     def constant(cls, value: float, iterations: int) -> "ScalingSchedule":
@@ -121,8 +122,8 @@ def _as_schedule(w, iterations: int) -> tuple[float, ...]:
     w = tuple(float(x) for x in w)
     if len(w) != iterations:
         raise ValueError(f"need {iterations} scaling weights, got {len(w)}")
-    if any(x <= 0 for x in w):
-        raise ValueError("scaling weights must be positive")
+    if any(not 0 < x < math.inf for x in w):
+        raise ValueError(f"scaling weights must be positive and finite, got {w}")
     return w
 
 
@@ -398,7 +399,8 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         ops["erasure_calls"] += stats["attempts"]
         ops["gd_evals"] += stats["gd_evals"]
         ops["msg_updates"] += soft.size
-        ext = sched[half // 2] * (1.0 - 2.0 * out) * ok[:, None]  # w * mubar
+        scale = sched[half // 2]
+        ext = np.where(out == 1, -scale, scale) * ok[:, None]  # w * mubar
         return ext, _binary_message(llr + ext, ch)
 
     return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule)  # 2t+1 GMD trials

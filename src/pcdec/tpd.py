@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import ComponentCodeSpec
-from .kernels import kernel_for, least_reliable
+from .kernels import flip_support, kernel_for, least_reliable
 from .product import (MAX_WORDS_PER_CALL, DecoderResult, ProductCodeSpec, _frame, _one,
                       _soft_stack)
 
@@ -73,34 +73,48 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
 
     p = cfg.p
     npat = 1 << p
-    flip = ((np.arange(npat)[:, None] >> np.arange(p)[None, :]) & 1).astype(np.uint8)
-    cands, ok, metric = kernel_for(spec).decode_trials(
+    flip = ((np.arange(npat)[:, None] >> np.arange(p)[None, :]) & 1).astype(bool)
+    support, ok, metric = kernel_for(spec).decode_trials(
         hard, least_reliable(mag, p), flip, mag)
     metric[~ok] = np.inf
     any_ok = ok.any(axis=1)
 
-    didx = np.argmin(metric, axis=1)
     rows = np.arange(nrows)
-    decision = cands[rows, didx]
+    didx = np.argmin(metric, axis=1)
     m_best = metric[rows, didx]
-    dsign = 1.0 - 2.0 * decision
+    best = np.where(any_ok[:, None], support[rows, didx], n)
+    decision = flip_support(hard, best)
 
-    comp_metric = np.full((nrows, n), np.inf)
-    for j in range(npat):
-        np.minimum(comp_metric,
-                   np.where(cands[:, j] != decision, metric[:, j, None], np.inf),
-                   out=comp_metric)
-    has_comp = np.isfinite(comp_metric)
+    # The best competitor of each bit, in a flat (rows, n) buffer with one
+    # spare cell for empty support slots. A candidate differs from the
+    # decision at a bit off the decision's support where its own support
+    # holds the bit, and at a bit on it where its support does not.
+    spare = nrows * n
+    cells = np.where(support < n, rows[:, None, None] * n + support, spare)
+    comp = np.full(spare + 1, np.inf)
+    slots = support.shape[2]
+    np.minimum.at(comp, cells.reshape(-1), np.repeat(metric.reshape(-1), slots))
+    bcells = np.where(best < n, rows[:, None] * n + best, spare)
+    # which slot of the decision's support each trial's support holds
+    slot = np.full(spare + 1, slots, dtype=np.int8)
+    slot[bcells] = np.arange(slots)
+    slot[spare] = slots
+    held = np.zeros((nrows, npat, slots + 1), dtype=bool)
+    held.reshape(-1)[np.arange(0, held.size, slots + 1).reshape(nrows, npat, 1)
+                     + slot[cells]] = True
+    comp[bcells] = np.where(held[..., :slots], np.inf, metric[..., None]).min(axis=1)
 
-    beta = cfg.beta(half_iter)
-    safe_comp = np.where(has_comp, comp_metric, 0.0)
-    safe_best = np.where(np.isfinite(m_best), m_best, 0.0)[:, None]
-    extrinsic = np.where(has_comp,
-                         (safe_comp - safe_best) * dsign - soft_in,
-                         beta * dsign)
-    extrinsic[~any_ok] = 0.0
-    decision[~any_ok] = hard[~any_ok]
-    return cfg.alpha(half_iter) * extrinsic, decision
+    # (comp - best) * sign - soft_in, or beta * sign without a competitor,
+    # sign = -1 where the decision is 1; built in place
+    ext = comp[:spare].reshape(nrows, n)
+    has_comp = np.isfinite(ext)
+    ext -= np.where(np.isfinite(m_best), m_best, 0.0)[:, None]
+    ext[~has_comp] = cfg.beta(half_iter)
+    np.negative(ext, out=ext, where=decision == 1)
+    np.subtract(ext, soft_in, out=ext, where=has_comp)
+    ext[~any_ok] = 0.0
+    ext *= cfg.alpha(half_iter)
+    return ext, decision
 
 
 def chase_pyndiah_component(spec: ComponentCodeSpec, soft_in: np.ndarray,

@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import glob
 import inspect
+import math
 import multiprocessing
 import os
 import subprocess
@@ -83,6 +84,10 @@ def test_config_validation():
         SimConfig("ibdd-sr", iterations=3, w=(5.0, 5.0))
     with pytest.raises(ValueError, match="w must hold positive weights"):
         SimConfig("igmdd-sr", iterations=2, w=(5.0, 0.0))
+    # NaN fails every comparison, so a `<= 0` test let it through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not NaN or infinite"):
+            SimConfig("ibdd-sr", code_m=4, w=(bad,) * 10)
 
 
 def test_noiseless_point_is_error_free():
@@ -247,6 +252,12 @@ def test_optimizer_output_monotone_and_deterministic():
     b = optimize_scaling(cfg, 3.0)
     assert a == b
     assert a.is_monotone()
+
+
+@pytest.mark.parametrize("grid", [(0.6, math.nan), (math.inf,), (0.0, 1.0), ()])
+def test_optimizer_rejects_bad_grids(grid):
+    with pytest.raises(ValueError, match="grid must be positive and finite"):
+        optimize_scaling(small_cfg("ibdd-sr", opt_frames=8, opt_grid=grid), 3.0)
 
 
 @pytest.mark.parametrize("algorithm", ["none", "ibdd", "ad", "ideal-ibdd", "tpd"])

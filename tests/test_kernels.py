@@ -13,7 +13,7 @@ from pcdec.bch import (
     syndromes,
 )
 from pcdec.gf import build_field
-from pcdec.kernels import kernel_for, least_reliable
+from pcdec.kernels import flip_support, kernel_for, least_reliable
 
 
 def all_words(n_bits):
@@ -217,3 +217,119 @@ def test_least_reliable_equals_stable_argsort_prefix(case):
     values, k = case
     want = np.argsort(values, axis=1, kind="stable")[:, :k]
     assert np.array_equal(least_reliable(values, k), want)
+
+
+def test_least_reliable_with_non_finite_values():
+    # argmin rounds mask picks with +inf, so rows holding inf or NaN
+    # would repeat a pick; those take the stable sort
+    values = np.array([[np.inf, np.inf, 1.0, np.inf], [0.5, np.nan, 0.5, 2.0]])
+    for k in (1, 2, 3):
+        want = np.argsort(values, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(least_reliable(values, k), want)
+
+
+def dense_trials(kern, words, positions, flips, weights):
+    """decode_trials' reference: the trial words built densely, batch_bdd,
+    and the dense row sums of the weights where a candidate differs."""
+    rows, n = words.shape
+    flips = np.broadcast_to(flips, (rows,) + flips.shape[-2:])
+    trials = np.repeat(words[:, None, :], flips.shape[1], axis=1)
+    for r in range(rows):
+        trials[r][:, positions[r]] ^= flips[r]
+    cands, ok = kern.batch_bdd(trials.reshape(-1, n))
+    cands = cands.reshape(trials.shape)
+    disc = np.stack([((cands[:, j] != words) * weights).sum(axis=1)
+                     for j in range(flips.shape[1])], axis=1)
+    return cands, ok.reshape(rows, -1), disc
+
+
+def check_trials_against_dense(spec, rng, rows, p, ntrials, shared, levels):
+    kern = kernel_for(spec)
+    n = spec.n
+    words = np.concatenate([light_errors(spec, rng, rows),
+                            rng.integers(0, 2, (2, n)).astype(np.uint8)])
+    rows = len(words)
+    positions = np.argsort(rng.random((rows, n)), axis=1)[:, :p]
+    flips = rng.random((ntrials, p) if shared else (rows, ntrials, p)) < 0.5
+    # few levels make ties; the scale spans 16 decades
+    weights = rng.integers(0, levels, (rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
+    if levels > 100:
+        weights = 10.0 ** rng.uniform(-8, 8, (rows, n))
+    support, ok, disc = kern.decode_trials(words, positions, flips, weights)
+    cands, ref_ok, ref_disc = dense_trials(kern, words, positions, flips, weights)
+    assert support.shape == (rows, ntrials, p + spec.t)
+    assert np.array_equal(ok, ref_ok)
+    # ascending positions, n in unused slots
+    used = np.where(support < n, support, -1)
+    assert np.all(np.diff(used, axis=2)[(support[..., 1:] < n)
+                                        & (used[..., :-1] >= 0)] > 0)
+    got = flip_support(np.repeat(words, ntrials, axis=0), support.reshape(rows * ntrials, -1))
+    assert np.array_equal(got, cands.reshape(-1, n))
+    # every listed position differs from the hard word: none is listed twice
+    assert np.array_equal((support < n).sum(axis=2), (cands != words[:, None, :]).sum(axis=2))
+    assert np.array_equal(disc.view(np.int64), ref_disc.view(np.int64))
+    return ok
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(3, 8), t=st.integers(1, 3), extend=st.booleans(),
+       p=st.integers(1, 6), shared=st.booleans(), levels=st.sampled_from([2, 4, 1000]),
+       ntrials=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+def test_decode_trials_matches_dense_trials(m, t, extend, p, shared, levels, ntrials, seed):
+    try:
+        spec = construct_ebch(build_field(m), t, extend=extend)
+    except UnsupportedParametersError:
+        assume(False)
+    assume(p <= spec.n)
+    check_trials_against_dense(spec, np.random.default_rng(seed), 6, p, ntrials, shared,
+                               levels)
+
+
+# m * t > MAX_KEY_BITS: dense trial words decoded row by row, same format
+@pytest.mark.parametrize("m,extend", [(7, False), (8, True)])
+def test_decode_trials_past_the_table_matches_dense_trials(m, extend):
+    spec = construct_ebch(build_field(m), 3, extend=extend)
+    assert m * spec.t > kernels.MAX_KEY_BITS
+    ok = check_trials_against_dense(spec, np.random.default_rng([32, m]), 6, 5, 32,
+                                    False, 3)
+    assert ok.any() and not ok.all()
+
+
+def test_decode_trials_table_path_builds_no_trial_words(monkeypatch):
+    spec = construct_ebch(build_field(8), 2, extend=True)
+    rng = np.random.default_rng(33)
+
+    def no_bdd(*args):
+        raise AssertionError("trial words went through batch_bdd")
+
+    monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", no_bdd)
+    kern = kernel_for(spec)
+    words = light_errors(spec, rng, 20)
+    flips = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    positions = np.argsort(rng.random((20, spec.n)), axis=1)[:, :4]
+    _, ok, _ = kern.decode_trials(words, positions, flips, rng.random((20, spec.n)))
+    assert ok.any()
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256,
+                               1023, 1024])
+def test_support_sum_follows_numpy_row_sum_order(n):
+    # decode_trials' discrepancies equal the dense row sums only while
+    # numpy sums a contiguous row in the pairwise order of _lane_plan
+    rng = np.random.default_rng([34, n])
+    rows = 40
+    weights = 10.0 ** rng.uniform(-8, 8, (rows, n))
+    dense = np.broadcast_to(np.arange(n), (rows, 1, n))
+    size = min(n, 12)
+    sparse = np.sort(np.argsort(rng.random((rows, 8, n)), axis=2)[..., :size], axis=2)
+    sparse[rng.random(sparse.shape) < 0.3] = n
+    indicator = np.zeros((rows, 8, n + 1))
+    np.put_along_axis(indicator, sparse, 1.0, axis=2)
+    for support, want in ((dense, weights.sum(axis=1)[:, None]),
+                          (sparse, np.stack([(weights * indicator[:, j, :n]).sum(axis=1)
+                                             for j in range(8)], axis=1))):
+        got = kernels._support_sum(weights, support)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+            f"numpy no longer sums a row of {n} float64 in the pairwise order "
+            "that kernels._lane_plan mirrors; decode_trials' discrepancies "
+            "would drift from the dense row sums")

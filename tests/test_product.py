@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -88,6 +89,11 @@ def test_is_pc_codeword_flags_single_flip(pc15):
 def test_scaling_schedule_validation():
     with pytest.raises(ValueError):
         ScalingSchedule((0.5, -1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScalingSchedule((0.5, bad))
+        with pytest.raises(ValueError, match="positive and finite"):
+            product._as_schedule([bad], 1)
     s = ScalingSchedule.constant(0.8, 4)
     assert s.is_monotone()
     assert not ScalingSchedule((2.0, 1.0)).is_monotone()
@@ -666,32 +672,35 @@ def test_stack_frames_leave_at_their_own_iteration(name):
 
 def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     # 28 frames of 31 rows: the Chase half-step (16 trials per row) and the
-    # GMD half-step (5 per row) each need several slices
+    # GMD half-step (5 per row) each need several slices. Every slice is
+    # one decode_trials call; its words are rows x trials.
     pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
     L, _ = frame_stack(pc, [3.0] * 28, 5, [False] * 28)
-    sizes, gmd_bdds = [], []
-    bdd = kernels.ComponentKernel.batch_bdd
+    words, gmd_calls = [], []
+    trials = kernels.ComponentKernel.decode_trials
     gmd = product.batch_gmd
 
-    def counted_bdd(self, words):
-        sizes.append(len(words))
-        return bdd(self, words)
+    def counted_trials(self, hard, positions, flips, weights):
+        words.append(len(hard) * flips.shape[-2])
+        return trials(self, hard, positions, flips, weights)
 
     def counted_gmd(*args):
-        before = len(sizes)
+        before = len(words)
         out = gmd(*args)
-        gmd_bdds.append(len(sizes) - before)
+        gmd_calls.append(len(words) - before)
         return out
 
-    monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", counted_bdd)
+    monkeypatch.setattr(kernels.ComponentKernel, "decode_trials", counted_trials)
     monkeypatch.setattr(product, "batch_gmd", counted_gmd)
     tpd_stack(pc, L, ChaseConfig.default(1), 1)
-    assert len(sizes) == 2 * 4  # slices of 256 rows: 4 per half-iteration
-    assert max(sizes) <= product.MAX_WORDS_PER_CALL
-    sizes.clear()
+    assert len(words) == 2 * 4  # slices of 256 rows: 4 per half-iteration
+    assert max(words) <= product.MAX_WORDS_PER_CALL
+    assert sum(words) == 2 * 28 * 31 * 16
+    words.clear()
     igmdd_sr_stack(pc, L, (2.0,), 1)
-    assert gmd_bdds == [1] * (2 * 2)  # 2 slices of 819 rows, one BDD call each
-    assert max(sizes) <= product.MAX_WORDS_PER_CALL
+    assert gmd_calls == [1] * (2 * 2)  # 2 slices of 819 rows, one call each
+    assert max(words) <= product.MAX_WORDS_PER_CALL
+    assert sum(words) == 2 * 28 * 31 * 5
 
 
 def test_stack_decoders_reject_malformed_stacks(pc15):
