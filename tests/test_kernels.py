@@ -251,10 +251,11 @@ def check_trials_against_dense(spec, rng, rows, p, ntrials, shared, levels):
     rows = len(words)
     positions = np.argsort(rng.random((rows, n)), axis=1)[:, :p]
     flips = rng.random((ntrials, p) if shared else (rows, ntrials, p)) < 0.5
-    # few levels make ties; the scale spans 16 decades
-    weights = rng.integers(0, levels, (rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
+    # few levels make ties; either way the weights span 16 decades
     if levels > 100:
         weights = 10.0 ** rng.uniform(-8, 8, (rows, n))
+    else:
+        weights = rng.integers(0, levels, (rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
     support, ok, disc = kern.decode_trials(words, positions, flips, weights)
     cands, ref_ok, ref_disc = dense_trials(kern, words, positions, flips, weights)
     assert support.shape == (rows, ntrials, p + spec.t)
