@@ -10,9 +10,9 @@ minimizing the generalized distance
 with a_i the reliabilities normalized to a maximum of 1.
 
 ``batch_gmd`` applies the same decoding to every row of a matrix at once,
-BDD-decoding the 2t+1 trial words of all rows (the unerased row and both
-fills of each erasure set) in one ``decode_trials`` call and reading the
-candidates' supports; it is
+BDD-decoding the 2t+1 trial words of all rows that are not already
+codewords (the unerased row and both fills of each erasure set) in one
+``decode_trials`` call and reading the candidates' supports; it is
 bit-equivalent to ``gmd_decode`` and exists for the iterative decoders.
 """
 
@@ -79,11 +79,6 @@ def generalized_distance(r: np.ndarray, c_hat: np.ndarray,
     return float(np.sum(1.0 - rel.alphas[agree]) + np.sum(1.0 + rel.alphas[~agree]))
 
 
-def _least_reliable(rel: ReliabilityVector, m: int) -> np.ndarray:
-    # stable sort: ties go to the lowest index
-    return np.argsort(rel.values, kind="stable")[:m]
-
-
 def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
                rel: ReliabilityVector) -> GmdOutcome:
     """Run the t+1 error-erasure trials and keep the generalized-distance
@@ -96,7 +91,8 @@ def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
     best_metric = np.inf
     seen: set[bytes] = set()
     for m in trial_sizes:
-        out = error_erasure_decode(spec, r, _least_reliable(rel, m))
+        # erase the m least reliable bits; the stable sort breaks ties low
+        out = error_erasure_decode(spec, r, np.argsort(rel.values, kind="stable")[:m])
         if not out.corrected:
             continue
         key = out.word.tobytes()
@@ -120,14 +116,30 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     error-erasure attempts and generalized-distance evaluations made.
     Failed rows are echoed unchanged. Bit-equivalent to ``gmd_decode``
     row by row.
+
+    A row that is already a codeword r is returned as itself, corrected,
+    without trials but with their t + 1 counts of each stat. This is exact:
+    trial 0 decodes to r with an empty support, whose metric sum(1 - alphas)
+    no candidate beats, and argmin keeps the first minimum; any other
+    candidate has e >= 1 errors outside its s erasures and s + e >= d, so
+    2e + s > d - 1 and it is never valid; and of the two fills of an
+    erasure set one lies within t of r, so exactly one is kept.
     """
     words = np.ascontiguousarray(words, dtype=np.uint8)
-    reliabilities = np.asarray(reliabilities, dtype=np.float64)
+    kern = kernel_for(spec)
+    bits = kern.syndrome_bits(words)
+    noisy = np.flatnonzero(~kern.codeword_mask(bits=bits))
+    profile = sorted(erasure_profile(spec.d_min))
+    out, decoded = words.copy(), np.ones(len(words), dtype=bool)
+    stats = {"attempts": len(words) * (len(profile) + 1),
+             "gd_evals": (len(words) - noisy.size) * (len(profile) + 1)}
+    if not noisy.size:
+        return out, decoded, stats
+    words, bits = words[noisy], bits[noisy]
+    reliabilities = np.asarray(reliabilities, dtype=np.float64)[noisy]
     nrows = len(words)
-
     peak = reliabilities.max(axis=1, keepdims=True)
     alphas = np.where(peak > 0, reliabilities / np.where(peak > 0, peak, 1.0), 1.0)
-    profile = sorted(erasure_profile(spec.d_min))
     order = least_reliable(reliabilities, profile[-1])
     # trials [none, (s1, fill 0), (s1, fill 1), (s2, fill 0), ...]: trial j
     # sets the sizes[j] least reliable bits to fill[j]
@@ -135,8 +147,8 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     fill = np.arange(len(sizes)) % 2 == 0
     erased = np.arange(profile[-1]) < sizes[:, None]
     least = np.take_along_axis(words, order, axis=1)[:, None, :]
-    support, ok, disc = kernel_for(spec).decode_trials(
-        words, order, erased & (least ^ fill[:, None]), alphas)
+    support, ok, disc = kern.decode_trials(
+        words, order, erased & (least ^ fill[:, None]), alphas, bits)
 
     # errors outside the erasures: support positions whose rank in order
     # (profile[-1] if unerased, -1 if unused) is >= the trial's erasures
@@ -156,5 +168,6 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     metric = np.where(valid, np.sum(1.0 - alphas, axis=1)[:, None] + 2.0 * disc, np.inf)
     any_ok = valid.any(axis=1)
     best = support[np.arange(nrows), np.argmin(metric, axis=1)]
-    stats = {"attempts": nrows * (len(profile) + 1), "gd_evals": int(valid.sum())}
-    return flip_support(words, np.where(any_ok[:, None], best, n)), any_ok, stats
+    out[noisy], decoded[noisy] = flip_support(words, np.where(any_ok[:, None], best, n)), any_ok
+    stats["gd_evals"] += int(valid.sum())
+    return out, decoded, stats

@@ -104,17 +104,16 @@ class ComponentKernel:
         cw = messages.astype(np.float32) @ self._generator
         return (cw.astype(np.int64) & 1).astype(np.uint8)
 
-    def _syndrome_bits(self, words: np.ndarray) -> np.ndarray:
-        sb = words.astype(np.float32) @ self._smat
+    def syndrome_bits(self, words: np.ndarray) -> np.ndarray:
+        """Per row, the m*t odd-syndrome bits and the overall parity."""
+        sb = np.ascontiguousarray(words).astype(np.float32) @ self._smat
         return sb.astype(np.int64) & 1
 
-    def codeword_mask(self, words: np.ndarray) -> np.ndarray:
+    def codeword_mask(self, words=None, bits=None) -> np.ndarray:
         """True per row when all syndromes (and the parity, if extended)
-        vanish."""
-        bits = self._syndrome_bits(np.ascontiguousarray(words))
-        if not self.spec.extended:
-            bits = bits[:, :-1]
-        return ~bits.any(axis=1)
+        vanish; ``bits`` are the rows' syndrome_bits, if already known."""
+        bits = self.syndrome_bits(words) if bits is None else bits
+        return ~bits[:, :bits.shape[1] - (not self.spec.extended)].any(axis=1)
 
     def batch_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode each row; returns (decoded words, corrected mask).
@@ -130,11 +129,11 @@ class ComponentKernel:
                     ok[i] = True
             return out, ok
         key_weights, _, fixes, fixed = self._leaders
-        key = self._syndrome_bits(words) @ key_weights
+        key = self.syndrome_bits(words) @ key_weights
         return flip_support(words, fixes[key]), fixed[key]
 
     def decode_trials(self, words: np.ndarray, positions: np.ndarray,
-                      flips: np.ndarray, weights: np.ndarray
+                      flips: np.ndarray, weights: np.ndarray, bits: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """BDD-decode T trial words per row: trial j of row r is words[r]
         with the bits at positions[r] (P distinct positions per row) XORed
@@ -143,7 +142,8 @@ class ComponentKernel:
         differs from words[r], ascending, n in unused slots (anywhere); the
         corrected mask (rows, T), a failed trial's candidate being its trial
         word; and each trial's discrepancy (rows, T), the sum of weights[r]
-        over its support, bit-equal to the dense row sum."""
+        over its support, bit-equal to the dense row sum. ``bits`` are the
+        words' syndrome_bits, if already known."""
         rows, n = words.shape
         flips = np.asarray(flips, dtype=bool)
         positions = np.asarray(positions, dtype=np.intp)
@@ -160,7 +160,7 @@ class ComponentKernel:
                 cpos[r, j, :len(res.flips)] = sorted(res.flips)
         else:
             key_weights, col_keys, fixes, fixed = self._leaders
-            bits = self._syndrome_bits(words)
+            bits = self.syndrome_bits(words) if bits is None else bits
             key = np.repeat((bits @ key_weights)[:, None], flips.shape[-2], axis=1)
             trial_keys = col_keys[positions]
             for k in range(positions.shape[1]):

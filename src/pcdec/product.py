@@ -277,26 +277,29 @@ def _bdd_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
 
 
 def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
-                rule) -> DecoderResult:
-    """Soft messages from the channel LLRs L on: ``rule(soft, llr, half,
-    ops) -> (ext, decisions)`` decodes the component words L + ext, ext the
-    soft message of the crossing half-step (zero at first), in slices with
-    ``trials`` BDD trial words per row, and adds its other work to ``ops``."""
+                rule, **inputs) -> DecoderResult:
+    """Soft messages from the channel LLRs L on: ``rule(soft, ext, dec, s,
+    half, sl, ops)`` decodes the slice ``sl`` (``trials`` BDD trial words per
+    row) of the component words L + ext, ext the soft message of the
+    crossing half-step (zero at first), writes the next ext and decisions
+    over ``ext`` (soft's memory) and ``dec``, and adds its other work to
+    ``ops``. ``inputs`` are extra state entries."""
     llrs = _stack(spec, llrs, "llrs", bits=False)
-    state = {**_both_passes("llr", llrs), "ext": np.zeros_like(llrs),
-             "dec": np.zeros(llrs.shape, dtype=np.uint8)}
+    state = {**_both_passes("llr", llrs), "ext": np.zeros(llrs.shape),
+             "dec": np.zeros(llrs.shape, dtype=np.uint8), **inputs}
 
     def half_step(s, half, ops):
         llr = _pass_rows(s, "llr", half)
+        # a view of the state for a row pass, so the rule writes in place;
         # batch_gmd sums reliabilities along rows, so it gets them
         # C-contiguous: the summation order fixes the last bits
-        soft = llr + _rows(s["ext"], half)
-        ext, dec = np.empty_like(soft), np.empty(soft.shape, dtype=np.uint8)
-        for sl in _row_slices(len(soft), trials):
-            ext[sl], dec[sl] = rule(soft[sl], llr[sl], half, ops)
-        _put_rows(s["ext"], half, ext)
-        _put_rows(s["dec"], half, dec)
-        ops["bdd_calls"] += len(soft) * trials
+        ext, dec = _rows(s["ext"], half), _rows(s["dec"], half)
+        for sl in _row_slices(len(ext), trials):
+            rule(np.add(llr[sl], ext[sl], out=ext[sl]), ext[sl], dec[sl], s, half, sl, ops)
+        if half % 2:
+            _put_rows(s["ext"], half, ext)
+            _put_rows(s["dec"], half, dec)
+        ops["bdd_calls"] += len(ext) * trials
 
     return _iterate(spec, l_max, state, half_step)
 
@@ -335,11 +338,6 @@ def ideal_ibdd(spec: ProductCodeSpec, received: np.ndarray,
                                  _frame(spec, c_true, "c_true"), l_max))
 
 
-def _binary_message(val: np.ndarray, channel_hard: np.ndarray) -> np.ndarray:
-    """B(val) with B(0) resolved to the channel hard decision."""
-    return np.where((val > 0) | (val < 0), val < 0, channel_hard)
-
-
 def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
                                weight: float,
                                channel_hard: np.ndarray) -> np.ndarray:
@@ -355,31 +353,40 @@ def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
                     channel_hard).astype(np.uint8)
 
 
-def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
-                  l_max: int) -> DecoderResult:
-    """``ibdd_sr`` on a (B, n, n) stack of LLR frames."""
-    sched = _as_schedule(w, l_max)
-    kern = kernel_for(spec.component)
-    llrs = _stack(spec, llrs, "llrs", bits=False)
-    ch_hard = hard_decide(llrs)
-    # |L| enters only as |L| < w, so it is kept as its rank among the
-    # distinct weights (|L| < weights[k] iff rank <= k): a byte per bit
+def _scaled_reliability(llrs: np.ndarray, sched: tuple[float, ...]):
+    """``decide(s, half, out, ok, sl)``: the message B(w * mubar + L) on rows
+    ``sl`` of a pass for decoded words ``out``, mubar = ok * (1 - 2 * out),
+    and the state entries it reads, B(L) and |L| for both passes. |L| is
+    kept as its rank among the distinct weights, since it enters only as
+    |L| < weights[k], that is rank <= k: a byte per bit."""
     weights = np.unique(sched)
     mag = np.abs(llrs)
     rank = np.zeros(mag.shape, dtype=np.min_scalar_type(len(weights)))
     for weight in weights:
         rank += mag >= weight
+    k = np.searchsorted(weights, sched).tolist()
+
+    def decide(s, half, out, ok, sl=slice(None)):
+        # np.where(trusted, out, ch) without its slow select of bytes
+        ch = _pass_rows(s, "ch", half)[sl]
+        trusted = ok[:, None] & (_pass_rows(s, "rank", half)[sl] <= k[half // 2])
+        return ch ^ ((out ^ ch) & trusted)
+
+    return decide, {**_both_passes("ch", hard_decide(llrs)), **_both_passes("rank", rank)}
+
+
+def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
+                  l_max: int) -> DecoderResult:
+    """``ibdd_sr`` on a (B, n, n) stack of LLR frames."""
+    kern = kernel_for(spec.component)
+    decide, inputs = _scaled_reliability(_stack(spec, llrs, "llrs", bits=False),
+                                         _as_schedule(w, l_max))
 
     def rule(words, s, half, ops):
-        out, ok = kern.batch_bdd(words)
-        # scaled_reliability_message with mubar = ok * (1 - 2 * out)
-        k = np.searchsorted(weights, sched[half // 2])
-        trusted = ok[:, None] & (_pass_rows(s, "rank", half) <= k)
         ops["msg_updates"] += words.size
-        return np.where(trusted, out, _pass_rows(s, "ch", half))
+        return decide(s, half, *kern.batch_bdd(words))
 
-    return _bdd_stack(spec, ch_hard, l_max, rule, **_both_passes("rank", rank),
-                      **_both_passes("ch", ch_hard))
+    return _bdd_stack(spec, inputs["ch"], l_max, rule, **inputs)
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -390,20 +397,23 @@ def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderRe
 def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
                    l_max: int) -> DecoderResult:
     """``igmdd_sr`` on a (B, n, n) stack of LLR frames."""
-    sched = _as_schedule(w, l_max)
-    comp = spec.component
+    sched, comp = _as_schedule(w, l_max), spec.component
+    llrs = _stack(spec, llrs, "llrs", bits=False)
+    decide, inputs = _scaled_reliability(llrs, sched)
 
-    def rule(soft, llr, half, ops):
-        ch = hard_decide(llr)
-        out, ok, stats = batch_gmd(comp, _binary_message(soft, ch), np.abs(soft))
+    def rule(soft, ext, dec, s, half, sl, ops):
+        hard = (soft < 0).view(np.uint8)  # B(soft), B(0) resolved to B(L)
+        np.copyto(hard, _pass_rows(s, "ch", half)[sl], where=soft == 0)
+        out, ok, stats = batch_gmd(comp, hard, np.abs(soft, out=soft))
         ops["erasure_calls"] += stats["attempts"]
         ops["gd_evals"] += stats["gd_evals"]
         ops["msg_updates"] += soft.size
-        scale = sched[half // 2]
-        ext = np.where(out == 1, -scale, scale) * ok[:, None]  # w * mubar
-        return ext, _binary_message(llr + ext, ch)
+        # ext = w * mubar, and the decisions B(L + ext)
+        np.take(sched[half // 2] * np.array([1.0, -1.0]), out, out=ext, mode="clip")
+        ext[~ok] = 0.0
+        dec[...] = decide(s, half, out, ok, sl)
 
-    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule)  # 2t+1 GMD trials
+    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule, **inputs)  # 2t+1 GMD trials
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:

@@ -136,9 +136,11 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
     if (len(cfg.alpha_schedule) < 2 * l_max
             or len(cfg.beta_schedule) < 2 * l_max):
         raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
-    return _soft_stack(spec, llrs, l_max, 1 << cfg.p,
-                       lambda soft, llr, half, ops:
-                           _chase_batch(spec.component, soft, cfg, half))
+
+    def rule(soft, ext, dec, s, half, sl, ops):
+        ext[...], dec[...] = _chase_batch(spec.component, soft, cfg, half)
+
+    return _soft_stack(spec, llrs, l_max, 1 << cfg.p, rule)
 
 
 def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import all_codewords
-from pcdec.bch import bdd, construct_ebch, error_erasure_decode
+from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch, error_erasure_decode
 from pcdec.gf import build_field
 from pcdec.gmd import (
     GmdOutcome,
@@ -14,7 +16,7 @@ from pcdec.gmd import (
     generalized_distance,
     gmd_decode,
 )
-from pcdec.kernels import kernel_for
+from pcdec.kernels import ComponentKernel, kernel_for
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +224,45 @@ def test_batch_gmd_matches_scalar(case):
         ref = gmd_decode(spec, words[i], ReliabilityVector.from_values(reliab[i]))
         assert ok[i] == ref.corrected
         assert np.array_equal(out[i], ref.word)
+
+
+@st.composite
+def mixed_gmd_rows(draw):
+    """A t = 2 or 3 code with m = 4..6, rows that are codewords mixed with
+    rows near codewords (1 to d errors) or random, and reliabilities that
+    are continuous, from two or three levels, or all zero."""
+    m, t = draw(st.sampled_from([4, 5, 6])), draw(st.sampled_from([2, 3]))
+    try:
+        spec = construct_ebch(build_field(m), t, extend=draw(st.booleans()))
+    except UnsupportedParametersError:
+        assume(False)
+    nrows = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["continuous", "levels", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    words = kernel_for(spec).encode(rng.integers(0, 2, (nrows, spec.k)))
+    if kind == "continuous":
+        reliab = rng.random((nrows, spec.n))
+    else:
+        reliab = rng.integers(0, 3, (nrows, spec.n)) * float(kind == "levels")
+    for row in words[rng.random(nrows) < 0.6]:
+        row[rng.choice(spec.n, size=rng.integers(1, spec.d_min + 1), replace=False)] ^= 1
+    words[rng.random(nrows) < 0.1] = rng.integers(0, 2, spec.n)
+    return spec, words, reliab
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=mixed_gmd_rows())
+def test_batch_gmd_skips_codewords_exactly(case):
+    # codeword rows skip the trials: the words match gmd_decode row by row,
+    # and the stats those of the trials run on every row
+    spec, words, reliab = case
+    out, ok, stats = batch_gmd(spec, words, reliab)
+    for i in range(len(words)):
+        ref = gmd_decode(spec, words[i], ReliabilityVector.from_values(reliab[i]))
+        assert ok[i] == ref.corrected
+        assert np.array_equal(out[i], ref.word)
+    no_codewords = lambda self, words=None, bits=None: np.zeros(len(bits), dtype=bool)
+    with mock.patch.object(ComponentKernel, "codeword_mask", no_codewords):
+        all_out, all_ok, all_stats = batch_gmd(spec, words, reliab)
+    assert stats == all_stats
+    assert np.array_equal(out, all_out) and np.array_equal(ok, all_ok)

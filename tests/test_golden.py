@@ -4,7 +4,8 @@ tests/golden/. C9 only checks run-to-run determinism; these files pin the
 results themselves across refactors of the decoders and the harness.
 
 The files were written by the pre-refactor code; the m8-ad ones by the
-component-by-component anchor walk that the array form replaced. To
+component-by-component anchor walk that the array form replaced, and the
+m8-igmdd-sr one by the GMD half-step that ran every trial on every row. To
 rewrite them after a change that is meant to alter results, run
 `python tests/test_golden.py`.
 """
@@ -70,6 +71,20 @@ algorithms = ad
 threshold = {threshold}
 """
 
+# iGMDD-SR on the paper's code with its default schedule, in the waterfall
+M8_IGMDD_SR = """
+[simulation]
+code_m = 8
+code_t = 2
+extended = true
+iterations = 10
+transmission = random
+min_frame_errors = 1000
+max_frames = 6
+batch_frames = 6
+algorithms = igmdd-sr
+"""
+
 # name -> (config, Eb/N0 grid, seed)
 CASES = {
     "m4-all-zero": (M4.format(ids=ALL_IDS, tx="all-zero"), "2.5,4.0,5.5", 3),
@@ -77,6 +92,7 @@ CASES = {
     "m6-random": (M6.format(ids=ALL_IDS, tx="random"), "3.0,3.6", 5),
     "m8-ad-t1": (M8_AD.format(threshold=1), "4.6,4.78", 6),
     "m8-ad-t0": (M8_AD.format(threshold=0), "4.6,4.78", 7),
+    "m8-igmdd-sr": (M8_IGMDD_SR, "4.2,4.35", 8),
 }
 
 

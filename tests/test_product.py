@@ -676,18 +676,21 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     # one decode_trials call; its words are rows x trials.
     pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
     L, _ = frame_stack(pc, [3.0] * 28, 5, [False] * 28)
-    words, gmd_calls = [], []
+    words, gmd_calls, gmd_want = [], [], []
     trials = kernels.ComponentKernel.decode_trials
     gmd = product.batch_gmd
 
-    def counted_trials(self, hard, positions, flips, weights):
+    def counted_trials(self, hard, positions, flips, *rest):
         words.append(len(hard) * flips.shape[-2])
-        return trials(self, hard, positions, flips, weights)
+        return trials(self, hard, positions, flips, *rest)
 
-    def counted_gmd(*args):
+    def counted_gmd(spec, hard, rel):
         before = len(words)
-        out = gmd(*args)
-        gmd_calls.append(len(words) - before)
+        out = gmd(spec, hard, rel)
+        gmd_calls.append((len(words) - before, sum(words[before:])))
+        # batch_gmd runs the trials only on the rows that are not codewords
+        noisy = int((~kernels.kernel_for(spec).codeword_mask(hard)).sum())
+        gmd_want.append((int(noisy > 0), 5 * noisy))
         return out
 
     monkeypatch.setattr(kernels.ComponentKernel, "decode_trials", counted_trials)
@@ -698,9 +701,10 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     assert sum(words) == 2 * 28 * 31 * 16
     words.clear()
     igmdd_sr_stack(pc, L, (2.0,), 1)
-    assert gmd_calls == [1] * (2 * 2)  # 2 slices of 819 rows, one call each
+    assert len(gmd_calls) == 2 * 2  # 2 slices of 819 rows
     assert max(words) <= product.MAX_WORDS_PER_CALL
-    assert sum(words) == 2 * 28 * 31 * 5
+    assert gmd_calls == gmd_want
+    assert all(calls == 1 for calls, _ in gmd_calls)
 
 
 def test_stack_decoders_reject_malformed_stacks(pc15):
