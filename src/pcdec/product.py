@@ -28,14 +28,14 @@ Two half-steps serve the six decoders:
                       until too many components conflict with it, then
                       the anchor is backtracked (see ``_anchor_pass``).
 * ``_soft_stack``   -- soft messages: a rule decodes L plus the message
-                       ext of the crossing half-step and returns the next
-                       ext and the decisions:
+                       ext of the crossing half-step and writes the next
+                       ext and the decisions in place:
   - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
   - ``tpd.tpd_decode`` Chase-Pyndiah, ext = the damped extrinsic.
 
-GMD and Chase BDD-decode 2t+1 and 2^p trial words per component, in one
-``ComponentKernel.decode_trials`` call per slice of rows, and count them
-all in ``bdd_calls``.
+GMD and Chase BDD-decode 2t+1 and 2^p trial words per component (GMD
+none for a codeword), in one ``ComponentKernel.decode_trials`` call per
+slice of rows, and count them all in ``bdd_calls``.
 
 Each decoder has a ``*_stack`` form taking a (B, n, n) stack; the
 per-frame form is that decoder on a stack of one.

@@ -478,6 +478,22 @@ def test_igmdd_sr_erasure_call_budget(pc15):
     assert res.op_counters["gd_evals"] == 123
 
 
+def test_igmdd_sr_codeword_skip_keeps_results_and_counters(pc15, monkeypatch):
+    # from the second iteration on many GMD rows are codewords, whose trials
+    # batch_gmd skips; running them anyway changes neither the decisions,
+    # the iterations nor an op counter
+    L, _ = frame_stack(pc15, [2.5, 3.0, 3.5, 4.0], 5, [False, True, False, True])
+    skip = igmdd_sr_stack(pc15, L, (2.0,) * 6, 6)
+    mask = kernels.ComponentKernel.codeword_mask
+    monkeypatch.setattr(kernels.ComponentKernel, "codeword_mask",
+                        lambda self, words=None, bits=None: mask(self, words)
+                        if bits is None else np.zeros(len(bits), dtype=bool))
+    full = igmdd_sr_stack(pc15, L, (2.0,) * 6, 6)
+    assert np.array_equal(skip.array, full.array)
+    assert np.array_equal(skip.iterations_used, full.iterations_used)
+    assert skip.op_counters == full.op_counters
+
+
 # ---------------------------------------------------------------- genie
 
 
@@ -676,7 +692,7 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     # one decode_trials call; its words are rows x trials.
     pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
     L, _ = frame_stack(pc, [3.0] * 28, 5, [False] * 28)
-    words, gmd_calls, gmd_want = [], [], []
+    words, gmd_calls, gmd_words, noisy_words = [], [], [], []
     trials = kernels.ComponentKernel.decode_trials
     gmd = product.batch_gmd
 
@@ -687,10 +703,10 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     def counted_gmd(spec, hard, rel):
         before = len(words)
         out = gmd(spec, hard, rel)
-        gmd_calls.append((len(words) - before, sum(words[before:])))
+        gmd_calls.append(len(words) - before)
+        gmd_words.append(sum(words[before:]))
         # batch_gmd runs the trials only on the rows that are not codewords
-        noisy = int((~kernels.kernel_for(spec).codeword_mask(hard)).sum())
-        gmd_want.append((int(noisy > 0), 5 * noisy))
+        noisy_words.append(5 * int((~kernels.kernel_for(spec).codeword_mask(hard)).sum()))
         return out
 
     monkeypatch.setattr(kernels.ComponentKernel, "decode_trials", counted_trials)
@@ -701,10 +717,9 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     assert sum(words) == 2 * 28 * 31 * 16
     words.clear()
     igmdd_sr_stack(pc, L, (2.0,), 1)
-    assert len(gmd_calls) == 2 * 2  # 2 slices of 819 rows
+    assert gmd_calls == [1] * (2 * 2)  # 2 slices of 819 rows, one call each
     assert max(words) <= product.MAX_WORDS_PER_CALL
-    assert gmd_calls == gmd_want
-    assert all(calls == 1 for calls, _ in gmd_calls)
+    assert gmd_words == noisy_words
 
 
 def test_stack_decoders_reject_malformed_stacks(pc15):
