@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .bch import ComponentCodeSpec, DecodeOutcome, bdd, construct_ebch, encode
 from .channel import ChannelParams, hard_decide, llr, modulate, transmit
 from .gf import FieldSpec, build_field
-from .gmd import GmdOutcome, ReliabilityVector, gmd_decode
 from .harness import BerRecord, SimConfig, run_ber_point, run_sweep
 from .product import (
     DecoderResult,
@@ -20,14 +19,13 @@ from .product import (
     is_pc_codeword,
     pc_encode,
 )
-from .tpd import ChaseConfig, chase_pyndiah_component, tpd_decode
+from .tpd import ChaseConfig, tpd_decode
 
 __all__ = [
     "BerRecord", "ChannelParams", "ChaseConfig", "ComponentCodeSpec",
-    "DecodeOutcome", "DecoderResult", "FieldSpec", "GmdOutcome",
-    "ProductCodeSpec", "ReliabilityVector", "ScalingSchedule", "SimConfig",
-    "anchor_decode", "bdd", "build_field", "chase_pyndiah_component",
-    "construct_ebch", "encode", "gmd_decode", "hard_decide", "ibdd",
-    "ibdd_sr", "ideal_ibdd", "igmdd_sr", "is_pc_codeword", "llr", "modulate",
+    "DecodeOutcome", "DecoderResult", "FieldSpec", "ProductCodeSpec",
+    "ScalingSchedule", "SimConfig", "anchor_decode", "bdd", "build_field",
+    "construct_ebch", "encode", "hard_decide", "ibdd", "ibdd_sr",
+    "ideal_ibdd", "igmdd_sr", "is_pc_codeword", "llr", "modulate",
     "pc_encode", "run_ber_point", "run_sweep", "tpd_decode", "transmit",
 ]

@@ -1,16 +1,12 @@
 """Extended BCH component codes.
 
 Construction from a field and a design error-correcting capability,
-systematic encoding, syndrome computation, and the three component
-decoders used by the product decoders:
-
-* ``bdd``        -- strict bounded distance decoding: returns the unique
-                    codeword within Hamming distance t of the input when
-                    one exists (including miscorrections), else echoes the
-                    input as a failure.
-* ``error_erasure_decode`` -- algebraic error-erasure decoding, guaranteed
-                    whenever 2*errors + erasures < d_min.
-* ``genie_bdd``  -- BDD with a genie that suppresses miscorrections.
+systematic encoding, syndrome computation, and ``bdd``: strict bounded
+distance decoding of one word, returning the unique codeword within
+Hamming distance t of the input when one exists (including
+miscorrections), else echoing the input as a failure. The product
+decoders decode whole batches through ``kernels.ComponentKernel``, which
+falls back to ``bdd`` row by row past its syndrome table.
 
 Bit/polynomial convention: vector position i holds the coefficient of x^i
 of the inner (cyclic) code; the overall parity bit of an extended code is
@@ -29,10 +25,6 @@ from .gf import FieldSpec, alpha_pow, gf_div, gf_mul
 
 class UnsupportedParametersError(ValueError):
     """Requested code parameters do not yield a valid code."""
-
-
-class TooManyErasuresError(ValueError):
-    """More erasures than the minimum distance can support."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,52 +289,3 @@ def bdd(spec: ComponentCodeSpec, r: np.ndarray) -> DecodeOutcome:
     for p in flips:
         word[p] ^= 1
     return DecodeOutcome(True, word, frozenset(flips))
-
-
-def error_erasure_decode(spec: ComponentCodeSpec, r: np.ndarray,
-                         erasures) -> DecodeOutcome:
-    """Error-erasure decoding by the two-fill method: BDD with erased
-    positions set to all zeros and again to all ones; a candidate is kept
-    when its non-erased disagreement count e satisfies 2e + s <= d_min - 1.
-    Guaranteed to return the transmitted codeword whenever the true error
-    pattern satisfies 2e + s < d_min."""
-    r = np.asarray(r, dtype=np.uint8)
-    erasures = sorted(set(int(p) for p in erasures))
-    s = len(erasures)
-    if s >= spec.d_min:
-        raise TooManyErasuresError(f"{s} erasures >= d_min = {spec.d_min}")
-    if any(p < 0 or p >= spec.n for p in erasures):
-        raise ValueError("erasure position out of range")
-    era = np.array(erasures, dtype=np.intp)
-    best: tuple[int, int, np.ndarray] | None = None
-    for fill_idx, fill in enumerate((0, 1)):
-        trial = r.copy()
-        if s:
-            trial[era] = fill
-        out = bdd(spec, trial)
-        if not out.corrected:
-            continue
-        diff = out.word != r
-        if s:
-            diff[era] = False
-        e = int(diff.sum())
-        if 2 * e + s <= spec.d_min - 1:
-            if best is None or e < best[0]:
-                best = (e, fill_idx, out.word)
-    if best is None:
-        return DecodeOutcome(False, r.copy(), frozenset())
-    word = best[2]
-    flips = frozenset(int(p) for p in np.flatnonzero(word != r))
-    return DecodeOutcome(True, word, flips)
-
-
-def genie_bdd(spec: ComponentCodeSpec, r: np.ndarray,
-              c_true: np.ndarray) -> DecodeOutcome:
-    """BDD whose miscorrections are suppressed: any corrected output other
-    than c_true is turned into a failure."""
-    r = np.asarray(r, dtype=np.uint8)
-    c_true = np.asarray(c_true, dtype=np.uint8)
-    out = bdd(spec, r)
-    if out.corrected and not np.array_equal(out.word, c_true):
-        return DecodeOutcome(False, r.copy(), frozenset())
-    return out

@@ -2,7 +2,7 @@
 
 Field elements are plain ints in [0, 2^m): bit i is the coefficient of
 alpha^i in the polynomial basis. Addition is XOR; multiplication and
-inversion go through log/antilog tables built once at construction.
+division go through log/antilog tables built once at construction.
 """
 
 from __future__ import annotations
@@ -96,26 +96,12 @@ def gf_mul(field: FieldSpec, a: int, b: int) -> int:
     return int(field.antilog_table[k])
 
 
-def gf_inv(field: FieldSpec, a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-    return int(field.antilog_table[(field.order - field.log_table[a]) % field.order])
-
-
 def gf_div(field: FieldSpec, a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("division by zero in GF(2^m)")
     if a == 0:
         return 0
     k = (field.log_table[a] - field.log_table[b]) % field.order
-    return int(field.antilog_table[k])
-
-
-def gf_pow(field: FieldSpec, a: int, e: int) -> int:
-    """a**e in the field; 0**0 defined as 1."""
-    if a == 0:
-        return 1 if e == 0 else 0
-    k = (field.log_table[a] * e) % field.order
     return int(field.antilog_table[k])
 
 

@@ -1,64 +1,27 @@
-"""Generalized minimum distance decoding of one component code.
+"""Generalized minimum distance decoding of component codes (Forney, 1966).
 
-The decoder ranks bits by reliability, erases the m least reliable ones
-for each m in the erasure profile, runs error-erasure decoding on every
-trial vector (plus the unerased one), and picks the candidate codeword
-minimizing the generalized distance
+For each row, the decoder ranks bits by reliability, erases the m least
+reliable ones for each m in the erasure profile, runs error-erasure
+decoding on every trial vector (plus the unerased one), and picks the
+candidate codeword minimizing the generalized distance
 
     sum_{i: r_i = c_i} (1 - a_i) + sum_{i: r_i != c_i} (1 + a_i)
 
 with a_i the reliabilities normalized to a maximum of 1.
 
-``batch_gmd`` applies the same decoding to every row of a matrix at once,
-BDD-decoding the 2t+1 trial words of all rows that are not already
-codewords (the unerased row and both fills of each erasure set) in one
-``decode_trials`` call and reading the candidates' supports; it is
-bit-equivalent to ``gmd_decode`` and exists for the iterative decoders.
+``batch_gmd`` decodes every row of a matrix at once, BDD-decoding the
+2t+1 trial words of all rows that are not already codewords (the unerased
+row and both fills of each erasure set) in one ``decode_trials`` call and
+reading the candidates' supports. The test suite checks it bit for bit
+against the scalar one-word GMD reference in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bch import ComponentCodeSpec, error_erasure_decode
+from .bch import ComponentCodeSpec
 from .kernels import flip_support, kernel_for, least_reliable
-
-
-@dataclass(frozen=True)
-class ReliabilityVector:
-    """Nonnegative per-bit reliabilities plus their normalized form.
-
-    ``alphas`` is values / max(values); an all-zero vector degrades to
-    all-ones so the generalized distance falls back to twice the Hamming
-    distance.
-    """
-
-    values: np.ndarray
-    alphas: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "ReliabilityVector":
-        values = np.asarray(values, dtype=np.float64)
-        if (values < 0).any():
-            raise ValueError("reliabilities must be nonnegative")
-        peak = values.max() if values.size else 0.0
-        if peak > 0:
-            alphas = values / peak
-        else:
-            alphas = np.ones_like(values)
-        return cls(values=values, alphas=alphas)
-
-
-@dataclass(frozen=True)
-class GmdOutcome:
-    """Result of one GMD decoding; ``metric`` is only set on success."""
-
-    corrected: bool
-    word: np.ndarray
-    trials_attempted: int
-    metric: float | None
 
 
 def erasure_profile(d_min: int) -> list[int]:
@@ -69,53 +32,14 @@ def erasure_profile(d_min: int) -> list[int]:
     return list(range(d_min - 1, stop, -2))
 
 
-def generalized_distance(r: np.ndarray, c_hat: np.ndarray,
-                         rel: ReliabilityVector) -> float:
-    r = np.asarray(r, dtype=np.uint8)
-    c_hat = np.asarray(c_hat, dtype=np.uint8)
-    if r.shape != c_hat.shape or r.shape != rel.alphas.shape:
-        raise ValueError("length mismatch")
-    agree = r == c_hat
-    return float(np.sum(1.0 - rel.alphas[agree]) + np.sum(1.0 + rel.alphas[~agree]))
-
-
-def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
-               rel: ReliabilityVector) -> GmdOutcome:
-    """Run the t+1 error-erasure trials and keep the generalized-distance
-    minimizer; ties prefer the trial with fewer erasures."""
-    r = np.asarray(r, dtype=np.uint8)
-    if r.shape != (spec.n,) or rel.values.shape != (spec.n,):
-        raise ValueError(f"word and reliabilities must have length {spec.n}")
-    trial_sizes = [0] + sorted(erasure_profile(spec.d_min))
-    best_word = None
-    best_metric = np.inf
-    seen: set[bytes] = set()
-    for m in trial_sizes:
-        # erase the m least reliable bits; the stable sort breaks ties low
-        out = error_erasure_decode(spec, r, np.argsort(rel.values, kind="stable")[:m])
-        if not out.corrected:
-            continue
-        key = out.word.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        metric = generalized_distance(r, out.word, rel)
-        if metric < best_metric:
-            best_metric = metric
-            best_word = out.word
-    if best_word is None:
-        return GmdOutcome(False, r.copy(), len(trial_sizes), None)
-    return GmdOutcome(True, best_word, len(trial_sizes), best_metric)
-
-
 def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
               reliabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """GMD-decode every row of ``words`` with per-row ``reliabilities``.
 
     Returns (decoded words, corrected mask, stats) where stats counts the
     error-erasure attempts and generalized-distance evaluations made.
-    Failed rows are echoed unchanged. Bit-equivalent to ``gmd_decode``
-    row by row.
+    Failed rows are echoed unchanged. Bit-equivalent, row by row, to the
+    scalar GMD reference in ``tests/helpers.py``.
 
     A row that is already a codeword r is returned as itself, corrected,
     without trials but with their t + 1 counts of each stat. This is exact:

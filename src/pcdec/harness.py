@@ -155,12 +155,15 @@ class SimConfig:
                 ChaseConfig.default(self.iterations, self.chase_p)
             except ValueError as exc:
                 raise ValueError(f"chase_p: {exc}") from None
-        if self.w is not None and len(self.w) != self.iterations:
-            raise ValueError(f"w must hold {self.iterations} weights, one per "
-                             f"iteration, got {len(self.w)}")
-        if self.w is not None and any(not 0 < x < math.inf for x in self.w):
-            raise ValueError("w must hold positive weights, not NaN or infinite, "
-                             f"got {self.w}")
+        if self.w is not None:
+            if len(self.w) != self.iterations:
+                raise ValueError(f"w must hold {self.iterations} weights, one per "
+                                 f"iteration, got {len(self.w)}")
+            try:
+                ScalingSchedule(tuple(self.w))
+            except ValueError:
+                raise ValueError("w must hold positive weights, not NaN or infinite, "
+                                 f"got {self.w}") from None
         if self.transmission not in ("all-zero", "random"):
             raise ValueError("transmission must be 'all-zero' or 'random'")
         if any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):

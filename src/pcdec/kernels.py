@@ -120,17 +120,24 @@ class ComponentKernel:
         Failed rows are echoed unchanged."""
         words = np.ascontiguousarray(words, dtype=np.uint8)
         if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
-            out = words.copy()
-            ok = np.zeros(len(words), dtype=bool)
-            for i, row in enumerate(words):
-                res = bch.bdd(self.spec, row)
-                if res.corrected:
-                    out[i] = res.word
-                    ok[i] = True
-            return out, ok
-        key_weights, _, fixes, fixed = self._leaders
-        key = self.syndrome_bits(words) @ key_weights
-        return flip_support(words, fixes[key]), fixed[key]
+            cpos, ok = self._scalar_bdd(words)
+        else:
+            key_weights, _, fixes, fixed = self._leaders
+            key = self.syndrome_bits(words) @ key_weights
+            cpos, ok = fixes[key], fixed[key]
+        return flip_support(words, cpos), ok
+
+    def _scalar_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Past the table, each row decoded by ``bch.bdd``: per row its
+        corrections (rows, t), ascending with n in unused slots, and the
+        corrected mask."""
+        cpos = np.full((len(words), self.spec.t), self.spec.n)
+        ok = np.zeros(len(words), dtype=bool)
+        for i, row in enumerate(words):
+            res = bch.bdd(self.spec, row)
+            ok[i] = res.corrected
+            cpos[i, :len(res.flips)] = sorted(res.flips)
+        return cpos, ok
 
     def decode_trials(self, words: np.ndarray, positions: np.ndarray,
                       flips: np.ndarray, weights: np.ndarray, bits: np.ndarray | None = None
@@ -149,15 +156,10 @@ class ComponentKernel:
         positions = np.asarray(positions, dtype=np.intp)
         fpos = np.where(flips, positions[:, None, :], n)
         if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
-            # past the table: each trial word decoded by the scalar decoder
-            ok = np.zeros(fpos.shape[:2], dtype=bool)
-            cpos = np.full(fpos.shape[:2] + (self.spec.t,), n)
-            for r, j in np.ndindex(ok.shape):
-                trial = words[r].copy()
-                trial[fpos[r, j][fpos[r, j] < n]] ^= 1
-                res = bch.bdd(self.spec, trial)
-                ok[r, j] = res.corrected
-                cpos[r, j, :len(res.flips)] = sorted(res.flips)
+            trials = fpos.shape[1]
+            cpos, ok = self._scalar_bdd(flip_support(np.repeat(words, trials, 0),
+                                                     fpos.reshape(rows * trials, -1)))
+            cpos, ok = cpos.reshape(rows, trials, -1), ok.reshape(rows, trials)
         else:
             key_weights, col_keys, fixes, fixed = self._leaders
             bits = self.syndrome_bits(words) if bits is None else bits

@@ -122,9 +122,8 @@ def _as_schedule(w, iterations: int) -> tuple[float, ...]:
     w = tuple(float(x) for x in w)
     if len(w) != iterations:
         raise ValueError(f"need {iterations} scaling weights, got {len(w)}")
-    if any(not 0 < x < math.inf for x in w):
-        raise ValueError(f"scaling weights must be positive and finite, got {w}")
-    return w
+    # no weights (l_max < 1) is left for _iterate to reject
+    return ScalingSchedule(w).w if w else w
 
 
 def pc_encode(spec: ProductCodeSpec, info: np.ndarray) -> np.ndarray:

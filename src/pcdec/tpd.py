@@ -1,15 +1,16 @@
 """Chase-Pyndiah turbo product decoding baseline.
 
-Each component decoding builds 2^p test sequences by toggling the p
-least reliable hard-decision bits, BDD-decodes all of them, keeps the
+``_chase_batch`` Chase-decodes a batch of component words at once. For
+each word it builds 2^p test sequences by toggling the p least reliable
+hard-decision bits, BDD-decodes all of them in one kernel call, keeps the
 candidate minimizing the correlation discrepancy sum_{disagree} |soft|,
 and emits per-bit extrinsics from the metric gap to the best competitor
 with the opposite bit (or the reliability fallback beta when no
 competitor exists). Extrinsics are damped by the per-half-iteration
 alpha before the crossing dimension consumes them.
 
-Each half-step is a rule on ``product._soft_stack``: a component
-Chase-decodes L plus the crossing half-step's damped extrinsic.
+Each half-step is a rule on ``product._soft_stack``: the components of a
+slice Chase-decode L plus the crossing half-step's damped extrinsic.
 """
 
 from __future__ import annotations
@@ -115,17 +116,6 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
     ext[~any_ok] = 0.0
     ext *= cfg.alpha(half_iter)
     return ext, decision
-
-
-def chase_pyndiah_component(spec: ComponentCodeSpec, soft_in: np.ndarray,
-                            cfg: ChaseConfig, half_iter: int) -> np.ndarray:
-    """Soft-in extrinsic-out decoding of one component word; the output is
-    already scaled by the half-iteration's alpha. A run where every test
-    pattern fails yields the all-zero extrinsic."""
-    soft_in = np.asarray(soft_in, dtype=np.float64)
-    if soft_in.shape != (spec.n,):
-        raise ValueError(f"soft input must have length {spec.n}")
-    return _chase_batch(spec, soft_in[None, :], cfg, half_iter)[0][0]
 
 
 def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,

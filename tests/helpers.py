@@ -1,9 +1,17 @@
 """Shared test utilities: brute-force oracles kept independent of the
-library's decoding paths."""
+library's decoding paths, and scalar references for the batch decoders.
+
+The scalar references (error-erasure decoding, genie BDD and GMD) are
+built on ``pcdec.bch.bdd``, which criterion C1 checks exhaustively against
+the brute-force bounded-distance rule, so they inherit its correctness
+without sharing the batch kernels they are compared against."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from pcdec.bch import ComponentCodeSpec, encode
+from pcdec.bch import ComponentCodeSpec, DecodeOutcome, bdd, encode
+from pcdec.gmd import erasure_profile
 from pcdec.kernels import kernel_for
 
 
@@ -30,6 +38,140 @@ def oracle_nearest(codewords: np.ndarray, r: np.ndarray):
     dists = (codewords != r[None, :]).sum(axis=1)
     idx = int(np.argmin(dists))
     return codewords[idx], int(dists[idx])
+
+
+# ------------------------------------------- scalar component references
+
+
+class TooManyErasuresError(ValueError):
+    """More erasures than the minimum distance can support."""
+
+
+def error_erasure_decode(spec: ComponentCodeSpec, r: np.ndarray,
+                         erasures) -> DecodeOutcome:
+    """Error-erasure decoding by the two-fill method: BDD with erased
+    positions set to all zeros and again to all ones; a candidate is kept
+    when its non-erased disagreement count e satisfies 2e + s <= d_min - 1.
+    Guaranteed to return the transmitted codeword whenever the true error
+    pattern satisfies 2e + s < d_min."""
+    r = np.asarray(r, dtype=np.uint8)
+    erasures = sorted(set(int(p) for p in erasures))
+    s = len(erasures)
+    if s >= spec.d_min:
+        raise TooManyErasuresError(f"{s} erasures >= d_min = {spec.d_min}")
+    if any(p < 0 or p >= spec.n for p in erasures):
+        raise ValueError("erasure position out of range")
+    era = np.array(erasures, dtype=np.intp)
+    best: tuple[int, int, np.ndarray] | None = None
+    for fill_idx, fill in enumerate((0, 1)):
+        trial = r.copy()
+        if s:
+            trial[era] = fill
+        out = bdd(spec, trial)
+        if not out.corrected:
+            continue
+        diff = out.word != r
+        if s:
+            diff[era] = False
+        e = int(diff.sum())
+        if 2 * e + s <= spec.d_min - 1:
+            if best is None or e < best[0]:
+                best = (e, fill_idx, out.word)
+    if best is None:
+        return DecodeOutcome(False, r.copy(), frozenset())
+    word = best[2]
+    flips = frozenset(int(p) for p in np.flatnonzero(word != r))
+    return DecodeOutcome(True, word, flips)
+
+
+def genie_bdd(spec: ComponentCodeSpec, r: np.ndarray,
+              c_true: np.ndarray) -> DecodeOutcome:
+    """BDD whose miscorrections are suppressed: any corrected output other
+    than c_true is turned into a failure."""
+    r = np.asarray(r, dtype=np.uint8)
+    c_true = np.asarray(c_true, dtype=np.uint8)
+    out = bdd(spec, r)
+    if out.corrected and not np.array_equal(out.word, c_true):
+        return DecodeOutcome(False, r.copy(), frozenset())
+    return out
+
+
+@dataclass(frozen=True)
+class ReliabilityVector:
+    """Nonnegative per-bit reliabilities plus their normalized form.
+
+    ``alphas`` is values / max(values); an all-zero vector degrades to
+    all-ones so the generalized distance falls back to twice the Hamming
+    distance.
+    """
+
+    values: np.ndarray
+    alphas: np.ndarray
+
+    @classmethod
+    def from_values(cls, values) -> "ReliabilityVector":
+        values = np.asarray(values, dtype=np.float64)
+        if (values < 0).any():
+            raise ValueError("reliabilities must be nonnegative")
+        peak = values.max() if values.size else 0.0
+        if peak > 0:
+            alphas = values / peak
+        else:
+            alphas = np.ones_like(values)
+        return cls(values=values, alphas=alphas)
+
+
+@dataclass(frozen=True)
+class GmdOutcome:
+    """Result of one GMD decoding; ``metric`` is only set on success."""
+
+    corrected: bool
+    word: np.ndarray
+    trials_attempted: int
+    metric: float | None
+
+
+def generalized_distance(r: np.ndarray, c_hat: np.ndarray,
+                         rel: ReliabilityVector) -> float:
+    """sum_{i: r_i = c_i} (1 - a_i) + sum_{i: r_i != c_i} (1 + a_i), with
+    a_i the reliabilities normalized to a maximum of 1."""
+    r = np.asarray(r, dtype=np.uint8)
+    c_hat = np.asarray(c_hat, dtype=np.uint8)
+    if r.shape != c_hat.shape or r.shape != rel.alphas.shape:
+        raise ValueError("length mismatch")
+    agree = r == c_hat
+    return float(np.sum(1.0 - rel.alphas[agree]) + np.sum(1.0 + rel.alphas[~agree]))
+
+
+def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
+               rel: ReliabilityVector) -> GmdOutcome:
+    """GMD decoding (Forney) of one word: run the t+1 error-erasure trials
+    (the unerased word, then the least reliable bits erased for each count
+    of the erasure profile) and keep the generalized-distance minimizer;
+    ties prefer the trial with fewer erasures."""
+    r = np.asarray(r, dtype=np.uint8)
+    if r.shape != (spec.n,) or rel.values.shape != (spec.n,):
+        raise ValueError(f"word and reliabilities must have length {spec.n}")
+    trial_sizes = [0] + sorted(erasure_profile(spec.d_min))
+    best_word = None
+    best_metric = np.inf
+    seen: set[bytes] = set()
+    for m in trial_sizes:
+        # erase the m least reliable bits; the stable sort breaks ties low
+        out = error_erasure_decode(spec, r, np.argsort(rel.values, kind="stable")[:m])
+        if not out.corrected:
+            continue
+        key = out.word.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        metric = generalized_distance(r, out.word, rel)
+        if metric < best_metric:
+            best_metric = metric
+            best_word = out.word
+    if best_word is None:
+        return GmdOutcome(False, r.copy(), len(trial_sizes), None)
+    return GmdOutcome(True, best_word, len(trial_sizes), best_metric)
 
 
 # ------------------------------------------------ sequential anchor decoding

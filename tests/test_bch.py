@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import all_codewords, oracle_bdd
-from pcdec.bch import (
+from helpers import (
     TooManyErasuresError,
-    UnsupportedParametersError,
-    bdd,
-    construct_ebch,
-    encode,
+    all_codewords,
     error_erasure_decode,
     genie_bdd,
-    syndromes,
+    oracle_bdd,
 )
+from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch, encode, syndromes
 from pcdec.gf import alpha_pow, build_field
 
 

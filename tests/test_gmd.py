@@ -5,17 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_codewords
-from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch, error_erasure_decode
-from pcdec.gf import build_field
-from pcdec.gmd import (
+from helpers import (
     GmdOutcome,
     ReliabilityVector,
-    batch_gmd,
-    erasure_profile,
+    all_codewords,
+    error_erasure_decode,
     generalized_distance,
     gmd_decode,
 )
+from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch
+from pcdec.gf import build_field
+from pcdec.gmd import batch_gmd, erasure_profile
 from pcdec.kernels import ComponentKernel, kernel_for
 
 

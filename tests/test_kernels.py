@@ -3,15 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import genie_bdd
 from pcdec import kernels
-from pcdec.bch import (
-    UnsupportedParametersError,
-    bdd,
-    construct_ebch,
-    encode,
-    genie_bdd,
-    syndromes,
-)
+from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch, encode, syndromes
 from pcdec.gf import build_field
 from pcdec.kernels import flip_support, kernel_for, least_reliable
 

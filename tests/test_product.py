@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_codewords, oracle_anchor_decode
+from helpers import ReliabilityVector, all_codewords, gmd_decode, oracle_anchor_decode
 from pcdec import bch, kernels, product
 from pcdec.channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
 from pcdec.gf import build_field
-from pcdec.gmd import ReliabilityVector, gmd_decode
 from pcdec.product import (
     DecoderResult,
     ProductCodeSpec,

@@ -9,7 +9,7 @@ from pcdec.channel import ChannelParams, frame_rng, llr, modulate, transmit
 from pcdec.gf import build_field
 from pcdec.product import ProductCodeSpec, is_pc_codeword, pc_encode
 from pcdec.kernels import kernel_for
-from pcdec.tpd import ChaseConfig, _chase_batch, chase_pyndiah_component, tpd_decode
+from pcdec.tpd import ChaseConfig, _chase_batch, tpd_decode
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_chase_config_defaults():
 def test_chase_noiseless_decision_and_extrinsic_signs(comp15, cw15, cfg):
     c = cw15[90]
     soft = 5.0 * (1.0 - 2.0 * c)
-    ext = chase_pyndiah_component(comp15, soft, cfg, half_iter=0)
+    ext = _chase_batch(comp15, soft[None], cfg, half_iter=0)[0][0]
     # extrinsics all point toward the decided codeword
     assert ((1.0 - 2.0 * c) * ext >= 0).all()
     _, decision = ref_chase(comp15, soft, cfg, 0)
@@ -90,7 +90,7 @@ def test_chase_matches_reference(comp15, cfg):
     for trial in range(100):
         soft = rng.normal(0, 2, 15)
         for half in (0, 3, 7):
-            got = chase_pyndiah_component(comp15, soft, cfg, half)
+            got = _chase_batch(comp15, soft[None], cfg, half)[0][0]
             want, _ = ref_chase(comp15, soft, cfg, half)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -125,7 +125,7 @@ def test_chase_pattern_list_recovers_beyond_t(comp15, cw15, cfg):
         or not np.array_equal(bch.bdd(comp15, (soft < 0).astype(np.uint8)).word, c)
     ext, decision = ref_chase(comp15, soft, cfg, 0)
     assert np.array_equal(decision, c)
-    got = chase_pyndiah_component(comp15, soft, cfg, half_iter=0)
+    got = _chase_batch(comp15, soft[None], cfg, half_iter=0)[0][0]
     assert np.allclose(got, ext, atol=1e-12)
     # the error bits that found competitors are pulled toward the decision
     assert ((soft + got) < 0).astype(np.uint8)[2] == c[2]
@@ -139,7 +139,7 @@ def test_chase_single_weak_error(comp15, cw15, cfg):
     soft[7] *= -0.1
     _, decision = ref_chase(comp15, soft, cfg, 1)
     assert np.array_equal(decision, c)
-    got = chase_pyndiah_component(comp15, soft, cfg, half_iter=1)
+    got = _chase_batch(comp15, soft[None], cfg, half_iter=1)[0][0]
     want, _ = ref_chase(comp15, soft, cfg, 1)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -151,7 +151,7 @@ def test_chase_all_fail_gives_zero_extrinsic(cfg):
         soft = rng.normal(0, 1, 16)
         _, decision = ref_chase(spec, soft, cfg, 0)
         if decision is None:
-            ext = chase_pyndiah_component(spec, soft, cfg, half_iter=0)
+            ext = _chase_batch(spec, soft[None], cfg, half_iter=0)[0][0]
             assert np.array_equal(ext, np.zeros(16))
             return
     pytest.fail("no all-fail instance found")
@@ -251,12 +251,12 @@ def test_chase_extrinsic_independent_of_own_input_at_fallback_bits(comp15, cw15,
     c = cw15[17]
     soft = 4.0 * (1.0 - 2.0 * c)
     ext, decision = ref_chase(comp15, soft, cfg, 2)
-    got = chase_pyndiah_component(comp15, soft, cfg, 2)
+    got = _chase_batch(comp15, soft[None], cfg, 2)[0][0]
     fallback = np.flatnonzero(np.abs(np.abs(got) -
                                      cfg.alpha(2) * cfg.beta(2)) < 1e-12)
     assert fallback.size > 0
     j = int(fallback[0])
     bumped = soft.copy()
     bumped[j] *= 1.7
-    got2 = chase_pyndiah_component(comp15, bumped, cfg, 2)
+    got2 = _chase_batch(comp15, bumped[None], cfg, 2)[0][0]
     assert got2[j] == got[j]
