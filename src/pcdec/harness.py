@@ -30,7 +30,8 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .bch import construct_ebch
-from .channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
+# perfbench/tracing.py wraps the channel functions here, hard_decide too
+from .channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit  # noqa: F401
 from .gf import DEFAULT_PRIMITIVE_POLYS, build_field
 # The per-frame decoders stay names of this module next to the stack ones
 # the registry calls: perfbench/tracing.py wraps them here.
@@ -70,10 +71,12 @@ class Algorithm:
     """One row of the algorithm registry. ``capacity_mode`` is "SD" when the
     decisions use channel reliabilities, else "HD"; ``fields`` names the
     SimConfig fields only this algorithm reads, which its INI section takes
-    (``"w" in fields``: it needs a scaling schedule); ``decode(sim, llrs,
+    (``"w" in fields``: it needs a scaling schedule); ``decode(sim, channel,
     sent)`` returns the hard decisions for a (B, n, n) stack of frames of
     the _FrameSimulator sim in one call (a decoder's ``*_stack`` form),
-    looking the decoder up among this module's names at call time."""
+    looking the decoder up among this module's names at call time.
+    ``channel`` holds the LLRs for an "SD" algorithm and only their hard
+    decisions for an "HD" one."""
 
     name: str
     capacity_mode: str
@@ -85,16 +88,15 @@ _SR_FIELDS = ("w", "opt_grid", "opt_frames")
 
 # To add a decoder: write its rule on product._bdd_stack or _soft_stack, then add a row.
 REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
-    Algorithm("none", "HD", (), lambda sim, soft, sent: hard_decide(soft)),
-    Algorithm("ibdd", "HD", (), lambda sim, soft, sent: ibdd_stack(
-        sim.spec, hard_decide(soft), sim.cfg.iterations).array),
-    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, soft, sent: anchor_stack(
-        sim.spec, hard_decide(soft), sim.cfg.iterations,
-        sim.cfg.anchor_threshold).array),
+    Algorithm("none", "HD", (), lambda sim, hard, sent: hard),
+    Algorithm("ibdd", "HD", (), lambda sim, hard, sent: ibdd_stack(
+        sim.spec, hard, sim.cfg.iterations).array),
+    Algorithm("ad", "HD", ("anchor_threshold",), lambda sim, hard, sent: anchor_stack(
+        sim.spec, hard, sim.cfg.iterations, sim.cfg.anchor_threshold).array),
     Algorithm("ibdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: ibdd_sr_stack(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
-    Algorithm("ideal-ibdd", "HD", (), lambda sim, soft, sent: ideal_ibdd_stack(
-        sim.spec, hard_decide(soft), sent, sim.cfg.iterations).array),
+    Algorithm("ideal-ibdd", "HD", (), lambda sim, hard, sent: ideal_ibdd_stack(
+        sim.spec, hard, sent, sim.cfg.iterations).array),
     Algorithm("igmdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: igmdd_sr_stack(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
     Algorithm("tpd", "SD", ("chase_p",), lambda sim, soft, sent: tpd_stack(
@@ -216,21 +218,25 @@ class _FrameSimulator:
         self.params = ChannelParams.make(ebno_db, self.spec.rate)
         self.w = cfg.resolve_w()
         self.decode = REGISTRY[cfg.algorithm].decode
+        self.hard = REGISTRY[cfg.algorithm].capacity_mode == "HD"
 
     def __call__(self, lo: int, hi: int) -> list[int]:
         """Bit errors per frame after decoding frames lo..hi-1 as one
-        stack; each frame is drawn from its own RNG stream."""
+        stack; each frame is drawn from its own RNG stream. An HD decoder
+        gets the hard decisions y < 0 of the channel outputs y, which are
+        those of the LLRs 2y/sigma^2, and no float stack."""
         cfg = self.cfg
         spec = self.spec
         sent = np.zeros((hi - lo, spec.n, spec.n), dtype=np.uint8)
-        soft = np.empty(sent.shape)
+        channel = np.empty(sent.shape, dtype=np.uint8 if self.hard else np.float64)
         for b, frame_index in enumerate(range(lo, hi)):
             rng = frame_rng(cfg.master_seed, frame_index)
             if cfg.transmission == "random":
                 info = rng.integers(0, 2, (spec.k, spec.k)).astype(np.uint8)
                 sent[b] = pc_encode(spec, info)
-            soft[b] = llr(transmit(modulate(sent[b]), self.params, rng), self.params)
-        hard = self.decode(self, soft, sent)
+            y = transmit(modulate(sent[b]), self.params, rng)
+            channel[b] = y < 0 if self.hard else llr(y, self.params)
+        hard = self.decode(self, channel, sent)
         return [int(np.count_nonzero(h != s)) for h, s in zip(hard, sent)]
 
 

@@ -13,6 +13,13 @@ decoder. ``kernel_for`` keeps one kernel per code. Encoding is one GF(2)
 product with the systematic generator matrix, built from ``bch.encode`` on
 first use.
 
+The keys are int64 words of 63 bits (one word for m*t < 63); a
+non-extended code leaves out the parity, so a key is 0 exactly for a
+codeword. ``line_keys`` gives the keys of the rows and columns of a
+stack of frames and ``corrections`` the table's corrections for keys,
+which lets iBDD carry the keys across half-steps and update them per
+flipped bit (see ``product``).
+
 ``decode_trials`` (Chase, GMD) builds no trial word and skips batch_bdd: a
 trial's key is its hard word's key XOR its flipped bits' keys. Candidates
 come back as supports (where they differ from the hard word), scored in
@@ -36,6 +43,8 @@ from . import bch
 # largest m*t whose coset-leader table (2^(m*t+1) entries) batch_bdd builds;
 # beyond it batch_bdd decodes row by row
 MAX_KEY_BITS = 20
+
+_POW2 = 1 << np.arange(63)
 
 
 class ComponentKernel:
@@ -67,21 +76,28 @@ class ComponentKernel:
         eye = np.eye(self.spec.k, dtype=np.uint8)
         return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
 
+    @property
+    def tabled(self) -> bool:
+        """True when the code decodes by table lookup (m*t <= MAX_KEY_BITS)."""
+        return self.spec.field.m * self.spec.t <= MAX_KEY_BITS
+
     @cached_property
-    def _leaders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The key weights, which turn a row of syndrome bits into its key
-        (the overall parity is the top bit), the key of a single error at
-        each of the n positions, and the coset-leader table indexed by the
-        key: the positions of the unique error pattern of weight <= t with
-        those syndromes in ascending order, in t slots whose unused ones
-        hold n, and whether the word is corrected. An extended code also
-        flips its parity bit when the parity disagrees with the error
-        weight, and fails when that makes more than t flips."""
+    def col_keys(self) -> np.ndarray:
+        """(n, W) the key of a single error at each of the n positions."""
+        return self.keys(self._smat.astype(np.int64))
+
+    @cached_property
+    def _leaders(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coset-leader table indexed by the key: the positions of the
+        unique error pattern of weight <= t with those syndromes in
+        ascending order, in t slots whose unused ones hold n, and whether
+        the word is corrected. An extended code also flips its parity bit
+        when the parity disagrees with the error weight, and fails when
+        that makes more than t flips."""
         spec = self.spec
         t = spec.t
         mt = spec.field.m * t
-        key_weights = 1 << np.arange(mt + 1)
-        col_keys = self._smat.astype(np.int64) @ key_weights
+        col_keys = self.col_keys[:, 0]
         weight = np.full(1 << mt, t + 1, dtype=np.uint8)
         positions = np.full((len(weight), t), spec.n - 1, dtype=np.uint16)
         weight[0] = 0
@@ -95,8 +111,8 @@ class ComponentKernel:
         flips = weight + spec.extended * ((np.arange(2)[:, None] ^ weight) & 1)
         ok = flips <= t
         used = np.arange(t) < np.where(ok, flips, 0)[..., None]
-        return (key_weights, col_keys,
-                np.where(used, positions, spec.n).astype(np.uint16).reshape(-1, t), ok.reshape(-1))
+        return (np.where(used, positions, spec.n).astype(np.uint16).reshape(-1, t),
+                ok.reshape(-1))
 
     def encode(self, messages: np.ndarray) -> np.ndarray:
         """Systematic encoding of each row of a (rows, k) 0/1 matrix;
@@ -104,10 +120,43 @@ class ComponentKernel:
         cw = messages.astype(np.float32) @ self._generator
         return (cw.astype(np.int64) & 1).astype(np.uint8)
 
-    def syndrome_bits(self, words: np.ndarray) -> np.ndarray:
-        """Per row, the m*t odd-syndrome bits and the overall parity."""
-        sb = np.ascontiguousarray(words).astype(np.float32) @ self._smat
+    def syndrome_bits(self, words: np.ndarray, columns: bool = False) -> np.ndarray:
+        """Per row of ``words`` (..., n), or with ``columns`` per column of
+        each matrix of a stack (..., n, n), the m*t odd-syndrome bits and
+        the overall parity along the last axis. The columns take one
+        product from the left, without a transpose of the stack."""
+        words = np.ascontiguousarray(words, dtype=np.float32)
+        sb = (self._smat.T @ words).swapaxes(-1, -2) if columns else words @ self._smat
         return sb.astype(np.int64) & 1
+
+    def keys(self, bits: np.ndarray) -> np.ndarray:
+        """syndrome_bits (..., m*t+1) as table keys (..., W) int64: bit i of
+        word w is syndrome bit 63w+i, the parity the top bit. A
+        non-extended code drops the parity, which is no syndrome there, so
+        a key is 0 exactly for a codeword. W = 1 for m*t < 63."""
+        size = self.spec.field.m * self.spec.t + self.spec.extended
+        if size <= 63:
+            return (bits[..., :size] @ _POW2[:size])[..., None]
+        return np.stack([bits[..., lo:min(lo + 63, size)] @ _POW2[:min(63, size - lo)]
+                         for lo in range(0, size, 63)], axis=-1)
+
+    def line_keys(self, stack: np.ndarray) -> np.ndarray:
+        """(B, 2, n, W) keys of the rows (index 0 of axis 1) and of the
+        columns (index 1) of every frame of a (B, n, n) stack."""
+        stack = np.asarray(stack, dtype=np.float32)
+        return self.keys(np.stack([self.syndrome_bits(stack),
+                                   self.syndrome_bits(stack, columns=True)], axis=1))
+
+    def corrections(self, keys: np.ndarray,
+                    words: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per line, from its key (rows, W): the positions to flip (rows,
+        t), ascending with n in unused slots, and the corrected mask. Past
+        the table the lines are decoded from their ``words``, which only
+        that path reads."""
+        if not self.tabled:
+            return self._scalar_bdd(words)
+        fixes, fixed = self._leaders
+        return fixes[keys[:, 0]], fixed[keys[:, 0]]
 
     def codeword_mask(self, words=None, bits=None) -> np.ndarray:
         """True per row when all syndromes (and the parity, if extended)
@@ -119,12 +168,8 @@ class ComponentKernel:
         """Decode each row; returns (decoded words, corrected mask).
         Failed rows are echoed unchanged."""
         words = np.ascontiguousarray(words, dtype=np.uint8)
-        if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
-            cpos, ok = self._scalar_bdd(words)
-        else:
-            key_weights, _, fixes, fixed = self._leaders
-            key = self.syndrome_bits(words) @ key_weights
-            cpos, ok = fixes[key], fixed[key]
+        keys = self.keys(self.syndrome_bits(words)) if self.tabled else None
+        cpos, ok = self.corrections(keys, words)
         return flip_support(words, cpos), ok
 
     def _scalar_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +206,10 @@ class ComponentKernel:
                                                      fpos.reshape(rows * trials, -1)))
             cpos, ok = cpos.reshape(rows, trials, -1), ok.reshape(rows, trials)
         else:
-            key_weights, col_keys, fixes, fixed = self._leaders
+            fixes, fixed = self._leaders
             bits = self.syndrome_bits(words) if bits is None else bits
-            key = np.repeat((bits @ key_weights)[:, None], flips.shape[-2], axis=1)
-            trial_keys = col_keys[positions]
+            key = np.repeat(self.keys(bits)[:, None, 0], flips.shape[-2], axis=1)
+            trial_keys = self.col_keys[positions, 0]
             for k in range(positions.shape[1]):
                 key ^= np.where(flips[..., k], trial_keys[:, k, None], 0)
             cpos, ok = fixes[key], fixed[key]
@@ -175,17 +220,6 @@ class ComponentKernel:
         support[..., 1:][pair] = n
         support[..., :-1][pair] = n
         return support, ok, _support_sum(weights, support)
-
-    def batch_genie(self, words: np.ndarray,
-                    true_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """batch_bdd with corrections onto anything but the true codeword
-        turned into failures."""
-        out, ok = self.batch_bdd(words)
-        bad = ok & (out != true_words).any(axis=1)
-        if bad.any():
-            out[bad] = words[bad]
-            ok &= ~bad
-        return out, ok
 
 
 def flip_support(words: np.ndarray, support: np.ndarray) -> np.ndarray:

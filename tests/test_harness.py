@@ -194,6 +194,21 @@ def test_random_codeword_transmission():
     assert rec.bit_errors == 0
 
 
+@pytest.mark.parametrize("transmission", ["all-zero", "random"])
+def test_hd_decoders_get_hard_decisions_not_llrs(transmission):
+    # an HD decoder reads only the signs of the LLRs 2y/sigma^2: it is
+    # handed the bytes y < 0, drawn from the same streams as the LLRs of
+    # an SD decoder
+    seen = {}
+    for alg, w in (("ibdd", None), ("ibdd-sr", (1.0,) * 3)):
+        sim = harness._FrameSimulator(small_cfg(alg, transmission=transmission, w=w), 1.0)
+        sim.decode = lambda sim, channel, sent, alg=alg: seen.setdefault(alg, channel) * 0
+        sim(5, 13)
+    assert seen["ibdd"].dtype == np.uint8 and seen["ibdd-sr"].dtype == np.float64
+    assert np.array_equal(seen["ibdd"], seen["ibdd-sr"] < 0)
+    assert seen["ibdd"].any()
+
+
 def test_all_algorithms_error_free_at_high_snr():
     for alg in ("ibdd", "ad", "ibdd-sr", "igmdd-sr", "ideal-ibdd", "tpd", "none"):
         cfg = small_cfg(alg, max_frames=48, min_frame_errors=5,

@@ -127,6 +127,15 @@ def test_codeword_mask():
     assert not kern.codeword_mask(dirty).any()
 
 
+def genie_by_weight(kern, words, true):
+    """Ideal iBDD's genie on a batch of lines: a line keeps the corrections
+    read by its key only when it has at most t wrong bits."""
+    keys = kern.keys(kern.syndrome_bits(words)) if kern.tabled else None
+    cpos, ok = kern.corrections(keys, words)
+    ok &= (words != true).sum(axis=1) <= kern.spec.t
+    return flip_support(words, np.where(ok[:, None], cpos, kern.spec.n)), ok
+
+
 def test_batch_genie_matches_scalar():
     spec = construct_ebch(build_field(4), 2, extend=False)
     kern = kernel_for(spec)
@@ -136,7 +145,7 @@ def test_batch_genie_matches_scalar():
     flips = rng.integers(0, 2, size=words.shape).astype(np.uint8)
     words ^= (flips & (rng.random(words.shape) < 0.25)).astype(np.uint8)
     true = np.tile(c, (3000, 1))
-    out, ok = kern.batch_genie(words, true)
+    out, ok = genie_by_weight(kern, words, true)
     for i, w in enumerate(words):
         ref = genie_bdd(spec, w, c)
         assert ok[i] == ref.corrected
@@ -164,8 +173,10 @@ def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
         row[rng.choice(spec.n, size=rng.integers(0, spec.t + 3), replace=False)] ^= 1
     words[6:] = rng.integers(0, 2, (2, spec.n))
     out, ok = kern.batch_bdd(words)
-    genie_out, genie_ok = kern.batch_genie(words, true)
+    genie_out, genie_ok = genie_by_weight(kern, words, true)
     mask = kern.codeword_mask(words)
+    # a key is 0 exactly for a codeword, the parity dropped if not extended
+    assert np.array_equal(~kern.keys(kern.syndrome_bits(words)).any(axis=1), mask)
     for i, word in enumerate(words):
         ref = bdd(spec, word)
         assert ok[i] == ref.corrected and np.array_equal(out[i], ref.word)
@@ -173,6 +184,36 @@ def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
         assert genie_ok[i] == ref.corrected and np.array_equal(genie_out[i], ref.word)
         syn, parity = syndromes(spec, word)
         assert mask[i] == (not any(syn) and not parity)
+
+
+# m*t + 1 > 63 takes two key words; (6, 10) fills 61 bits of one
+@pytest.mark.parametrize("m,t,extend", [(5, 2, False), (6, 10, True), (6, 11, False),
+                                         (6, 11, True), (7, 9, False), (7, 9, True),
+                                         (8, 8, True)])
+def test_keys_hold_every_syndrome_bit(m, t, extend):
+    spec = construct_ebch(build_field(m), t, extend=extend)
+    kern = kernel_for(spec)
+    rng = np.random.default_rng([35, m, t, extend])
+    stack = rng.integers(0, 2, (2, spec.n, spec.n)).astype(np.uint8)
+    stack[1, :, 3:] = 0  # many codeword rows and zero keys
+    words = np.concatenate([stack[0], stack[1], stack[1].T])
+    bits = kern.syndrome_bits(words)
+    keys = kern.keys(bits)
+    size = m * t + extend  # the syndromes, and the parity if extended
+    assert keys.dtype == np.int64 and keys.shape == (len(words), -(-size // 63))
+    unpacked = ((keys[:, :, None] >> np.arange(63)) & 1).reshape(len(words), -1)
+    assert np.array_equal(unpacked[:, :size], bits[:, :size])
+    assert not unpacked[:, size:].any()
+    assert np.array_equal(~keys.any(axis=1), kern.codeword_mask(words))
+    # the keys of a stack's rows and columns, the columns without a transpose
+    lines = kern.line_keys(stack)
+    assert np.array_equal(lines[:, 0], kern.keys(kern.syndrome_bits(stack)))
+    assert np.array_equal(lines[:, 1],
+                          kern.keys(kern.syndrome_bits(stack.swapaxes(1, 2))))
+    # a single error's key, and the XOR of keys of a sum of words
+    assert np.array_equal(kern.col_keys, kern.keys(kern.syndrome_bits(np.eye(spec.n))))
+    assert np.array_equal(kern.keys(kern.syndrome_bits(words[:1] ^ words[1:2])),
+                          keys[:1] ^ keys[1:2])
 
 
 @pytest.mark.parametrize("t", [2, 3])

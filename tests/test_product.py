@@ -1,12 +1,19 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ReliabilityVector, all_codewords, gmd_decode, oracle_anchor_decode
+from helpers import (
+    ReliabilityVector,
+    all_codewords,
+    genie_bdd,
+    gmd_decode,
+    oracle_anchor_decode,
+)
 from pcdec import bch, kernels, product
 from pcdec.channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
 from pcdec.gf import build_field
@@ -101,21 +108,26 @@ def test_scaling_schedule_validation():
 # ---------------------------------------------------------------- iBDD
 
 
-def ref_ibdd(pc, received, l_max):
-    """Straightforward scalar reference for iBDD."""
+def ref_ibdd(pc, received, l_max, c_true=None):
+    """Straightforward scalar reference for iBDD, and with the sent
+    codeword c_true for ideal iBDD. Returns the decisions and the
+    iterations used."""
     arr = received.copy()
-    for _ in range(l_max):
+    decode = (lambda word, true: bch.bdd(pc.component, word)) if c_true is None else (
+        lambda word, true: genie_bdd(pc.component, word, true))
+    true = np.zeros_like(arr) if c_true is None else c_true
+    for it in range(1, l_max + 1):
         for i in range(pc.n):
-            out = bch.bdd(pc.component, arr[i])
+            out = decode(arr[i], true[i])
             if out.corrected:
                 arr[i] = out.word
         for j in range(pc.n):
-            out = bch.bdd(pc.component, arr[:, j])
+            out = decode(arr[:, j], true[:, j])
             if out.corrected:
                 arr[:, j] = out.word
         if is_pc_codeword(pc, arr):
             break
-    return arr
+    return arr, it
 
 
 def test_ibdd_codeword_converges_immediately(pc15):
@@ -150,7 +162,7 @@ def test_ibdd_matches_scalar_reference(pc15):
         _, L = noisy_frame(pc15, 3.0, seed)
         received = hard_decide(L)
         res = ibdd(pc15, received, l_max=4)
-        assert np.array_equal(res.array, ref_ibdd(pc15, received, 4))
+        assert np.array_equal(res.array, ref_ibdd(pc15, received, 4)[0])
         assert res.converged == is_pc_codeword(pc15, res.array)
 
 
@@ -683,6 +695,85 @@ def test_stack_frames_leave_at_their_own_iteration(name):
     res = assert_stack_equals_frames(name, pc, L, sent, 10)
     assert res.converged[0] and not res.converged[-1]
     assert len(set(res.iterations_used[res.converged].tolist())) >= 2
+
+
+@pytest.mark.parametrize("name", ["ibdd", "ideal-ibdd"])
+def test_keyed_stacks_compute_syndromes_once(monkeypatch, name):
+    # iBDD and ideal iBDD carry the key of every row and column: one
+    # syndrome product for the rows and one for the columns per stack,
+    # and no BDD call or codeword check per half-step
+    pc = stack_spec(6, 2)
+    L, sent = frame_stack(pc, (4.4, 4.2, 4.0, 3.8, 3.6, 12.0), 11, [False, True] * 3)
+    syndrome_bits = kernels.ComponentKernel.syndrome_bits
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape)
+        return syndrome_bits(self, *args, **kwargs)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense pass over the words")
+
+    monkeypatch.setattr(kernels.ComponentKernel, "syndrome_bits", counted)
+    monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
+    monkeypatch.setattr(kernels.ComponentKernel, "codeword_mask", dense)
+    received = hard_decide(L)
+    res = (ibdd_stack(pc, received, 10) if name == "ibdd"
+           else ideal_ibdd_stack(pc, received, sent, 10))
+    assert res.iterations_used.max() >= 3 and res.converged.any()
+    assert len(calls) <= 2
+
+
+# codes for the keyed half-step: t = 1..3 by table lookup, extended or not;
+# past the table (6, 4), and (6, 11), whose keys take two words
+KEYED_CODES = [(m, t, ext) for m in (3, 4, 5, 6) for t in (1, 2, 3)
+               for ext in (False, True)] + [(6, 4, True), (6, 11, False)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(code=st.sampled_from(KEYED_CODES), ideal=st.booleans(), frames=st.integers(1, 3),
+       l_max=st.integers(1, 4), ebno=st.sampled_from((1.0, 3.0, 4.0, 5.0, 7.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(code=(6, 4, True), ideal=False, frames=2, l_max=3, ebno=3.0, seed=1)
+@example(code=(6, 4, True), ideal=True, frames=2, l_max=3, ebno=3.0, seed=2)
+@example(code=(6, 11, False), ideal=False, frames=2, l_max=4, ebno=5.0, seed=3)
+@example(code=(6, 11, False), ideal=True, frames=2, l_max=4, ebno=5.0, seed=3)
+def test_keyed_half_steps_carry_the_syndrome_keys(code, ideal, frames, l_max, ebno, seed):
+    # after every half-step the carried keys are those of the rows and
+    # columns of the decisions, and for ideal iBDD the error counts those
+    # of the lines against the sent codewords; the decisions and
+    # iterations are those of the scalar reference
+    m, t, ext = code
+    try:
+        pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, ext))
+    except bch.UnsupportedParametersError:
+        assume(False)
+    L, sent = frame_stack(pc, [ebno + 0.5 * i for i in range(frames)], seed,
+                          [i % 2 == 1 for i in range(frames)])
+    received = hard_decide(L)
+    kern = kernels.kernel_for(pc.component)
+    iterate = product._iterate
+    seen = []
+
+    def checked_iterate(spec, l_max, state, half_step):
+        def checked(s, half, ops):
+            done = half_step(s, half, ops)
+            assert np.array_equal(s["key"], kern.line_keys(s["dec"]))
+            assert np.array_equal(done, ~s["key"].any(axis=(1, 2, 3)))
+            seen.append((half, s["dec"].copy(), s["errors"].copy() if ideal else None))
+            return done
+        return iterate(spec, l_max, state, checked)
+
+    with mock.patch.object(product, "_iterate", checked_iterate):
+        res = (ideal_ibdd_stack(pc, received, sent, l_max) if ideal
+               else ibdd_stack(pc, received, l_max))
+    assert len(seen) == 2 * res.iterations_used.max()
+    for half, dec, errors in seen if ideal else ():
+        wrong = dec != sent[res.iterations_used > half // 2]
+        assert np.array_equal(errors, np.stack([wrong.sum(axis=2), wrong.sum(axis=1)], axis=1))
+    want = [ref_ibdd(pc, received[b], l_max, sent[b] if ideal else None) for b in range(frames)]
+    assert np.array_equal(res.array, np.stack([w[0] for w in want]))
+    assert res.iterations_used.tolist() == [w[1] for w in want]
 
 
 def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
