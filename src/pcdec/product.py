@@ -300,19 +300,19 @@ def _key_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
         state["errors"] = np.stack([wrong.sum(axis=2), wrong.sum(axis=1)], axis=1)
 
     def half_step(s, half, ops):
-        dec, key = s["dec"], s["key"]
+        lines, key = _lines(s["dec"], half), s["key"]
         own, cross = half % 2, 1 - half % 2
-        ops["bdd_calls"] += dec.shape[0] * n
+        ops["bdd_calls"] += lines.shape[0] * n
         fb, line = np.nonzero(key[:, own].any(axis=-1))
         # past the table the lines are decoded from their words
-        words = None if kern.tabled else _lines(dec, half)[fb, line]
+        words = None if kern.tabled else lines[fb, line]
         cpos, ok = kern.corrections(key[fb, own, line], words)
         if true is not None:
             ok &= s["errors"][fb, own, line] <= t
             s["errors"][fb[ok], own, line[ok]] = 0
         r, c = np.nonzero((cpos < n) & ok[:, None])
         b, i, p = fb[r], line[r], cpos[r, c]
-        _lines(dec, half)[b, i, p] ^= 1
+        lines[b, i, p] ^= 1
         key[fb[ok], own, line[ok]] = 0
         np.bitwise_xor.at(key[:, cross], (b, p), kern.col_keys[i])
         if true is not None:
