@@ -86,7 +86,8 @@ class Algorithm:
 
 _SR_FIELDS = ("w", "opt_grid", "opt_frames")
 
-# To add a decoder: write its rule on product._bdd_stack or _soft_stack, then add a row.
+# To add a decoder: write its half-step on product._iterate (or a rule on
+# _soft_stack), then add a row.
 REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
     Algorithm("none", "HD", (), lambda sim, hard, sent: hard),
     Algorithm("ibdd", "HD", (), lambda sim, hard, sent: ibdd_stack(

@@ -159,10 +159,11 @@ class ComponentKernel:
         return fixes[keys[:, 0]], fixed[keys[:, 0]]
 
     def codeword_mask(self, words=None, bits=None) -> np.ndarray:
-        """True per row when all syndromes (and the parity, if extended)
-        vanish; ``bits`` are the rows' syndrome_bits, if already known."""
+        """True per row of ``words`` (..., n) when all syndromes (and the
+        parity, if extended) vanish; ``bits`` are the rows' syndrome_bits,
+        if already known."""
         bits = self.syndrome_bits(words) if bits is None else bits
-        return ~bits[:, :bits.shape[1] - (not self.spec.extended)].any(axis=1)
+        return ~bits[..., :bits.shape[-1] - (not self.spec.extended)].any(axis=-1)
 
     def batch_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode each row; returns (decoded words, corrected mask).
@@ -200,7 +201,7 @@ class ComponentKernel:
         flips = np.asarray(flips, dtype=bool)
         positions = np.asarray(positions, dtype=np.intp)
         fpos = np.where(flips, positions[:, None, :], n)
-        if self.spec.field.m * self.spec.t > MAX_KEY_BITS:
+        if not self.tabled:
             trials = fpos.shape[1]
             cpos, ok = self._scalar_bdd(flip_support(np.repeat(words, trials, 0),
                                                      fpos.reshape(rows * trials, -1)))

@@ -13,7 +13,7 @@ iteration as it would alone. ``_lines`` presents an array so that the
 half-step's component words are its rows, and ``_rows`` stacks them to
 (B * n, n) for one kernel call.
 
-Three half-steps serve the six decoders:
+Two half-steps are shared, and two decoders bring their own:
 
 * ``_key_stack``    -- BDD results applied in place, from the coset-table
                        key of every row and column, computed once per
@@ -25,24 +25,22 @@ Three half-steps serve the six decoders:
   - ``ideal_ibdd``    keeps a line's corrections only where the line has
                       at most t wrong bits, which is exactly where BDD
                       returns the sent word (reference curve).
-* ``_bdd_stack``    -- BDD of every component as dense words; a message
-                       rule turns the result into the next hard message:
-  - ``ibdd_sr``       keeps a decoded bit only where |L| < w, the 1-bit
-                      message psi = B(w * mubar + L);
-  - ``anchor_decode`` takes each frame's components in index order: a
-                      decoded component becomes an anchor, and a
-                      correction that would overturn an anchor is blocked
-                      until too many components conflict with it, then
-                      the anchor is backtracked (see ``_anchor_pass``).
-  Their messages are not the lines' own BDD output, so the keys would
-  have to follow the dense result: fed to ``_key_stack`` as the flips
-  ``new != words``, both ran slower (m=8: iBDD-SR 4.1 -> 5.2, AD 10.4 ->
-  10.8 ms/frame).
 * ``_soft_stack``   -- soft messages: a rule decodes L plus the message
                        ext of the crossing half-step and writes the next
                        ext and the decisions in place:
   - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
   - ``tpd.tpd_decode`` Chase-Pyndiah, ext = the damped extrinsic.
+* ``ibdd_sr``       -- the lines of the messages decoded in place from
+                       their keys, one syndrome product per pass; the
+                       message psi = B(w * mubar + L) keeps a decoded bit
+                       only where |L| < w. Carried keys (``_key_stack``)
+                       would have to follow it: m=8 went 4.1 -> 5.2 ms/frame.
+* ``anchor_decode`` -- BDD of a pass as contiguous rows (in place on the
+                       transposed view, m=8 went 11.0 -> 13.1 ms/frame),
+                       then ``_anchor_pass``: a decoded component becomes
+                       an anchor; a correction overturning an anchor is
+                       blocked until too many components conflict with it,
+                       then the anchor is backtracked.
 
 GMD and Chase BDD-decode 2t+1 and 2^p trial words per component (GMD
 none for a codeword), in one ``ComponentKernel.decode_trials`` call per
@@ -150,14 +148,12 @@ def pc_encode(spec: ProductCodeSpec, info: np.ndarray) -> np.ndarray:
 
 
 def _codewords(kern, hard: np.ndarray) -> np.ndarray:
-    """Per frame of a C-contiguous (B, n, n) stack: True iff all 2n
-    component syndrome sets vanish. Columns are checked only for frames
-    whose rows all pass."""
-    n = hard.shape[-1]
-    ok = kern.codeword_mask(hard.reshape(-1, n)).reshape(-1, n).all(axis=1)
+    """Per frame of a (B, n, n) stack: True iff all 2n component syndrome
+    sets vanish. Columns are checked only for frames whose rows all
+    pass."""
+    ok = kern.codeword_mask(hard).all(axis=1)
     if ok.any():
-        cols = np.ascontiguousarray(hard[ok].swapaxes(1, 2)).reshape(-1, n)
-        ok[ok] = kern.codeword_mask(cols).reshape(-1, n).all(axis=1)
+        ok[ok] = kern.codeword_mask(bits=kern.syndrome_bits(hard[ok], columns=True)).all(axis=1)
     return ok
 
 
@@ -322,22 +318,6 @@ def _key_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     return _iterate(spec, l_max, state, half_step)
 
 
-def _bdd_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
-               rule, **inputs) -> DecoderResult:
-    """Hard messages from ``received`` on: ``rule(words, state, half, ops)``
-    BDD-decodes the component words (rows, which it may update in place),
-    returns the words that replace them and adds work beyond one BDD per
-    word to ``ops``. ``inputs`` are extra state entries."""
-    state = {"dec": _stack(spec, received, "received", bits=True), **inputs}
-
-    def half_step(s, half, ops):
-        words = _rows(s["dec"], half)
-        _put_rows(s["dec"], half, rule(words, s, half, ops))
-        ops["bdd_calls"] += len(words)
-
-    return _iterate(spec, l_max, state, half_step)
-
-
 def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
                 rule, **inputs) -> DecoderResult:
     """Soft messages from the channel LLRs L on: ``rule(soft, ext, dec, s,
@@ -403,17 +383,17 @@ def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
     failure, a reliable channel and the tie |L| = w (where w * mubar + L
     is 0) all give the channel hard decision.
     """
-    mubar = np.asarray(mubar)
-    return np.where((mubar != 0) & (np.abs(llrs) < weight), mubar < 0,
-                    channel_hard).astype(np.uint8)
+    mubar, ch = np.asarray(mubar), np.asarray(channel_hard, dtype=np.uint8)
+    return ch ^ (((mubar < 0) ^ ch) & (mubar != 0) & (np.abs(llrs) < weight))
 
 
 def _scaled_reliability(llrs: np.ndarray, sched: tuple[float, ...]):
-    """``decide(s, half, out, ok, sl)``: the message B(w * mubar + L) on rows
-    ``sl`` of a pass for decoded words ``out``, mubar = ok * (1 - 2 * out),
-    and the state entries it reads, B(L) and |L| for both passes. |L| is
-    kept as its rank among the distinct weights, since it enters only as
-    |L| < weights[k], that is rank <= k: a byte per bit."""
+    """``decide(out, ok, ch, rank, half)``, which overwrites the decoded
+    words ``out`` (..., n) of a pass with the message B(w * mubar + L),
+    mubar = ok * (1 - 2 * out), from the words' B(L) ``ch`` and |L| ``rank``;
+    and those two for ``llrs``. |L| is kept as its rank among the distinct
+    weights, since it enters only as |L| < weights[k], that is rank <= k:
+    a byte per bit."""
     weights = np.unique(sched)
     mag = np.abs(llrs)
     rank = np.zeros(mag.shape, dtype=np.min_scalar_type(len(weights)))
@@ -421,27 +401,38 @@ def _scaled_reliability(llrs: np.ndarray, sched: tuple[float, ...]):
         rank += mag >= weight
     k = np.searchsorted(weights, sched).tolist()
 
-    def decide(s, half, out, ok, sl=slice(None)):
+    def decide(out, ok, ch, rank, half):
         # np.where(trusted, out, ch) without its slow select of bytes
-        ch = _pass_rows(s, "ch", half)[sl]
-        trusted = ok[:, None] & (_pass_rows(s, "rank", half)[sl] <= k[half // 2])
-        return ch ^ ((out ^ ch) & trusted)
+        out ^= ch
+        out &= ok[..., None] & (rank <= k[half // 2])
+        out ^= ch
 
-    return decide, {**_both_passes("ch", hard_decide(llrs)), **_both_passes("rank", rank)}
+    return decide, hard_decide(llrs), rank
 
 
 def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
                   l_max: int) -> DecoderResult:
-    """``ibdd_sr`` on a (B, n, n) stack of LLR frames."""
+    """``ibdd_sr`` on a (B, n, n) stack of LLR frames; the messages ``dec``
+    are decoded and replaced in place."""
     kern = kernel_for(spec.component)
-    decide, inputs = _scaled_reliability(_stack(spec, llrs, "llrs", bits=False),
-                                         _as_schedule(w, l_max))
+    decide, ch, rank = _scaled_reliability(_stack(spec, llrs, "llrs", bits=False),
+                                           _as_schedule(w, l_max))
 
-    def rule(words, s, half, ops):
-        ops["msg_updates"] += words.size
-        return decide(s, half, *kern.batch_bdd(words))
+    def half_step(s, half, ops):
+        lines = _lines(s["dec"], half)
+        key = kern.keys(kern.syndrome_bits(s["dec"], columns=half % 2 == 1))
+        fb, line = np.nonzero(key.any(axis=-1))
+        # past the table the lines are decoded from their words
+        cpos, fixed = kern.corrections(key[fb, line], None if kern.tabled else lines[fb, line])
+        ok = np.ones(lines.shape[:2], dtype=bool)
+        ok[fb, line] = fixed
+        r, c = np.nonzero(cpos < spec.n)
+        lines[fb[r], line[r], cpos[r, c]] ^= 1
+        decide(lines, ok, _lines(s["ch"], half), _lines(s["rank"], half), half)
+        ops["bdd_calls"] += ok.size
+        ops["msg_updates"] += lines.size
 
-    return _bdd_stack(spec, inputs["ch"], l_max, rule, **inputs)
+    return _iterate(spec, l_max, {"dec": ch.copy(), "ch": ch, "rank": rank}, half_step)
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -454,7 +445,7 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
     """``igmdd_sr`` on a (B, n, n) stack of LLR frames."""
     sched, comp = _as_schedule(w, l_max), spec.component
     llrs = _stack(spec, llrs, "llrs", bits=False)
-    decide, inputs = _scaled_reliability(llrs, sched)
+    decide, ch, rank = _scaled_reliability(llrs, sched)
 
     def rule(soft, ext, dec, s, half, sl, ops):
         hard = (soft < 0).view(np.uint8)  # B(soft), B(0) resolved to B(L)
@@ -466,9 +457,11 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         # ext = w * mubar, and the decisions B(L + ext)
         np.take(sched[half // 2] * np.array([1.0, -1.0]), out, out=ext, mode="clip")
         ext[~ok] = 0.0
-        dec[...] = decide(s, half, out, ok, sl)
+        decide(out, ok, _pass_rows(s, "ch", half)[sl], _pass_rows(s, "rank", half)[sl], half)
+        dec[...] = out
 
-    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule, **inputs)  # 2t+1 GMD trials
+    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule,  # 2t+1 GMD trials
+                       **_both_passes("ch", ch), **_both_passes("rank", rank))
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -600,16 +593,17 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     received = _stack(spec, received, "received", bits=True)
     frames = len(received)
 
-    def rule(words, s, half, ops):
+    def half_step(s, half, ops):
+        words = _rows(s["dec"], half)
         out, ok = kern.batch_bdd(words)
         _anchor_pass(words.reshape(-1, n, n), ok.reshape(-1, n),
                      (out != words).reshape(-1, n, n), s, half, threshold, kern, ops)
-        return words
+        _put_rows(s["dec"], half, words)
+        ops["bdd_calls"] += len(words)
 
-    return _bdd_stack(spec, received, l_max, rule,
-                      anchor=np.zeros((frames, 2 * n), dtype=bool),
-                      **{k: np.zeros((frames, 2 * n, n), dtype=bool)
-                         for k in _ANCHOR_STATE[1:]})
+    state = {"dec": received, "anchor": np.zeros((frames, 2 * n), dtype=bool),
+             **{k: np.zeros((frames, 2 * n, n), dtype=bool) for k in _ANCHOR_STATE[1:]}}
+    return _iterate(spec, l_max, state, half_step)
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,

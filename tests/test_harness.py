@@ -241,6 +241,19 @@ def test_run_sweep_floor_abort():
     assert len(recs) == 1
 
 
+def test_run_sweep_stops_after_first_point_below_floor():
+    # BER 0.14, 0.024, 0.0083 and 0 on this grid: with a floor between the
+    # first two the sweep ends with the second point, without one it runs
+    # the whole grid, and the points both ran agree
+    cfg = small_cfg("ibdd", ebno_grid=(2.0, 4.0, 5.0, 8.0), min_frame_errors=25,
+                    max_frames=600)
+    full = run_sweep(cfg)
+    floored = run_sweep(dataclasses.replace(cfg, ber_floor=0.05))
+    assert [r.ebno_db for r in full] == [2.0, 4.0, 5.0, 8.0]
+    assert [strip_time(r) for r in floored] == [strip_time(r) for r in full[:2]]
+    assert floored[0].ber >= 0.05 > floored[1].ber
+
+
 def test_optimizer_single_iteration_is_grid_argmin():
     grid = (0.5, 1.0, 2.0)
     cfg = small_cfg("ibdd-sr", iterations=1, opt_frames=60, opt_grid=grid)

@@ -234,18 +234,23 @@ def test_anchor_deterministic(pc15):
     assert np.array_equal(a.array, b.array)
 
 
-# m -> Eb/N0 range of the anchor decoder's waterfall on the (2^m-1)^2 and
-# (2^m)^2 codes, t = 2 and 3
-ORACLE_EBNO = {4: (1.5, 4.5), 5: (2.0, 4.0), 6: (3.0, 4.2)}
+# (m, t) of the BCH(31, 11) and eBCH(32, 11) codes: m*t = 25 is past the
+# coset-leader table (kernels.MAX_KEY_BITS), so the kernel decodes them row
+# by row with the scalar decoder. Their waterfall is at 3-4 dB.
+PAST_TABLE = (5, 5)
+# (m, t) -> Eb/N0 range of the anchor decoder's waterfall on the
+# (2^m-1)^2 and (2^m)^2 codes
+ORACLE_EBNO = {(4, 2): (1.5, 4.5), (4, 3): (1.5, 4.5), (5, 2): (2.0, 4.0),
+               (5, 3): (2.0, 4.0), (6, 2): (3.0, 4.2), (6, 3): (3.0, 4.2),
+               PAST_TABLE: (2.5, 4.5)}
 
 
 @st.composite
 def anchor_cases(draw):
-    m = draw(st.sampled_from(sorted(ORACLE_EBNO)))
-    t = draw(st.sampled_from([2, 3]))
-    slow = (m, t) == (6, 3)  # scalar fallback on 64-bit rows
+    m, t = draw(st.sampled_from(sorted(ORACLE_EBNO)))
+    slow = (m, t) == PAST_TABLE
     frames = draw(st.integers(1, 2 if slow else 5))
-    ebnos = draw(st.lists(st.floats(*ORACLE_EBNO[m]), min_size=frames, max_size=frames))
+    ebnos = draw(st.lists(st.floats(*ORACLE_EBNO[m, t]), min_size=frames, max_size=frames))
     rand = draw(st.lists(st.booleans(), min_size=frames, max_size=frames))
     return (m, t, draw(st.booleans()), ebnos, rand, draw(st.integers(0, 2 ** 32 - 1)),
             draw(st.integers(1, 3 if slow else 10)), draw(st.sampled_from([0, 1, 3])))
@@ -258,6 +263,7 @@ def test_anchor_stack_matches_sequential_oracle():
 
     @settings(deadline=None, max_examples=40)
     @given(case=anchor_cases())
+    @example(case=(*PAST_TABLE, True, [3.0, 3.5], [False, True], 7, 3, 1))
     def check(case):
         m, t, extended, ebnos, rand, seed, l_max, threshold = case
         pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, extended))
@@ -306,7 +312,8 @@ def test_anchor_drops_conflicts_against_lost_anchors():
 
 
 def ref_ibdd_sr(pc, L, w, l_max):
-    """Scalar reference for the scaled-reliability iteration."""
+    """Scalar reference for the scaled-reliability iteration. Returns the
+    decisions and the iterations used."""
     ch = hard_decide(L)
     msg = ch.copy()
     for it in range(l_max):
@@ -327,7 +334,7 @@ def ref_ibdd_sr(pc, L, w, l_max):
             msg = np.where(val > 0, 0, np.where(val < 0, 1, ch)).astype(np.uint8)
         if is_pc_codeword(pc, msg):
             break
-    return msg
+    return msg, it + 1
 
 
 def test_ibdd_sr_message_mechanism():
@@ -376,7 +383,8 @@ def test_ibdd_sr_matches_scalar_reference(pc15):
     for seed in range(6):
         _, L = noisy_frame(pc15, 2.5, 100 + seed)
         res = ibdd_sr(pc15, L, w, l_max=4)
-        assert np.array_equal(res.array, ref_ibdd_sr(pc15, L, w.w, 4))
+        want, iterations = ref_ibdd_sr(pc15, L, w.w, 4)
+        assert np.array_equal(res.array, want) and res.iterations_used == iterations
 
 
 def test_ibdd_sr_matches_scalar_reference_at_weight_ties(pc15):
@@ -390,7 +398,73 @@ def test_ibdd_sr_matches_scalar_reference_at_weight_ties(pc15):
     for _ in range(8):
         L = rng.choice(levels, (15, 15)) * rng.choice([-1.0, 1.0], (15, 15))
         res = ibdd_sr(pc15, L, w, l_max=4)
-        assert np.array_equal(res.array, ref_ibdd_sr(pc15, L, w, 4))
+        want, iterations = ref_ibdd_sr(pc15, L, w, 4)
+        assert np.array_equal(res.array, want) and res.iterations_used == iterations
+
+
+# codes for the scaled-reliability tests: t = 1..3, extended or not, and
+# the code past the table
+SR_CODES = [(m, t, ext) for m in (3, 4, 5, 6) for t in (1, 2, 3)
+            for ext in (False, True)] + [(*PAST_TABLE, True)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(code=st.sampled_from(SR_CODES), frames=st.integers(1, 3),
+       w=st.lists(st.sampled_from((1.0, 2.5, 4.0, 6.0)), min_size=1, max_size=4),
+       ebno=st.sampled_from((2.0, 3.0, 4.0, 5.0)), seed=st.integers(0, 2 ** 32 - 1))
+@example(code=(*PAST_TABLE, True), frames=2, w=[1.0, 2.5, 4.0], ebno=3.0, seed=5)
+def test_ibdd_sr_stack_matches_scalar_reference(code, frames, w, ebno, seed):
+    # noisy frames, half of whose |L| are moved to a weight of the schedule
+    # or the float just below or above it: the decisions and iterations of
+    # every frame of the stack are those of the float formula
+    m, t, ext = code
+    try:
+        pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, ext))
+    except bch.UnsupportedParametersError:
+        assume(False)
+    L, _ = frame_stack(pc, [ebno + 0.5 * i for i in range(frames)], seed,
+                       [i % 2 == 1 for i in range(frames)])
+    levels = np.array(w)
+    levels = np.concatenate([levels, np.nextafter(levels, 0), np.nextafter(levels, 99)])
+    rng = np.random.default_rng(seed)
+    snap = rng.random(L.shape) < 0.5
+    L[snap] = np.copysign(rng.choice(levels, snap.sum()), L[snap])
+    res = ibdd_sr_stack(pc, L, w, len(w))
+    want = [ref_ibdd_sr(pc, x, w, len(w)) for x in L]
+    assert np.array_equal(res.array, np.stack([x[0] for x in want]))
+    assert res.iterations_used.tolist() == [x[1] for x in want]
+
+
+def test_ibdd_sr_decodes_the_lines_in_place(monkeypatch):
+    # every pass takes one syndrome product of the messages, from the left
+    # for the columns, and makes no BDD call on dense words
+    pc = stack_spec(6, 2)
+    L, _ = frame_stack(pc, (4.0, 3.9, 3.7, 3.5, 12.0), 11, [False, True, False, True, False])
+    syndrome_bits, iterate = kernels.ComponentKernel.syndrome_bits, product._iterate
+    calls, passes = [], []
+
+    def counted(self, words, columns=False):
+        calls.append(columns)
+        return syndrome_bits(self, words, columns)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a BDD call on dense words")
+
+    def checked_iterate(spec, l_max, state, half_step):
+        def checked(s, half, ops):
+            calls.clear()
+            done = half_step(s, half, ops)
+            passes.append((half, calls[:]))
+            return done
+        return iterate(spec, l_max, state, checked)
+
+    monkeypatch.setattr(kernels.ComponentKernel, "syndrome_bits", counted)
+    monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
+    monkeypatch.setattr(product, "_iterate", checked_iterate)
+    res = ibdd_sr_stack(pc, L, sr_weights(10), 10)
+    assert res.iterations_used.max() >= 3 and res.converged.any()
+    assert len(passes) == 2 * res.iterations_used.max()
+    assert all(calls == [half % 2 == 1] for half, calls in passes)
 
 
 def test_ibdd_sr_noiseless_converges(pc15):
@@ -614,8 +688,8 @@ STACK_DECODERS = {
     "tpd": (lambda pc, L, c, l_max: tpd_stack(pc, L, ChaseConfig.default(l_max), l_max),
             lambda pc, L, c, l_max: tpd_decode(pc, L, ChaseConfig.default(l_max), l_max)),
 }
-# (m, t) -> component code; t = 3 runs the kernel's scalar fallback
-STACK_CODES = {(4, 2): False, (4, 3): True, (6, 2): True, (6, 3): True}
+# (m, t) -> extended component code; all by table lookup but PAST_TABLE
+STACK_CODES = {(4, 2): False, (4, 3): True, (6, 2): True, (6, 3): True, PAST_TABLE: True}
 STACK_EBNO = (0.0, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 7.0, 12.0)
 
 
@@ -657,7 +731,7 @@ def assert_stack_equals_frames(name, pc, L, sent, l_max, **kw):
 @st.composite
 def stack_cases(draw):
     m, t = draw(st.sampled_from(sorted(STACK_CODES)))
-    slow = (m, t) == (6, 3)  # scalar fallback on 64-bit rows
+    slow = (m, t) == PAST_TABLE
     frames = draw(st.integers(1, 3 if slow else 6))
     l_max = draw(st.integers(1, 2 if slow else 6))
     ebnos = draw(st.lists(st.sampled_from(STACK_EBNO), min_size=frames, max_size=frames))
@@ -670,10 +744,11 @@ def stack_cases(draw):
 @pytest.mark.parametrize("name", list(STACK_DECODERS))
 @settings(deadline=None, max_examples=12)
 @given(case=stack_cases())
+@example(case=(*PAST_TABLE, [3.5, 12.0], [False, True], 3, 2, 1))
 def test_stack_decoding_equals_per_frame(name, case):
     m, t, ebnos, rand, seed, l_max, threshold = case
     pc = stack_spec(m, t)
-    if name == "tpd" and (m, t) == (6, 3):
+    if name == "tpd" and (m, t) == PAST_TABLE:
         ebnos, rand = ebnos[:1], rand[:1]  # 16 scalar decodings per row
     L, sent = frame_stack(pc, ebnos, seed, rand)
     kw = {"threshold": threshold} if name == "ad" else {}
