@@ -4,9 +4,11 @@ Construction from a field and a design error-correcting capability,
 systematic encoding, syndrome computation, and ``bdd``: strict bounded
 distance decoding of one word, returning the unique codeword within
 Hamming distance t of the input when one exists (including
-miscorrections), else echoing the input as a failure. The product
-decoders decode whole batches through ``kernels.ComponentKernel``, which
-falls back to ``bdd`` row by row past its syndrome table.
+miscorrections), else echoing the input as a failure. ``bdd`` is the
+word's syndromes plus ``decode_syndromes``, the Berlekamp-Massey/Chien
+core. The product decoders decode whole batches through
+``kernels.ComponentKernel``, which past its syndrome table hands the
+syndromes held in each key to that core.
 
 Bit/polynomial convention: vector position i holds the coefficient of x^i
 of the inner (cyclic) code; the overall parity bit of an extended code is
@@ -244,48 +246,42 @@ def _chien_search(spec: ComponentCodeSpec, sigma: list[int]) -> list[int]:
     return sorted(int(p) for p in positions[positions < spec.inner_n])
 
 
-def _decode_inner(spec: ComponentCodeSpec, inner: np.ndarray) -> list[int] | None:
-    """Positions to flip so the inner word becomes the unique codeword
-    within distance t, or None when no such codeword exists."""
-    field = spec.field
-    syn = _inner_syndromes(spec, np.flatnonzero(inner))
-    if all(s == 0 for s in syn):
-        return []
-    sigma = _berlekamp_massey(field, syn)
-    nu = len(sigma) - 1
-    if nu > spec.t:
-        return None
-    roots = _chien_search(spec, sigma)
-    if len(roots) != nu:
-        return None
-    # verify the flipped word really is a codeword; BM can emit a locator
-    # of plausible degree for uncorrectable patterns
-    for j in range(1, 2 * spec.t + 1):
-        s = syn[j - 1]
-        for p in roots:
-            s ^= alpha_pow(field, j * p)
-        if s != 0:
+def decode_syndromes(spec: ComponentCodeSpec, syn: list[int],
+                     parity: int | None) -> list[int] | None:
+    """Bounded distance decoding from the syndromes S_1..S_2t of the inner
+    word and the overall parity (None for a non-extended code): the
+    positions to flip, inner ones ascending, so the word becomes the
+    unique codeword within distance t, or None when no such codeword
+    exists. Berlekamp-Massey gives the error locator, a Chien search its
+    roots."""
+    flips: list[int] = []
+    if any(syn):
+        sigma = _berlekamp_massey(spec.field, syn)
+        if len(sigma) > spec.t + 1:
             return None
-    return roots
+        flips = _chien_search(spec, sigma)
+        if len(flips) != len(sigma) - 1:
+            return None
+        # verify the flipped word really is a codeword; BM can emit a
+        # locator of plausible degree for uncorrectable patterns
+        for j in range(1, 2 * spec.t + 1):
+            s = syn[j - 1]
+            for p in flips:
+                s ^= alpha_pow(spec.field, j * p)
+            if s != 0:
+                return None
+    if spec.extended and (parity ^ len(flips)) & 1:
+        flips.append(spec.n - 1)
+    return flips if len(flips) <= spec.t else None
 
 
 def bdd(spec: ComponentCodeSpec, r: np.ndarray) -> DecodeOutcome:
     """Bounded distance decoding: the unique codeword within distance t of
     r when it exists (possibly a miscorrection), else failure echoing r."""
     r = np.asarray(r, dtype=np.uint8)
-    if r.shape != (spec.n,):
-        raise ValueError(f"word must have length {spec.n}")
-    inner_flips = _decode_inner(spec, r[: spec.inner_n])
-    if inner_flips is None:
-        return DecodeOutcome(False, r.copy(), frozenset())
-    flips = list(inner_flips)
-    if spec.extended:
-        parity = int(r.sum()) & 1
-        if (parity ^ len(inner_flips)) & 1:
-            flips.append(spec.n - 1)
-        if len(flips) > spec.t:
-            return DecodeOutcome(False, r.copy(), frozenset())
+    flips = decode_syndromes(spec, *syndromes(spec, r))
     word = r.copy()
-    for p in flips:
-        word[p] ^= 1
+    if flips is None:
+        return DecodeOutcome(False, word, frozenset())
+    word[flips] ^= 1
     return DecodeOutcome(True, word, frozenset(flips))

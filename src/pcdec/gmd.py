@@ -51,16 +51,25 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     """
     words = np.ascontiguousarray(words, dtype=np.uint8)
     kern = kernel_for(spec)
-    bits = kern.syndrome_bits(words)
-    noisy = np.flatnonzero(~kern.codeword_mask(bits=bits))
-    profile = sorted(erasure_profile(spec.d_min))
+    keys = kern.keys(words)
+    noisy = np.flatnonzero(keys.any(axis=-1))
+    trials = len(erasure_profile(spec.d_min)) + 1
     out, decoded = words.copy(), np.ones(len(words), dtype=bool)
-    stats = {"attempts": len(words) * (len(profile) + 1),
-             "gd_evals": (len(words) - noisy.size) * (len(profile) + 1)}
-    if not noisy.size:
-        return out, decoded, stats
-    words, bits = words[noisy], bits[noisy]
-    reliabilities = np.asarray(reliabilities, dtype=np.float64)[noisy]
+    stats = {"attempts": len(words) * trials,
+             "gd_evals": (len(words) - noisy.size) * trials}
+    if noisy.size:
+        out[noisy], decoded[noisy], valid = _gmd_trials(
+            kern, words[noisy], keys[noisy], np.asarray(reliabilities, dtype=np.float64)[noisy])
+        stats["gd_evals"] += valid
+    return out, decoded, stats
+
+
+def _gmd_trials(kern, words: np.ndarray, keys: np.ndarray,
+                reliabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The GMD trials of every row of ``words`` (keys ``keys``): (decoded
+    words, corrected mask, valid candidates)."""
+    spec = kern.spec
+    profile = sorted(erasure_profile(spec.d_min))
     nrows = len(words)
     peak = reliabilities.max(axis=1, keepdims=True)
     alphas = np.where(peak > 0, reliabilities / np.where(peak > 0, peak, 1.0), 1.0)
@@ -72,7 +81,7 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     erased = np.arange(profile[-1]) < sizes[:, None]
     least = np.take_along_axis(words, order, axis=1)[:, None, :]
     support, ok, disc = kern.decode_trials(
-        words, order, erased & (least ^ fill[:, None]), alphas, bits)
+        words, order, erased & (least ^ fill[:, None]), alphas, keys)
 
     # errors outside the erasures: support positions whose rank in order
     # (profile[-1] if unerased, -1 if unused) is >= the trial's erasures
@@ -92,6 +101,4 @@ def batch_gmd(spec: ComponentCodeSpec, words: np.ndarray,
     metric = np.where(valid, np.sum(1.0 - alphas, axis=1)[:, None] + 2.0 * disc, np.inf)
     any_ok = valid.any(axis=1)
     best = support[np.arange(nrows), np.argmin(metric, axis=1)]
-    out[noisy], decoded[noisy] = flip_support(words, np.where(any_ok[:, None], best, n)), any_ok
-    stats["gd_evals"] += int(valid.sum())
-    return out, decoded, stats
+    return flip_support(words, np.where(any_ok[:, None], best, n)), any_ok, int(valid.sum())

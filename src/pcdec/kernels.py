@@ -1,29 +1,30 @@
 """Vectorized component decoding used by the product decoders.
 
-A ComponentKernel decodes a whole batch of received words at once as a
-syndrome (coset-leader) decoder: one GF(2) matrix product (BLAS sgemm on
-0/1 data) gives each word's m*t odd-syndrome bits and its overall parity,
-which read as an integer key (the parity its top bit) index a table of the
-corrections: the unique error pattern of weight <= t with those syndromes,
-plus the parity bit of an extended code where the parity disagrees; keys
-without one mean failure. The table has 2^(m*t+1) entries and is built on
-first use for codes with m*t <= MAX_KEY_BITS (t = 1, t = 2 up to m = 10,
-t = 3 up to m = 6); larger codes are decoded row by row with the scalar
-decoder. ``kernel_for`` keeps one kernel per code. Encoding is one GF(2)
-product with the systematic generator matrix, built from ``bch.encode`` on
-first use.
+A ComponentKernel decodes a whole batch of received words at once from
+their syndrome keys: one GF(2) matrix product (BLAS sgemm on 0/1 data)
+gives each word's m*t odd-syndrome bits and its overall parity, read as
+an integer key (the parity its top bit). ``corrections`` is the one
+decoding step and takes only keys. For codes with m*t <= MAX_KEY_BITS
+(t = 1, t = 2 up to m = 10, t = 3 up to m = 6) the key indexes a table
+of the corrections, built on first use with 2^(m*t+1) entries: the
+unique error pattern of weight <= t with those syndromes, plus the
+parity bit of an extended code where the parity disagrees; keys without
+one mean failure. Past the table each key is decoded on its own from
+the syndromes it holds, by the scalar Berlekamp-Massey/Chien core of
+``bch.bdd``. ``kernel_for`` keeps one kernel per code. Encoding is one
+GF(2) product with the systematic generator matrix, built from
+``bch.encode`` on first use.
 
 The keys are int64 words of 63 bits (one word for m*t < 63); a
 non-extended code leaves out the parity, so a key is 0 exactly for a
 codeword. ``line_keys`` gives the keys of the rows and columns of a
-stack of frames and ``corrections`` the table's corrections for keys,
-which lets iBDD carry the keys across half-steps and update them per
-flipped bit (see ``product``).
+stack of frames, which lets iBDD carry the keys across half-steps and
+update them per flipped bit (see ``product``).
 
-``decode_trials`` (Chase, GMD) builds no trial word and skips batch_bdd: a
-trial's key is its hard word's key XOR its flipped bits' keys. Candidates
-come back as supports (where they differ from the hard word), scored in
-numpy's pairwise summation order.
+``decode_trials`` (Chase, GMD) builds no trial word: a trial's key is
+its hard word's key XOR its flipped bits' keys. Candidates come back as
+supports (where they differ from the hard word), scored in numpy's
+pairwise summation order.
 
 The batch results are bit-exact with ``bch.bdd`` on every input; the test
 suite pins this equivalence exhaustively for small codes.
@@ -39,12 +40,11 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import bch
+from .gf import gf_mul
 
-# largest m*t whose coset-leader table (2^(m*t+1) entries) batch_bdd builds;
-# beyond it batch_bdd decodes row by row
+# largest m*t whose coset-leader table (2^(m*t+1) entries) is built; beyond
+# it ``corrections`` decodes key by key
 MAX_KEY_BITS = 20
-
-_POW2 = 1 << np.arange(63)
 
 
 class ComponentKernel:
@@ -69,6 +69,11 @@ class ComponentKernel:
             ext_row[0, -1] = 1
             smat = np.concatenate([smat, ext_row], axis=0)
         self._smat = smat.astype(np.float32)
+        # syndrome bit i is bit i % 63 of key word i // 63; a non-extended
+        # code leaves out the parity, its last bit
+        keyed = np.arange(m * spec.t + spec.extended)
+        self._pack = np.zeros((smat.shape[1], -(-len(keyed) // 63)), dtype=np.int64)
+        self._pack[keyed, keyed // 63] = 1 << keyed % 63
 
     @cached_property
     def _generator(self) -> np.ndarray:
@@ -76,15 +81,10 @@ class ComponentKernel:
         eye = np.eye(self.spec.k, dtype=np.uint8)
         return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
 
-    @property
-    def tabled(self) -> bool:
-        """True when the code decodes by table lookup (m*t <= MAX_KEY_BITS)."""
-        return self.spec.field.m * self.spec.t <= MAX_KEY_BITS
-
     @cached_property
     def col_keys(self) -> np.ndarray:
         """(n, W) the key of a single error at each of the n positions."""
-        return self.keys(self._smat.astype(np.int64))
+        return self.keys(np.eye(self.spec.n))
 
     @cached_property
     def _leaders(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,73 +120,61 @@ class ComponentKernel:
         cw = messages.astype(np.float32) @ self._generator
         return (cw.astype(np.int64) & 1).astype(np.uint8)
 
-    def syndrome_bits(self, words: np.ndarray, columns: bool = False) -> np.ndarray:
+    def keys(self, words: np.ndarray, columns: bool = False) -> np.ndarray:
         """Per row of ``words`` (..., n), or with ``columns`` per column of
-        each matrix of a stack (..., n, n), the m*t odd-syndrome bits and
-        the overall parity along the last axis. The columns take one
+        each matrix of a stack (..., n, n), the key (..., W) int64: bit i of
+        word w is bit 63w+i of the m*t odd-syndrome bits, m-bit block j
+        holding S_{2j+1}, followed by the overall parity. A non-extended
+        code drops the parity, which is no syndrome there, so a key is 0
+        exactly for a codeword. W = 1 for m*t < 63. The columns take one
         product from the left, without a transpose of the stack."""
         words = np.ascontiguousarray(words, dtype=np.float32)
         sb = (self._smat.T @ words).swapaxes(-1, -2) if columns else words @ self._smat
-        return sb.astype(np.int64) & 1
-
-    def keys(self, bits: np.ndarray) -> np.ndarray:
-        """syndrome_bits (..., m*t+1) as table keys (..., W) int64: bit i of
-        word w is syndrome bit 63w+i, the parity the top bit. A
-        non-extended code drops the parity, which is no syndrome there, so
-        a key is 0 exactly for a codeword. W = 1 for m*t < 63."""
-        size = self.spec.field.m * self.spec.t + self.spec.extended
-        if size <= 63:
-            return (bits[..., :size] @ _POW2[:size])[..., None]
-        return np.stack([bits[..., lo:min(lo + 63, size)] @ _POW2[:min(63, size - lo)]
-                         for lo in range(0, size, 63)], axis=-1)
+        return (sb.astype(np.int64) & 1) @ self._pack
 
     def line_keys(self, stack: np.ndarray) -> np.ndarray:
         """(B, 2, n, W) keys of the rows (index 0 of axis 1) and of the
         columns (index 1) of every frame of a (B, n, n) stack."""
         stack = np.asarray(stack, dtype=np.float32)
-        return self.keys(np.stack([self.syndrome_bits(stack),
-                                   self.syndrome_bits(stack, columns=True)], axis=1))
+        return np.stack([self.keys(stack), self.keys(stack, columns=True)], axis=1)
 
-    def corrections(self, keys: np.ndarray,
-                    words: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per line, from its key (rows, W): the positions to flip (rows,
-        t), ascending with n in unused slots, and the corrected mask. Past
-        the table the lines are decoded from their ``words``, which only
-        that path reads."""
-        if not self.tabled:
-            return self._scalar_bdd(words)
-        fixes, fixed = self._leaders
-        return fixes[keys[:, 0]], fixed[keys[:, 0]]
+    def corrections(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per line, from its key (..., W): the positions to flip (..., t),
+        ascending with n in unused slots, and the corrected mask (...).
+        Past the table each key is decoded by ``bch.decode_syndromes`` from
+        the syndromes it holds: S_{2j+1} is block j, S_{2j} = S_j^2."""
+        if self.spec.field.m * self.spec.t <= MAX_KEY_BITS:
+            fixes, fixed = self._leaders
+            return fixes[keys[..., 0]], fixed[keys[..., 0]]
+        spec, field = self.spec, self.spec.field
+        cpos = np.full(keys.shape[:-1] + (spec.t,), spec.n)
+        ok = np.zeros(keys.shape[:-1], dtype=bool)
+        for i, parts in zip(np.ndindex(ok.shape), keys.reshape(-1, keys.shape[-1]).tolist()):
+            key = sum(w << 63 * j for j, w in enumerate(parts))
+            syn = []
+            for j in range(2 * spec.t):
+                syn.append(gf_mul(field, syn[j // 2], syn[j // 2]) if j % 2
+                           else key >> field.m * (j // 2) & field.order)
+            flips = bch.decode_syndromes(spec, syn, key >> field.m * spec.t)
+            if flips is not None:
+                ok[i] = True
+                cpos[i][:len(flips)] = flips
+        return cpos, ok
 
-    def codeword_mask(self, words=None, bits=None) -> np.ndarray:
+    def codeword_mask(self, words: np.ndarray) -> np.ndarray:
         """True per row of ``words`` (..., n) when all syndromes (and the
-        parity, if extended) vanish; ``bits`` are the rows' syndrome_bits,
-        if already known."""
-        bits = self.syndrome_bits(words) if bits is None else bits
-        return ~bits[..., :bits.shape[-1] - (not self.spec.extended)].any(axis=-1)
+        parity, if extended) vanish: where its key is 0."""
+        return ~self.keys(words).any(axis=-1)
 
     def batch_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode each row; returns (decoded words, corrected mask).
         Failed rows are echoed unchanged."""
         words = np.ascontiguousarray(words, dtype=np.uint8)
-        keys = self.keys(self.syndrome_bits(words)) if self.tabled else None
-        cpos, ok = self.corrections(keys, words)
+        cpos, ok = self.corrections(self.keys(words))
         return flip_support(words, cpos), ok
 
-    def _scalar_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Past the table, each row decoded by ``bch.bdd``: per row its
-        corrections (rows, t), ascending with n in unused slots, and the
-        corrected mask."""
-        cpos = np.full((len(words), self.spec.t), self.spec.n)
-        ok = np.zeros(len(words), dtype=bool)
-        for i, row in enumerate(words):
-            res = bch.bdd(self.spec, row)
-            ok[i] = res.corrected
-            cpos[i, :len(res.flips)] = sorted(res.flips)
-        return cpos, ok
-
     def decode_trials(self, words: np.ndarray, positions: np.ndarray,
-                      flips: np.ndarray, weights: np.ndarray, bits: np.ndarray | None = None
+                      flips: np.ndarray, weights: np.ndarray, keys: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """BDD-decode T trial words per row: trial j of row r is words[r]
         with the bits at positions[r] (P distinct positions per row) XORed
@@ -195,25 +183,18 @@ class ComponentKernel:
         differs from words[r], ascending, n in unused slots (anywhere); the
         corrected mask (rows, T), a failed trial's candidate being its trial
         word; and each trial's discrepancy (rows, T), the sum of weights[r]
-        over its support, bit-equal to the dense row sum. ``bits`` are the
-        words' syndrome_bits, if already known."""
-        rows, n = words.shape
+        over its support, bit-equal to the dense row sum. ``keys`` are the
+        words' keys, if already known."""
+        n = words.shape[1]
         flips = np.asarray(flips, dtype=bool)
         positions = np.asarray(positions, dtype=np.intp)
         fpos = np.where(flips, positions[:, None, :], n)
-        if not self.tabled:
-            trials = fpos.shape[1]
-            cpos, ok = self._scalar_bdd(flip_support(np.repeat(words, trials, 0),
-                                                     fpos.reshape(rows * trials, -1)))
-            cpos, ok = cpos.reshape(rows, trials, -1), ok.reshape(rows, trials)
-        else:
-            fixes, fixed = self._leaders
-            bits = self.syndrome_bits(words) if bits is None else bits
-            key = np.repeat(self.keys(bits)[:, None, 0], flips.shape[-2], axis=1)
-            trial_keys = self.col_keys[positions, 0]
-            for k in range(positions.shape[1]):
-                key ^= np.where(flips[..., k], trial_keys[:, k, None], 0)
-            cpos, ok = fixes[key], fixed[key]
+        keys = self.keys(words) if keys is None else keys
+        key = np.repeat(keys[:, None], flips.shape[-2], axis=1)
+        trial_keys = self.col_keys[positions]
+        for k in range(positions.shape[1]):
+            key ^= np.where(flips[..., k, None], trial_keys[:, k, None], 0)
+        cpos, ok = self.corrections(key)
         # sorted, a correction on a flipped bit sits next to it; the pair
         # restores the hard bit
         support = np.sort(np.concatenate([fpos, cpos], axis=-1), axis=-1)

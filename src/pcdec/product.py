@@ -15,7 +15,7 @@ half-step's component words are its rows, and ``_rows`` stacks them to
 
 Two half-steps are shared, and two decoders bring their own:
 
-* ``_key_stack``    -- BDD results applied in place, from the coset-table
+* ``_key_stack``    -- BDD results applied in place, from the syndrome
                        key of every row and column, computed once per
                        stack and updated per bit flip (no syndrome
                        product, transpose or codeword check per
@@ -45,6 +45,10 @@ Two half-steps are shared, and two decoders bring their own:
 GMD and Chase BDD-decode 2t+1 and 2^p trial words per component (GMD
 none for a codeword), in one ``ComponentKernel.decode_trials`` call per
 slice of rows, and count them all in ``bdd_calls``.
+
+Every BDD here starts from syndrome keys, and ``ComponentKernel.corrections``
+alone decides how a key is decoded: by the coset table, or past it by
+the scalar Berlekamp-Massey core; no decoder branches on the table.
 
 Each decoder has a ``*_stack`` form taking a (B, n, n) stack; the
 per-frame form is that decoder on a stack of one.
@@ -140,9 +144,10 @@ def pc_encode(spec: ProductCodeSpec, info: np.ndarray) -> np.ndarray:
     column, each pass as one product with the component generator matrix.
     Linearity makes the row/column order irrelevant."""
     comp = spec.component
-    info = np.asarray(info, dtype=np.uint8)
+    info = np.asarray(info)
     if info.shape != (comp.k, comp.k):
         raise ValueError(f"info must be {comp.k}x{comp.k}")
+    info = _bits(info, "info")
     kern = kernel_for(comp)
     return np.ascontiguousarray(kern.encode(kern.encode(info).T).T)
 
@@ -151,16 +156,16 @@ def _codewords(kern, hard: np.ndarray) -> np.ndarray:
     """Per frame of a (B, n, n) stack: True iff all 2n component syndrome
     sets vanish. Columns are checked only for frames whose rows all
     pass."""
-    ok = kern.codeword_mask(hard).all(axis=1)
+    ok = ~kern.keys(hard).any(axis=(1, 2))
     if ok.any():
-        ok[ok] = kern.codeword_mask(bits=kern.syndrome_bits(hard[ok], columns=True)).all(axis=1)
+        ok[ok] = ~kern.keys(hard[ok], columns=True).any(axis=(1, 2))
     return ok
 
 
 def is_pc_codeword(spec: ProductCodeSpec, array: np.ndarray) -> bool:
     """True iff all 2n component syndrome sets vanish."""
-    arr = np.ascontiguousarray(array, dtype=np.uint8)
-    return bool(_codewords(kernel_for(spec.component), arr[None])[0])
+    arr = _stack(spec, _frame(spec, array, "array"), "array", bits=True)
+    return bool(_codewords(kernel_for(spec.component), arr)[0])
 
 
 def _frame(spec: ProductCodeSpec, array, name: str) -> np.ndarray:
@@ -179,8 +184,11 @@ def _stack(spec: ProductCodeSpec, array, name: str, bits: bool) -> np.ndarray:
     if array.ndim != 3 or not len(array) or array.shape[1:] != (spec.n, spec.n):
         raise ValueError(f"{name} must have shape (B, {spec.n}, {spec.n}) "
                          f"with B >= 1, got {array.shape}")
-    if not bits:
-        return np.asarray(array, dtype=np.float64)
+    return _bits(array, name) if bits else np.asarray(array, dtype=np.float64)
+
+
+def _bits(array: np.ndarray, name: str) -> np.ndarray:
+    """A uint8 copy of an input checked to hold only 0/1."""
     if not ((array == 0) | (array == 1)).all():
         raise ValueError(f"{name} must hold only the bits 0 and 1")
     return array.astype(np.uint8)
@@ -273,7 +281,7 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
 
 def _key_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
                true: np.ndarray | None = None) -> DecoderResult:
-    """BDD results applied in place, from the table keys of the lines: the
+    """BDD results applied in place, from the syndrome keys of the lines: the
     state holds the decisions ``dec`` and ``key`` (B, 2, n, W), the key of
     every row (key[:, 0]) and column (key[:, 1]) of dec, computed once per
     stack. A half-step reads the corrections of the lines whose key is not
@@ -300,9 +308,7 @@ def _key_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
         own, cross = half % 2, 1 - half % 2
         ops["bdd_calls"] += lines.shape[0] * n
         fb, line = np.nonzero(key[:, own].any(axis=-1))
-        # past the table the lines are decoded from their words
-        words = None if kern.tabled else lines[fb, line]
-        cpos, ok = kern.corrections(key[fb, own, line], words)
+        cpos, ok = kern.corrections(key[fb, own, line])
         if true is not None:
             ok &= s["errors"][fb, own, line] <= t
             s["errors"][fb[ok], own, line[ok]] = 0
@@ -420,10 +426,9 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
 
     def half_step(s, half, ops):
         lines = _lines(s["dec"], half)
-        key = kern.keys(kern.syndrome_bits(s["dec"], columns=half % 2 == 1))
+        key = kern.keys(s["dec"], columns=half % 2 == 1)
         fb, line = np.nonzero(key.any(axis=-1))
-        # past the table the lines are decoded from their words
-        cpos, fixed = kern.corrections(key[fb, line], None if kern.tabled else lines[fb, line])
+        cpos, fixed = kern.corrections(key[fb, line])
         ok = np.ones(lines.shape[:2], dtype=bool)
         ok[fb, line] = fixed
         r, c = np.nonzero(cpos < spec.n)

@@ -126,6 +126,9 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
     if (len(cfg.alpha_schedule) < 2 * l_max
             or len(cfg.beta_schedule) < 2 * l_max):
         raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
+    if cfg.p > spec.n:
+        raise ValueError(f"Chase p = {cfg.p} test bits exceed the component length "
+                         f"n = {spec.n}")
 
     def rule(soft, ext, dec, s, half, sl, ops):
         ext[...], dec[...] = _chase_batch(spec.component, soft, cfg, half)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcdec.bch import ComponentCodeSpec, DecodeOutcome, bdd, encode
-from pcdec.gmd import erasure_profile
+from pcdec.gmd import _gmd_trials, erasure_profile
 from pcdec.kernels import kernel_for
 
 
@@ -172,6 +172,17 @@ def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
     if best_word is None:
         return GmdOutcome(False, r.copy(), len(trial_sizes), None)
     return GmdOutcome(True, best_word, len(trial_sizes), best_metric)
+
+
+def batch_gmd_without_skip(spec: ComponentCodeSpec, words: np.ndarray,
+                           reliabilities: np.ndarray):
+    """``pcdec.gmd.batch_gmd`` with the GMD trials run on every row, the
+    codewords too, which batch_gmd returns without trials."""
+    kern = kernel_for(spec)
+    words = np.ascontiguousarray(words, dtype=np.uint8)
+    out, ok, valid = _gmd_trials(kern, words, kern.keys(words),
+                                 np.asarray(reliabilities, dtype=np.float64))
+    return out, ok, {"attempts": len(words) * (spec.t + 1), "gd_evals": valid}
 
 
 # ------------------------------------------------ sequential anchor decoding

@@ -101,7 +101,8 @@ def test_table_path_never_calls_the_scalar_decoder(monkeypatch, m, t, extend):
     def no_scalar(*args):
         raise AssertionError("row-by-row fallback")
 
-    monkeypatch.setattr(kernels.bch, "bdd", no_scalar)
+    # past the table each key is decoded by the scalar core
+    monkeypatch.setattr(kernels.bch, "decode_syndromes", no_scalar)
     out, ok = kernel_for(spec).batch_bdd(words)
     assert np.array_equal(ok, ref_ok)
     assert np.array_equal(out, ref_out)
@@ -130,8 +131,7 @@ def test_codeword_mask():
 def genie_by_weight(kern, words, true):
     """Ideal iBDD's genie on a batch of lines: a line keeps the corrections
     read by its key only when it has at most t wrong bits."""
-    keys = kern.keys(kern.syndrome_bits(words)) if kern.tabled else None
-    cpos, ok = kern.corrections(keys, words)
+    cpos, ok = kern.corrections(kern.keys(words))
     ok &= (words != true).sum(axis=1) <= kern.spec.t
     return flip_support(words, np.where(ok[:, None], cpos, kern.spec.n)), ok
 
@@ -176,7 +176,7 @@ def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
     genie_out, genie_ok = genie_by_weight(kern, words, true)
     mask = kern.codeword_mask(words)
     # a key is 0 exactly for a codeword, the parity dropped if not extended
-    assert np.array_equal(~kern.keys(kern.syndrome_bits(words)).any(axis=1), mask)
+    assert np.array_equal(~kern.keys(words).any(axis=1), mask)
     for i, word in enumerate(words):
         ref = bdd(spec, word)
         assert ok[i] == ref.corrected and np.array_equal(out[i], ref.word)
@@ -197,23 +197,33 @@ def test_keys_hold_every_syndrome_bit(m, t, extend):
     stack = rng.integers(0, 2, (2, spec.n, spec.n)).astype(np.uint8)
     stack[1, :, 3:] = 0  # many codeword rows and zero keys
     words = np.concatenate([stack[0], stack[1], stack[1].T])
-    bits = kern.syndrome_bits(words)
-    keys = kern.keys(bits)
+    keys = kern.keys(words)
     size = m * t + extend  # the syndromes, and the parity if extended
     assert keys.dtype == np.int64 and keys.shape == (len(words), -(-size // 63))
-    unpacked = ((keys[:, :, None] >> np.arange(63)) & 1).reshape(len(words), -1)
-    assert np.array_equal(unpacked[:, :size], bits[:, :size])
-    assert not unpacked[:, size:].any()
+
+    def unpacked(keys):
+        return ((keys[:, :, None] >> np.arange(63)) & 1).reshape(len(keys), -1)
+
+    def scalar_bits(words):
+        # S_1, S_3, ..., S_2t-1 as m-bit blocks, then the parity if extended
+        out = []
+        for word in words:
+            syn, parity = syndromes(spec, word)
+            out.append([s >> i & 1 for s in syn[::2] for i in range(m)] + [parity] * extend)
+        return np.array(out)
+
+    assert np.array_equal(unpacked(keys)[:, :size], scalar_bits(words))
+    assert not unpacked(keys)[:, size:].any()
     assert np.array_equal(~keys.any(axis=1), kern.codeword_mask(words))
     # the keys of a stack's rows and columns, the columns without a transpose
     lines = kern.line_keys(stack)
-    assert np.array_equal(lines[:, 0], kern.keys(kern.syndrome_bits(stack)))
-    assert np.array_equal(lines[:, 1],
-                          kern.keys(kern.syndrome_bits(stack.swapaxes(1, 2))))
+    assert np.array_equal(lines[:, 0], kern.keys(stack))
+    assert np.array_equal(lines[:, 1], kern.keys(stack.swapaxes(1, 2)))
+    assert np.array_equal(lines[:, 1], kern.keys(stack, columns=True))
     # a single error's key, and the XOR of keys of a sum of words
-    assert np.array_equal(kern.col_keys, kern.keys(kern.syndrome_bits(np.eye(spec.n))))
-    assert np.array_equal(kern.keys(kern.syndrome_bits(words[:1] ^ words[1:2])),
-                          keys[:1] ^ keys[1:2])
+    eye = np.eye(spec.n, dtype=np.uint8)
+    assert np.array_equal(unpacked(kern.col_keys)[:, :size], scalar_bits(eye))
+    assert np.array_equal(kern.keys(words[:1] ^ words[1:2]), keys[:1] ^ keys[1:2])
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -321,10 +331,11 @@ def test_decode_trials_matches_dense_trials(m, t, extend, p, shared, levels, ntr
                                levels)
 
 
-# m * t > MAX_KEY_BITS: dense trial words decoded row by row, same format
-@pytest.mark.parametrize("m,extend", [(7, False), (8, True)])
-def test_decode_trials_past_the_table_matches_dense_trials(m, extend):
-    spec = construct_ebch(build_field(m), 3, extend=extend)
+# m * t > MAX_KEY_BITS: trial keys decoded one by one, same format; the
+# keys of (6, 11) take two words
+@pytest.mark.parametrize("m,t,extend", [(7, 3, False), (8, 3, True), (6, 11, False)])
+def test_decode_trials_past_the_table_matches_dense_trials(m, t, extend):
+    spec = construct_ebch(build_field(m), t, extend=extend)
     assert m * spec.t > kernels.MAX_KEY_BITS
     ok = check_trials_against_dense(spec, np.random.default_rng([32, m]), 6, 5, 32,
                                     False, 3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     ReliabilityVector,
     all_codewords,
+    batch_gmd_without_skip,
     genie_bdd,
     gmd_decode,
     oracle_anchor_decode,
@@ -90,6 +91,21 @@ def test_is_pc_codeword_flags_single_flip(pc15):
     assert is_pc_codeword(pc15, arr)
     arr[3, 4] ^= 1
     assert not is_pc_codeword(pc15, arr)
+
+
+def test_encode_and_codeword_test_reject_non_bit_or_misshaped_input(pc15):
+    # a cast to uint8 would read an all-2 or all -1.5 array as a codeword
+    # and encode an info block of 3s as one of 1s
+    for bad in (np.full((15, 15), 2), np.full((15, 15), -1.5)):
+        with pytest.raises(ValueError, match="array must hold only the bits 0 and 1"):
+            is_pc_codeword(pc15, bad)
+    with pytest.raises(ValueError, match=re.escape("array must have shape (15, 15), "
+                                                   "got (15, 16)")):
+        is_pc_codeword(pc15, np.zeros((15, 16), dtype=np.uint8))
+    with pytest.raises(ValueError, match="info must hold only the bits 0 and 1"):
+        pc_encode(pc15, np.full((7, 7), 3))
+    with pytest.raises(ValueError, match="info must be 7x7"):
+        pc_encode(pc15, np.zeros((7, 8), dtype=np.uint8))
 
 
 def test_scaling_schedule_validation():
@@ -440,12 +456,12 @@ def test_ibdd_sr_decodes_the_lines_in_place(monkeypatch):
     # for the columns, and makes no BDD call on dense words
     pc = stack_spec(6, 2)
     L, _ = frame_stack(pc, (4.0, 3.9, 3.7, 3.5, 12.0), 11, [False, True, False, True, False])
-    syndrome_bits, iterate = kernels.ComponentKernel.syndrome_bits, product._iterate
+    keys, iterate = kernels.ComponentKernel.keys, product._iterate
     calls, passes = [], []
 
     def counted(self, words, columns=False):
         calls.append(columns)
-        return syndrome_bits(self, words, columns)
+        return keys(self, words, columns)
 
     def dense(*args, **kwargs):
         raise AssertionError("a BDD call on dense words")
@@ -458,7 +474,7 @@ def test_ibdd_sr_decodes_the_lines_in_place(monkeypatch):
             return done
         return iterate(spec, l_max, state, checked)
 
-    monkeypatch.setattr(kernels.ComponentKernel, "syndrome_bits", counted)
+    monkeypatch.setattr(kernels.ComponentKernel, "keys", counted)
     monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
     monkeypatch.setattr(product, "_iterate", checked_iterate)
     res = ibdd_sr_stack(pc, L, sr_weights(10), 10)
@@ -569,10 +585,7 @@ def test_igmdd_sr_codeword_skip_keeps_results_and_counters(pc15, monkeypatch):
     # the iterations nor an op counter
     L, _ = frame_stack(pc15, [2.5, 3.0, 3.5, 4.0], 5, [False, True, False, True])
     skip = igmdd_sr_stack(pc15, L, (2.0,) * 6, 6)
-    mask = kernels.ComponentKernel.codeword_mask
-    monkeypatch.setattr(kernels.ComponentKernel, "codeword_mask",
-                        lambda self, words=None, bits=None: mask(self, words)
-                        if bits is None else np.zeros(len(bits), dtype=bool))
+    monkeypatch.setattr(product, "batch_gmd", batch_gmd_without_skip)
     full = igmdd_sr_stack(pc15, L, (2.0,) * 6, 6)
     assert np.array_equal(skip.array, full.array)
     assert np.array_equal(skip.iterations_used, full.iterations_used)
@@ -779,17 +792,17 @@ def test_keyed_stacks_compute_syndromes_once(monkeypatch, name):
     # and no BDD call or codeword check per half-step
     pc = stack_spec(6, 2)
     L, sent = frame_stack(pc, (4.4, 4.2, 4.0, 3.8, 3.6, 12.0), 11, [False, True] * 3)
-    syndrome_bits = kernels.ComponentKernel.syndrome_bits
+    keys = kernels.ComponentKernel.keys
     calls = []
 
     def counted(self, *args, **kwargs):
         calls.append(args[0].shape)
-        return syndrome_bits(self, *args, **kwargs)
+        return keys(self, *args, **kwargs)
 
     def dense(*args, **kwargs):
         raise AssertionError("a dense pass over the words")
 
-    monkeypatch.setattr(kernels.ComponentKernel, "syndrome_bits", counted)
+    monkeypatch.setattr(kernels.ComponentKernel, "keys", counted)
     monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
     monkeypatch.setattr(kernels.ComponentKernel, "codeword_mask", dense)
     received = hard_decide(L)

@@ -9,7 +9,8 @@ from pcdec.channel import ChannelParams, frame_rng, llr, modulate, transmit
 from pcdec.gf import build_field
 from pcdec.product import ProductCodeSpec, is_pc_codeword, pc_encode
 from pcdec.kernels import kernel_for
-from pcdec.tpd import ChaseConfig, _chase_batch, tpd_decode
+from pcdec.harness import SimConfig, run_ber_point
+from pcdec.tpd import ChaseConfig, _chase_batch, tpd_decode, tpd_stack
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,16 @@ def test_tpd_rejects_short_schedules(comp15):
     cfg = ChaseConfig(p=4, alpha_schedule=(0.2, 0.3), beta_schedule=(0.2, 0.4))
     with pytest.raises(ValueError):
         tpd_decode(pc, np.ones((15, 15)), cfg, l_max=4)
+
+
+def test_tpd_rejects_more_chase_bits_than_the_component_length():
+    # n = 8: p = 9 test bits do not fit a row
+    cfg = SimConfig("tpd", code_m=3, code_t=1, chase_p=9, max_frames=1)
+    with pytest.raises(ValueError, match=r"p = 9 .* n = 8"):
+        run_ber_point(cfg, 3.0)
+    # p = n still runs: every bit of a row is a test bit
+    pc = cfg.product_spec()
+    assert tpd_stack(pc, np.ones((1, 8, 8)), ChaseConfig.default(1, p=8), 1).converged.all()
 
 
 def test_chase_extrinsic_independent_of_own_input_at_fallback_bits(comp15, cw15, cfg):
