@@ -158,6 +158,10 @@ class SimConfig:
                 ChaseConfig.default(self.iterations, self.chase_p)
             except ValueError as exc:
                 raise ValueError(f"chase_p: {exc}") from None
+            n = 2 ** self.code_m - 1 + self.extended
+            if self.chase_p > n:
+                raise ValueError(f"chase_p: Chase p = {self.chase_p} test bits exceed the "
+                                 f"component length n = {n}")
         if self.w is not None:
             if len(self.w) != self.iterations:
                 raise ValueError(f"w must hold {self.iterations} weights, one per "

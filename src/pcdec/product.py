@@ -26,8 +26,8 @@ Two half-steps are shared, and two decoders bring their own:
                       at most t wrong bits, which is exactly where BDD
                       returns the sent word (reference curve).
 * ``_soft_stack``   -- soft messages: a rule decodes L plus the message
-                       ext of the crossing half-step and writes the next
-                       ext and the decisions in place:
+                       ext of the crossing half-step, writes the next ext
+                       in place and returns the decisions:
   - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
   - ``tpd.tpd_decode`` Chase-Pyndiah, ext = the damped extrinsic.
 * ``ibdd_sr``       -- the lines of the messages decoded in place from
@@ -179,11 +179,13 @@ def _frame(spec: ProductCodeSpec, array, name: str) -> np.ndarray:
 
 def _stack(spec: ProductCodeSpec, array, name: str, bits: bool) -> np.ndarray:
     """A decoder input checked to be a (B, n, n) stack with B >= 1: a uint8
-    copy holding only 0/1 when ``bits``, else float64 LLRs."""
+    copy holding only 0/1 when ``bits``, else finite float64 LLRs."""
     array = np.asarray(array)
     if array.ndim != 3 or not len(array) or array.shape[1:] != (spec.n, spec.n):
         raise ValueError(f"{name} must have shape (B, {spec.n}, {spec.n}) "
                          f"with B >= 1, got {array.shape}")
+    if not bits and not np.isfinite(array).all():
+        raise ValueError(f"{name} must hold only finite values, not NaN or infinite")
     return _bits(array, name) if bits else np.asarray(array, dtype=np.float64)
 
 
@@ -213,19 +215,6 @@ def _put_rows(array: np.ndarray, half: int, rows: np.ndarray) -> None:
     """Write rows laid out as ``_rows(array, half)`` back into the array."""
     lines = _lines(array, half)
     lines[...] = rows.reshape(lines.shape)
-
-
-def _both_passes(name: str, array: np.ndarray) -> dict[str, np.ndarray]:
-    """A read-only input as C-contiguous rows for each pass, as the state
-    entries ``name`` and ``name_t`` (read back by ``_pass_rows``): one copy
-    per frame instead of strided reads per pass."""
-    return {name: array, name + "_t": np.ascontiguousarray(array.swapaxes(-1, -2))}
-
-
-def _pass_rows(state: dict, name: str, half: int) -> np.ndarray:
-    """The rows of a ``_both_passes`` input for half-iteration ``half``."""
-    array = state[name if half % 2 == 0 else name + "_t"]
-    return array.reshape(-1, array.shape[-1])
 
 
 # Cap on the trial words per kernel call in the Chase and GMD
@@ -325,26 +314,27 @@ def _key_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
 
 
 def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
-                rule, **inputs) -> DecoderResult:
-    """Soft messages from the channel LLRs L on: ``rule(soft, ext, dec, s,
-    half, sl, ops)`` decodes the slice ``sl`` (``trials`` BDD trial words per
-    row) of the component words L + ext, ext the soft message of the
-    crossing half-step (zero at first), writes the next ext and decisions
-    over ``ext`` (soft's memory) and ``dec``, and adds its other work to
-    ``ops``. ``inputs`` are extra state entries."""
+                rule) -> DecoderResult:
+    """Soft messages from the channel LLRs L on: ``rule(soft, llr, half, ops)``
+    gets a slice of rows (``trials`` BDD trial words each) of L + ext, ext the
+    crossing half-step's soft message (zero at first), and of L; it writes the
+    next ext over ``soft`` (ext's memory), adds its other work to ``ops`` and
+    returns the decisions."""
     llrs = _stack(spec, llrs, "llrs", bits=False)
-    state = {**_both_passes("llr", llrs), "ext": np.zeros(llrs.shape),
-             "dec": np.zeros(llrs.shape, dtype=np.uint8), **inputs}
+    # L's rows for both passes, C-contiguous: one copy, no strided reads per pass
+    state = {"llr": llrs, "llr_t": np.ascontiguousarray(llrs.swapaxes(-1, -2)),
+             "ext": np.zeros(llrs.shape), "dec": np.zeros(llrs.shape, dtype=np.uint8)}
 
     def half_step(s, half, ops):
-        llr = _pass_rows(s, "llr", half)
+        llr = s["llr_t" if half % 2 else "llr"].reshape(-1, spec.n)
         # a view of the state for a row pass, so the rule writes in place;
         # batch_gmd sums reliabilities along rows, so it gets them
         # C-contiguous: the summation order fixes the last bits
-        ext, dec = _rows(s["ext"], half), _rows(s["dec"], half)
+        ext = _rows(s["ext"], half)
+        dec = np.empty(ext.shape, dtype=np.uint8)
         for sl in _row_slices(len(ext), trials):
-            rule(np.add(llr[sl], ext[sl], out=ext[sl]), ext[sl], dec[sl], s, half, sl, ops)
-        if half % 2:
+            dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half, ops)
+        if half % 2:  # _iterate reads the decisions after column passes only
             _put_rows(s["ext"], half, ext)
             _put_rows(s["dec"], half, dec)
         ops["bdd_calls"] += len(ext) * trials
@@ -393,36 +383,22 @@ def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
     return ch ^ (((mubar < 0) ^ ch) & (mubar != 0) & (np.abs(llrs) < weight))
 
 
-def _scaled_reliability(llrs: np.ndarray, sched: tuple[float, ...]):
-    """``decide(out, ok, ch, rank, half)``, which overwrites the decoded
-    words ``out`` (..., n) of a pass with the message B(w * mubar + L),
-    mubar = ok * (1 - 2 * out), from the words' B(L) ``ch`` and |L| ``rank``;
-    and those two for ``llrs``. |L| is kept as its rank among the distinct
-    weights, since it enters only as |L| < weights[k], that is rank <= k:
-    a byte per bit."""
+def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
+                  l_max: int) -> DecoderResult:
+    """``ibdd_sr`` on a (B, n, n) stack of LLR frames; the messages ``dec``
+    are decoded and replaced in place. |L| is kept as its rank among the
+    distinct weights, a byte per bit: |L| < weights[k] is rank <= k."""
+    kern = kernel_for(spec.component)
+    llrs = _stack(spec, llrs, "llrs", bits=False)
+    sched = _as_schedule(w, l_max)
     weights = np.unique(sched)
     mag = np.abs(llrs)
     rank = np.zeros(mag.shape, dtype=np.min_scalar_type(len(weights)))
     for weight in weights:
         rank += mag >= weight
+    del mag  # held while decoding, it cost a 32-frame m=6 stack 600 page faults, +30%
     k = np.searchsorted(weights, sched).tolist()
-
-    def decide(out, ok, ch, rank, half):
-        # np.where(trusted, out, ch) without its slow select of bytes
-        out ^= ch
-        out &= ok[..., None] & (rank <= k[half // 2])
-        out ^= ch
-
-    return decide, hard_decide(llrs), rank
-
-
-def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
-                  l_max: int) -> DecoderResult:
-    """``ibdd_sr`` on a (B, n, n) stack of LLR frames; the messages ``dec``
-    are decoded and replaced in place."""
-    kern = kernel_for(spec.component)
-    decide, ch, rank = _scaled_reliability(_stack(spec, llrs, "llrs", bits=False),
-                                           _as_schedule(w, l_max))
+    ch = hard_decide(llrs)
 
     def half_step(s, half, ops):
         lines = _lines(s["dec"], half)
@@ -433,7 +409,12 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         ok[fb, line] = fixed
         r, c = np.nonzero(cpos < spec.n)
         lines[fb[r], line[r], cpos[r, c]] ^= 1
-        decide(lines, ok, _lines(s["ch"], half), _lines(s["rank"], half), half)
+        # psi = B(w * mubar + L) keeps the decoded bit where ok and |L| < w:
+        # np.where(trusted, lines, ch) without its slow select of bytes
+        ch_lines = _lines(s["ch"], half)
+        lines ^= ch_lines
+        lines &= ok[..., None] & (_lines(s["rank"], half) <= k[half // 2])
+        lines ^= ch_lines
         ops["bdd_calls"] += ok.size
         ops["msg_updates"] += lines.size
 
@@ -449,24 +430,25 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
                    l_max: int) -> DecoderResult:
     """``igmdd_sr`` on a (B, n, n) stack of LLR frames."""
     sched, comp = _as_schedule(w, l_max), spec.component
-    llrs = _stack(spec, llrs, "llrs", bits=False)
-    decide, ch, rank = _scaled_reliability(llrs, sched)
 
-    def rule(soft, ext, dec, s, half, sl, ops):
+    def rule(soft, llr, half, ops):
+        weight = sched[half // 2]
+        ch = (llr < 0).view(np.uint8)  # B(L)
         hard = (soft < 0).view(np.uint8)  # B(soft), B(0) resolved to B(L)
-        np.copyto(hard, _pass_rows(s, "ch", half)[sl], where=soft == 0)
+        np.copyto(hard, ch, where=soft == 0)
         out, ok, stats = batch_gmd(comp, hard, np.abs(soft, out=soft))
         ops["erasure_calls"] += stats["attempts"]
         ops["gd_evals"] += stats["gd_evals"]
         ops["msg_updates"] += soft.size
-        # ext = w * mubar, and the decisions B(L + ext)
-        np.take(sched[half // 2] * np.array([1.0, -1.0]), out, out=ext, mode="clip")
-        ext[~ok] = 0.0
-        decide(out, ok, _pass_rows(s, "ch", half)[sl], _pass_rows(s, "rank", half)[sl], half)
-        dec[...] = out
+        # ext = w * mubar; B(L + ext) is the decoded bit where ok and |L| < w
+        np.take(weight * np.array([1.0, -1.0]), out, out=soft, mode="clip")
+        soft[~ok] = 0.0
+        out ^= ch
+        out &= ok[:, None] & (np.abs(llr) < weight)
+        out ^= ch
+        return out
 
-    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule,  # 2t+1 GMD trials
-                       **_both_passes("ch", ch), **_both_passes("rank", rank))
+    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule)  # 2t+1 GMD trials
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:

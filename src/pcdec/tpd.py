@@ -9,8 +9,9 @@ with the opposite bit (or the reliability fallback beta when no
 competitor exists). Extrinsics are damped by the per-half-iteration
 alpha before the crossing dimension consumes them.
 
-Each half-step is a rule on ``product._soft_stack``: the components of a
-slice Chase-decode L plus the crossing half-step's damped extrinsic.
+Each half-step is a rule on ``product._soft_stack``: a slice's rows of
+L plus the crossing damped extrinsic give the Chase decisions and the
+next extrinsic.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
         raise ValueError(f"Chase p = {cfg.p} test bits exceed the component length "
                          f"n = {spec.n}")
 
-    def rule(soft, ext, dec, s, half, sl, ops):
-        ext[...], dec[...] = _chase_batch(spec.component, soft, cfg, half)
+    def rule(soft, llr, half, ops):
+        soft[...], dec = _chase_batch(spec.component, soft, cfg, half)
+        return dec
 
     return _soft_stack(spec, llrs, l_max, 1 << cfg.p, rule)
 

@@ -253,6 +253,20 @@ def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
     assert not os.path.exists(out)
 
 
+def test_chase_p_past_the_component_length_exits_2_before_any_point(tmp_path, capsys):
+    # n = 7, and ibdd runs before tpd: rejected only by tpd_stack, the ibdd
+    # point would be simulated and then thrown away
+    sim = (MINI_SIM.replace("code_m = 4", "code_m = 3").replace("code_t = 2", "code_t = 1")
+           .replace("algorithms = ibdd", "algorithms = ibdd,tpd") + "[tpd]\np = 9\n")
+    cfg = write(tmp_path, "bad.ini", sim)
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "chase_p: Chase p = 9 test bits exceed the component length n = 7" in err
+    assert " dB: " not in err  # no progress line: no point was simulated
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("line,fault,message", [
     ("code_m = 4", "code_m = 12", "code_m must be one of 2, 3, 4, 5, 6, 7, 8, 9, 10, got 12"),
     ("code_t = 2", "code_t = 0", "code_t must be >= 1"),

@@ -424,15 +424,9 @@ SR_CODES = [(m, t, ext) for m in (3, 4, 5, 6) for t in (1, 2, 3)
             for ext in (False, True)] + [(*PAST_TABLE, True)]
 
 
-@settings(deadline=None, max_examples=30)
-@given(code=st.sampled_from(SR_CODES), frames=st.integers(1, 3),
-       w=st.lists(st.sampled_from((1.0, 2.5, 4.0, 6.0)), min_size=1, max_size=4),
-       ebno=st.sampled_from((2.0, 3.0, 4.0, 5.0)), seed=st.integers(0, 2 ** 32 - 1))
-@example(code=(*PAST_TABLE, True), frames=2, w=[1.0, 2.5, 4.0], ebno=3.0, seed=5)
-def test_ibdd_sr_stack_matches_scalar_reference(code, frames, w, ebno, seed):
-    # noisy frames, half of whose |L| are moved to a weight of the schedule
-    # or the float just below or above it: the decisions and iterations of
-    # every frame of the stack are those of the float formula
+def snapped_stack(code, frames, w, ebno, seed):
+    """The product code and a stack of noisy frames, half of whose |L| are
+    moved to a weight of the schedule w or the float just below or above it."""
     m, t, ext = code
     try:
         pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, ext))
@@ -445,6 +439,18 @@ def test_ibdd_sr_stack_matches_scalar_reference(code, frames, w, ebno, seed):
     rng = np.random.default_rng(seed)
     snap = rng.random(L.shape) < 0.5
     L[snap] = np.copysign(rng.choice(levels, snap.sum()), L[snap])
+    return pc, L
+
+
+@settings(deadline=None, max_examples=30)
+@given(code=st.sampled_from(SR_CODES), frames=st.integers(1, 3),
+       w=st.lists(st.sampled_from((1.0, 2.5, 4.0, 6.0)), min_size=1, max_size=4),
+       ebno=st.sampled_from((2.0, 3.0, 4.0, 5.0)), seed=st.integers(0, 2 ** 32 - 1))
+@example(code=(*PAST_TABLE, True), frames=2, w=[1.0, 2.5, 4.0], ebno=3.0, seed=5)
+def test_ibdd_sr_stack_matches_scalar_reference(code, frames, w, ebno, seed):
+    # |L| at, just below and just above the weights: the decisions and
+    # iterations of every frame of the stack are those of the float formula
+    pc, L = snapped_stack(code, frames, w, ebno, seed)
     res = ibdd_sr_stack(pc, L, w, len(w))
     want = [ref_ibdd_sr(pc, x, w, len(w)) for x in L]
     assert np.array_equal(res.array, np.stack([x[0] for x in want]))
@@ -548,6 +554,36 @@ def test_igmdd_sr_matches_scalar_reference_at_weight_ties(pc15):
         assert np.array_equal(res.array, ref_igmdd_sr(pc15, L, w, 4))
 
 
+@settings(deadline=None, max_examples=20)
+@given(code=st.sampled_from([(m, t, ext) for m in (3, 4, 5) for t in (1, 2)
+                             for ext in (False, True)]),
+       frames=st.integers(1, 2),
+       w=st.lists(st.sampled_from((1.0, 2.5, 4.0, 6.0)), min_size=1, max_size=3),
+       ebno=st.sampled_from((2.0, 3.0, 4.0, 5.0)), seed=st.integers(0, 2 ** 32 - 1))
+def test_igmdd_sr_stack_matches_scalar_reference(code, frames, w, ebno, seed):
+    # |L| at, just below and just above the weights, where the decision
+    # compares |L| < w: every frame of the stack decides as the float formula
+    pc, L = snapped_stack(code, frames, w, ebno, seed)
+    res = igmdd_sr_stack(pc, L, w, len(w))
+    for frame, got in zip(L, res.array):
+        assert np.array_equal(got, ref_igmdd_sr(pc, frame, w, len(w)))
+
+
+def test_igmdd_sr_state_is_the_llrs_and_the_messages(pc15, monkeypatch):
+    # the decision takes B(L) and |L| < w from the pass's L rows, so no
+    # B(L) or |L| arrays ride in the state
+    iterate, states = product._iterate, []
+
+    def recorded(spec, l_max, state, half_step):
+        states.append(sorted(state))
+        return iterate(spec, l_max, state, half_step)
+
+    monkeypatch.setattr(product, "_iterate", recorded)
+    L, _ = frame_stack(pc15, [3.0, 3.5], 5, [False, True])
+    igmdd_sr_stack(pc15, L, (2.0,) * 3, 3)
+    assert states == [["dec", "ext", "llr", "llr_t"]]
+
+
 def test_igmdd_sr_noiseless_converges(pc15):
     L = np.full((15, 15), 9.0)
     res = igmdd_sr(pc15, L, (1.0,), l_max=1)
@@ -582,11 +618,12 @@ def test_igmdd_sr_erasure_call_budget(pc15):
 def test_igmdd_sr_codeword_skip_keeps_results_and_counters(pc15, monkeypatch):
     # from the second iteration on many GMD rows are codewords, whose trials
     # batch_gmd skips; running them anyway changes neither the decisions,
-    # the iterations nor an op counter
+    # the iterations nor an op counter, with frames that stop early and not
     L, _ = frame_stack(pc15, [2.5, 3.0, 3.5, 4.0], 5, [False, True, False, True])
-    skip = igmdd_sr_stack(pc15, L, (2.0,) * 6, 6)
+    skip = igmdd_sr_stack(pc15, L, (4.0,) * 6, 6)
     monkeypatch.setattr(product, "batch_gmd", batch_gmd_without_skip)
-    full = igmdd_sr_stack(pc15, L, (2.0,) * 6, 6)
+    full = igmdd_sr_stack(pc15, L, (4.0,) * 6, 6)
+    assert skip.iterations_used.min() < 6 and skip.iterations_used.max() == 6
     assert np.array_equal(skip.array, full.array)
     assert np.array_equal(skip.iterations_used, full.iterations_used)
     assert skip.op_counters == full.op_counters
@@ -674,6 +711,14 @@ def test_decoders_reject_malformed_input(pc15, name):
         # hard inputs must be bits; a uint8 cast would turn -3.7 into 253
         with pytest.raises(ValueError, match="bits 0 and 1"):
             run(pc15, np.full((15, 15), -3.7), zeros, 2)
+    if name in ("ibdd-sr", "igmdd-sr", "tpd"):
+        # unchecked, a NaN decoded as a converged all-zero frame in tpd and
+        # a -inf as five confident ones
+        for bad in (math.nan, math.inf, -math.inf):
+            L = np.full((15, 15), 3.0)
+            L[4, 7] = bad
+            with pytest.raises(ValueError, match="llrs must hold only finite values"):
+                run(pc15, L, zeros, 2)
     if name == "ideal-ibdd":
         with pytest.raises(ValueError, match=re.escape("(14, 15)")):
             run(pc15, zeros, zeros[:14], 2)
@@ -914,3 +959,9 @@ def test_stack_decoders_reject_malformed_stacks(pc15):
         anchor_stack(pc15, zeros, 2, -1)
     with pytest.raises(ValueError, match="c_true holds 1 frames, received 2"):
         ideal_ibdd_stack(pc15, zeros, zeros[:1], 2)
+    for name in ("ibdd-sr", "igmdd-sr", "tpd"):
+        for bad in (math.nan, math.inf, -math.inf):
+            L = np.full((2, 15, 15), 3.0)
+            L[1, 4, 7] = bad
+            with pytest.raises(ValueError, match="llrs must hold only finite values"):
+                STACK_DECODERS[name][0](pc15, L, zeros, 2)

@@ -9,7 +9,7 @@ from pcdec.channel import ChannelParams, frame_rng, llr, modulate, transmit
 from pcdec.gf import build_field
 from pcdec.product import ProductCodeSpec, is_pc_codeword, pc_encode
 from pcdec.kernels import kernel_for
-from pcdec.harness import SimConfig, run_ber_point
+from pcdec.harness import SimConfig
 from pcdec.tpd import ChaseConfig, _chase_batch, tpd_decode, tpd_stack
 
 
@@ -246,12 +246,13 @@ def test_tpd_rejects_short_schedules(comp15):
 
 
 def test_tpd_rejects_more_chase_bits_than_the_component_length():
-    # n = 8: p = 9 test bits do not fit a row
-    cfg = SimConfig("tpd", code_m=3, code_t=1, chase_p=9, max_frames=1)
+    # n = 8: p = 9 test bits do not fit a row, which the config already says
     with pytest.raises(ValueError, match=r"p = 9 .* n = 8"):
-        run_ber_point(cfg, 3.0)
+        SimConfig("tpd", code_m=3, code_t=1, chase_p=9, max_frames=1)
+    pc = SimConfig("tpd", code_m=3, code_t=1, chase_p=8, max_frames=1).product_spec()
+    with pytest.raises(ValueError, match=r"p = 9 .* n = 8"):
+        tpd_stack(pc, np.ones((1, 8, 8)), ChaseConfig.default(1, p=9), 1)
     # p = n still runs: every bit of a row is a test bit
-    pc = cfg.product_spec()
     assert tpd_stack(pc, np.ones((1, 8, 8)), ChaseConfig.default(1, p=8), 1).converged.all()
 
 
