@@ -25,6 +25,8 @@ class ChannelParams:
     def make(cls, ebno_db: float, rate: float) -> "ChannelParams":
         if not 0 < rate < 1:
             raise ValueError("rate must be in (0, 1)")
+        if not np.isfinite(ebno_db):
+            raise ValueError(f"Eb/N0 must be finite, got {ebno_db} dB")
         ebno = 10.0 ** (ebno_db / 10.0)
         return cls(ebno_db=ebno_db, rate=rate, sigma2=1.0 / (2.0 * rate * ebno))
 

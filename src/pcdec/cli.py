@@ -260,12 +260,12 @@ def cmd_report(args) -> int:
               "give it with --rate", file=sys.stderr)
         return 2
     target = args.target_ber
+    base = None
+    with contextlib.suppress(NotBracketedError):  # a bad target raises before any output
+        base = required_ebno(curves["ibdd"], target)
     print(f"target BER {target:g}, rate {rate:.4f}")
     print(f"{'algorithm':<12} {'Eb/N0 [dB]':>11} {'gain over ibdd [dB]':>20} "
           f"{'gap from capacity [dB]':>23}")
-    base = None
-    with contextlib.suppress(NotBracketedError):
-        base = required_ebno(curves["ibdd"], target)
     for alg in [a for a in ALGORITHMS if a in curves]:
         try:
             x = required_ebno(curves[alg], target)

@@ -79,7 +79,7 @@ def build_field(m: int, primitive_poly: int | None = None) -> FieldSpec:
         x <<= 1
         if x >> m:
             x ^= primitive_poly
-    if x != 1 or len(np.unique(antilog)) != order:
+    if x != 1 or len(set(antilog.tolist())) != order:
         raise NotPrimitiveError(
             f"0b{primitive_poly:b} does not generate GF(2^{m})*"
         )

@@ -10,7 +10,7 @@ stack: its frames go through the decoder together (``product``'s
 Also here: coordinate-ascent optimization of the scaling schedules over
 monotone non-decreasing vectors, horizontal coding-gain measurement
 between BER curves, and HD/SD capacity thresholds for gap-to-capacity
-reporting.
+reporting, the only code here that imports scipy (at its first call).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import ctypes
 import dataclasses
 import glob
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .bch import construct_ebch
 # perfbench/tracing.py wraps the channel functions here, hard_decide too
@@ -173,6 +171,8 @@ class SimConfig:
                                  f"got {self.w}") from None
         if self.transmission not in ("all-zero", "random"):
             raise ValueError("transmission must be 'all-zero' or 'random'")
+        if not all(map(math.isfinite, self.ebno_grid)):
+            raise ValueError(f"ebno grid must be finite, got {self.ebno_grid}")
         if any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):
             raise ValueError("ebno grid must be strictly increasing")
 
@@ -214,7 +214,7 @@ class BerRecord:
 
 class _FrameSimulator:
     """Callable simulating a range of frames end to end; built once per
-    process."""
+    point, by run_ber_point, whose forked pool workers inherit it."""
 
     def __init__(self, cfg: SimConfig, ebno_db: float):
         _one_blas_thread()
@@ -249,13 +249,13 @@ _POOL_SIM: _FrameSimulator | None = None
 
 
 def _one_blas_thread() -> None:
-    """Limit the OpenBLAS bundled with numpy to one thread in this process;
-    every simulating process, serial or pool worker, calls it. The
-    syndrome GEMM of a stack is large enough for OpenBLAS to start threads
-    of its own. They stall a serial run (an m=6 ibdd point of 256 frames
-    took up to 5x longer on 2 cores) and oversubscribe the cores that a
-    pool's workers already share (a pooled C5 smoke point ran 3x slower).
-    Does nothing when numpy uses another BLAS."""
+    """Limit the OpenBLAS bundled with numpy to one thread in this process
+    and the pool workers it forks; every simulator calls it. The syndrome
+    GEMM of a stack is large enough for OpenBLAS to start threads of its
+    own, which stall a serial run (an m=6 ibdd point of 256 frames took up
+    to 5x longer on 2 cores) and oversubscribe the cores that a pool's
+    workers share (a pooled C5 smoke point ran 3x slower). Does nothing
+    when numpy uses another BLAS."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "lib*openblas*")):
         lib = ctypes.CDLL(path)
@@ -266,11 +266,6 @@ def _one_blas_thread() -> None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
                 return
-
-
-def _pool_init(cfg: SimConfig, ebno_db: float) -> None:
-    global _POOL_SIM
-    _POOL_SIM = _FrameSimulator(cfg, ebno_db)
 
 
 def _pool_frames(lo: int, hi: int) -> list[int]:
@@ -284,17 +279,17 @@ def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
     cfg.min_frame_errors frame errors, or cfg.max_frames frames total
     (the latter marks the record budget_exhausted).
     """
+    global _POOL_SIM
     start = time.perf_counter()
-    n2 = cfg.product_spec().n ** 2
+    sim = _FrameSimulator(cfg, ebno_db)
+    n2 = sim.spec.n ** 2
     frames = bit_errors = frame_errors = 0
     pool = None
     try:
         if cfg.workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            pool = ctx.Pool(cfg.workers, initializer=_pool_init,
-                            initargs=(cfg, ebno_db))
-        else:
-            sim = _FrameSimulator(cfg, ebno_db)
+            import multiprocessing
+            _POOL_SIM = sim  # the forked workers inherit it
+            pool = multiprocessing.get_context("fork").Pool(cfg.workers)
         while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
             hi = min(frames + cfg.batch_frames, cfg.max_frames)
             if pool is not None:
@@ -313,6 +308,7 @@ def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
                           "bit_errors": bit_errors,
                           "ber": bit_errors / (frames * n2)})
     finally:
+        _POOL_SIM = None
         if pool is not None:
             pool.close()
             pool.join()
@@ -326,7 +322,7 @@ def run_ber_point(cfg: SimConfig, ebno_db: float, progress=None) -> BerRecord:
         ber=bit_errors / (frames * n2),
         fer=frame_errors / frames,
         seed=cfg.master_seed,
-        w=cfg.resolve_w(),
+        w=sim.w,
         wall_time=time.perf_counter() - start,
         budget_exhausted=frame_errors < cfg.min_frame_errors,
     )
@@ -372,13 +368,9 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
                 dataclasses.replace(eval_cfg, w=w), ebno_db).ber
         return cache[w]
 
-    best = tuple([grid[0]] * l_max)
+    # the best constant vector; a tie goes to the smaller weight
+    best = min((tuple([g] * l_max) for g in grid), key=evaluate)
     best_ber = evaluate(best)
-    for g in grid[1:]:
-        w = tuple([g] * l_max)
-        ber = evaluate(w)
-        if ber < best_ber:
-            best, best_ber = w, ber
 
     for _ in range(8):  # sweeps until stable
         changed = False
@@ -399,10 +391,12 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
 
 
 def required_ebno(records: list[BerRecord], target_ber: float) -> float:
-    """Eb/N0 where the curve crosses target_ber, interpolated linearly in
-    log10(BER). Raises CensoredCrossingError when the curve falls from at
-    or above the target straight to zero observed errors, and
-    NotBracketedError when it never crosses."""
+    """Eb/N0 where the curve crosses target_ber in (0, 1), interpolated
+    linearly in log10(BER). Raises CensoredCrossingError when the curve
+    falls from at or above the target straight to zero observed errors,
+    and NotBracketedError when it never crosses."""
+    if not 0 < target_ber < 1:
+        raise ValueError(f"target BER must be in (0, 1), got {target_ber:g}")
     pts = sorted((r.ebno_db, r.ber) for r in records)
     measured = [(x, b) for x, b in pts if b > 0]
     log_t = np.log10(target_ber)
@@ -434,12 +428,14 @@ def _h2(p: float) -> float:
 
 def hd_capacity(sigma2: float) -> float:
     """Capacity of the BSC induced by hard-decided BPSK: 1 - h2(Q(1/sigma))."""
+    from scipy import special
     p = float(special.ndtr(-1.0 / np.sqrt(sigma2)))
     return 1.0 - _h2(p)
 
 
 def biawgn_capacity(sigma2: float) -> float:
     """Binary-input AWGN capacity via numerical integration."""
+    from scipy import integrate
     sigma = float(np.sqrt(sigma2))
     ln2 = np.log(2.0)
 
@@ -457,6 +453,7 @@ def biawgn_capacity(sigma2: float) -> float:
 @lru_cache(maxsize=None)
 def capacity_threshold_ebno_db(rate: float, mode: str) -> float:
     """Smallest Eb/N0 (dB) whose capacity reaches the rate."""
+    from scipy import optimize
     if not 0 < rate < 1:
         raise ValueError("rate must be in (0, 1)")
     cap = {"HD": hd_capacity, "SD": biawgn_capacity}[mode]

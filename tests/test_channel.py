@@ -27,6 +27,14 @@ def test_sigma2_formula():
         ChannelParams.make(4.0, 1.5)
 
 
+@pytest.mark.parametrize("ebno_db", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_ebno_is_rejected(ebno_db):
+    # NaN gave a silent error-free point, -inf a ZeroDivisionError and +inf
+    # sigma2 = 0, which divides the LLRs by zero
+    with pytest.raises(ValueError, match=f"Eb/N0 must be finite, got {ebno_db} dB"):
+        ChannelParams.make(ebno_db, 0.5)
+
+
 def test_noise_variance_statistics():
     p = ChannelParams.make(3.0, 0.5)
     rng = np.random.default_rng(41)

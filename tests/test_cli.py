@@ -267,6 +267,28 @@ def test_chase_p_past_the_component_length_exits_2_before_any_point(tmp_path, ca
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_ebno_exits_2_before_any_point(tmp_path, capsys, value):
+    # at NaN the point came out error-free and the run exited 0
+    cfg = write(tmp_path, "sim.ini", MINI_SIM)
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out, "--ebno", f"3.0,{value}"]) == 2
+    err = capsys.readouterr().err
+    assert "ebno grid must be finite" in err and value in err
+    assert " dB: " not in err  # no progress line: no point was simulated
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("target", ["0", "-1e-4", "1", "nan"])
+def test_report_target_ber_outside_0_1_exits_2(tmp_path, capsys, target):
+    # a target of 0 printed "censored" for ibdd and exited 0
+    csv = write(tmp_path, "one.csv", CSV_HEADER + "\n" + "\n".join(make_curve("ibdd", 4.5)))
+    assert main(["report", csv, f"--target-ber={target}", "--rate", "0.8622"]) == 2
+    captured = capsys.readouterr()
+    assert "target BER must be in (0, 1)" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("line,fault,message", [
     ("code_m = 4", "code_m = 12", "code_m must be one of 2, 3, 4, 5, 6, 7, 8, 9, 10, got 12"),
     ("code_t = 2", "code_t = 0", "code_t must be >= 1"),

@@ -3,7 +3,6 @@ import dataclasses
 import glob
 import inspect
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -88,6 +87,18 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="not NaN or infinite"):
             SimConfig("ibdd-sr", code_m=4, w=(bad,) * 10)
+    # NaN fails every comparison, so the strictly-increasing test let it
+    # through, and the point came out error-free
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"ebno grid must be finite, got .*{bad}"):
+            SimConfig("ibdd", ebno_grid=(3.0, bad))
+
+
+@pytest.mark.parametrize("ebno_db", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_is_rejected(ebno_db):
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            run_ber_point(small_cfg("ibdd", max_frames=4, workers=workers), ebno_db)
 
 
 def test_noiseless_point_is_error_free():
@@ -161,31 +172,77 @@ def blas_threads():
     return None
 
 
+def run_fresh(*lines: str) -> list[str]:
+    """The words a fresh Python process prints after running lines, with
+    pcdec importable and BLAS threads left to their defaults, so that no
+    earlier test has loaded a module or pinned BLAS for it."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.split()
+
+
 def test_pool_workers_run_one_blas_thread():
-    # workers share the cores; BLAS threads of their own oversubscribe them
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(1, initializer=harness._pool_init,
-                  initargs=(small_cfg("ibdd"), 3.0)) as pool:
-        assert pool.apply_async(blas_threads).get(timeout=60) in (None, 1)
+    # workers share the cores; BLAS threads of their own oversubscribe them.
+    # Each worker reports its thread count as the bit errors of its frames,
+    # through the pool run_ber_point forks.
+    words = run_fresh(
+        "import ctypes, glob, os",
+        "import numpy as np",
+        "from pcdec import harness",
+        inspect.getsource(blas_threads),
+        "def threads_per_frame(lo, hi):",
+        "    return [blas_threads() or 1] * (hi - lo)",
+        "harness._pool_frames = threads_per_frame",
+        "rec = harness.run_ber_point(harness.SimConfig('ibdd', code_m=4, extended=False,"
+        " iterations=3, min_frame_errors=10 ** 9, max_frames=8, workers=2), 3.0)",
+        "print(rec.frames, rec.bit_errors)")
+    assert words[-2:] == ["8", "8"]
+
+
+def test_pooled_point_raises_a_config_error_before_forking():
+    # built in each worker after the fork, a missing schedule killed every
+    # worker the pool started, and the pool kept starting new ones
+    words = run_fresh(
+        "from pcdec.harness import SimConfig, run_ber_point",
+        "try:",
+        "    run_ber_point(SimConfig('ibdd-sr', code_m=4, workers=2), 3.0)",
+        "except ValueError as exc:",
+        "    print(exc)")
+    assert " ".join(words) == "no scaling schedule for ibdd-sr (m=4); set w or run the optimizer"
 
 
 def test_serial_run_uses_one_blas_thread():
-    # a fresh process, so that no earlier test has pinned BLAS already
-    child = "\n".join([
+    words = run_fresh(
         "import ctypes, glob, os",
         "import numpy as np",
         "from pcdec.harness import SimConfig, run_ber_point",
         inspect.getsource(blas_threads),
         "run_ber_point(SimConfig('ibdd', code_m=4, extended=False, iterations=3,"
         " max_frames=16, batch_frames=16), 3.0)",
-        "print(blas_threads())"])
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.split()[-1] in ("None", "1")
+        "print(blas_threads())")
+    assert words[-1] in ("None", "1")
+
+
+def test_simulation_loads_neither_scipy_nor_numpy_ma():
+    # scipy is two thirds of a cold start and only the capacity functions
+    # use it; numpy.ma came in through np.unique in build_field
+    words = run_fresh(
+        "import sys",
+        "import pcdec, pcdec.cli",
+        "from pcdec.harness import SimConfig, capacity_threshold_ebno_db, run_ber_point",
+        "for alg, w in (('ibdd', None), ('igmdd-sr', (1.0, 1.2, 1.4)), ('tpd', None)):",
+        "    run_ber_point(SimConfig(alg, code_m=4, extended=False, iterations=3,"
+        " max_frames=1, w=w), 3.0)",
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'numpy.ma' or m.startswith('numpy.ma.')])",
+        "print(repr(capacity_threshold_ebno_db(0.5, 'SD')))")
+    assert words[:-1] == ["[]"]
+    assert float(words[-1]) == capacity_threshold_ebno_db(0.5, "SD")
+    assert float(words[-1]) == pytest.approx(0.187, abs=2e-3)
 
 
 def test_random_codeword_transmission():
@@ -296,6 +353,14 @@ def test_optimizer_rejects_algorithms_without_schedule(algorithm):
 
 
 # ------------------------------------------------------------ gain math
+
+
+@pytest.mark.parametrize("target", [0.0, -1e-4, 1.0, 2.0, math.nan])
+def test_required_ebno_rejects_a_target_outside_0_1(target):
+    # 0 made log10 warn "divide by zero", a negative target "invalid value"
+    recs = [make_rec("x", 4.0, 1e-3), make_rec("x", 4.2, 1e-5)]
+    with pytest.raises(ValueError, match="target BER must be in \\(0, 1\\)"):
+        required_ebno(recs, target)
 
 
 def test_required_ebno_interpolates_in_log_domain():
