@@ -6,9 +6,10 @@ distance decoding of one word, returning the unique codeword within
 Hamming distance t of the input when one exists (including
 miscorrections), else echoing the input as a failure. ``bdd`` is the
 word's syndromes plus ``decode_syndromes``, the Berlekamp-Massey/Chien
-core. The product decoders decode whole batches through
-``kernels.ComponentKernel``, which past its syndrome table hands the
-syndromes held in each key to that core.
+core, which takes the odd syndromes and the parity as a key of
+``kernels.ComponentKernel`` holds them: past its syndrome table the
+kernel decodes each key by that core. The module keeps no tables; one
+power-sum routine gives a word's syndromes and checks a decoder's flips.
 
 Bit/polynomial convention: vector position i holds the coefficient of x^i
 of the inner (cyclic) code; the overall parity bit of an extended code is
@@ -17,7 +18,6 @@ appended at position n-1.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,33 +155,12 @@ def encode(spec: ComponentCodeSpec, message: np.ndarray) -> np.ndarray:
     return word
 
 
-# per-spec lookup tables for the decoding hot paths
-_TABLE_CACHE: "weakref.WeakKeyDictionary[ComponentCodeSpec, dict]" = weakref.WeakKeyDictionary()
-
-
-def _tables(spec: ComponentCodeSpec) -> dict:
-    try:
-        return _TABLE_CACHE[spec]
-    except KeyError:
-        pass
-    field = spec.field
-    order = field.order
-    pos = np.arange(spec.inner_n, dtype=np.int64)
-    jp = np.stack([field.antilog_table[(j * pos) % order]
-                   for j in range(1, 2 * spec.t + 1)])
-    ij = np.stack([(i * np.arange(order, dtype=np.int64)) % order
-                   for i in range(spec.t + 2)])
-    tabs = {"jp": jp, "ij": ij}
-    _TABLE_CACHE[spec] = tabs
-    return tabs
-
-
-def _inner_syndromes(spec: ComponentCodeSpec, positions: np.ndarray) -> list[int]:
-    """S_1..S_2t from the set positions of the inner word."""
-    if positions.size == 0:
-        return [0] * (2 * spec.t)
-    jp = _tables(spec)["jp"]
-    return [int(s) for s in np.bitwise_xor.reduce(jp[:, positions], axis=1)]
+def _power_sums(spec: ComponentCodeSpec, positions: np.ndarray | list[int]) -> list[int]:
+    """S_1..S_2t of the inner word with ones at ``positions``: S_j is the
+    sum of alpha^(j*p) over them."""
+    jp = np.arange(1, 2 * spec.t + 1)[:, None] * np.asarray(positions, dtype=np.int64)
+    powers = spec.field.antilog_table[jp % spec.field.order]
+    return np.bitwise_xor.reduce(powers, axis=1).tolist()
 
 
 def syndromes(spec: ComponentCodeSpec, r: np.ndarray) -> tuple[list[int], int | None]:
@@ -190,7 +169,7 @@ def syndromes(spec: ComponentCodeSpec, r: np.ndarray) -> tuple[list[int], int | 
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (spec.n,):
         raise ValueError(f"word must have length {spec.n}")
-    syn = _inner_syndromes(spec, np.flatnonzero(r[: spec.inner_n]))
+    syn = _power_sums(spec, np.flatnonzero(r[: spec.inner_n]))
     parity = int(r.sum()) & 1 if spec.extended else None
     return syn, parity
 
@@ -235,41 +214,38 @@ def _chien_search(spec: ComponentCodeSpec, sigma: list[int]) -> list[int]:
     """Error positions p with sigma(alpha^-p) = 0."""
     field = spec.field
     order = field.order
-    ij = _tables(spec)["ij"]
-    acc = np.zeros(order, dtype=np.int64)
-    acc[:] = sigma[0]
+    j = np.arange(order)
+    acc = np.full(order, sigma[0], dtype=np.int64)
     for i, c in enumerate(sigma[1:], start=1):
         if c:
-            acc ^= field.antilog_table[(field.log_table[c] + ij[i]) % order]
+            acc ^= field.antilog_table[(field.log_table[c] + i * j) % order]
     roots_j = np.flatnonzero(acc == 0)
     positions = (-roots_j) % order
     return sorted(int(p) for p in positions[positions < spec.inner_n])
 
 
-def decode_syndromes(spec: ComponentCodeSpec, syn: list[int],
+def decode_syndromes(spec: ComponentCodeSpec, odd: list[int],
                      parity: int | None) -> list[int] | None:
-    """Bounded distance decoding from the syndromes S_1..S_2t of the inner
-    word and the overall parity (None for a non-extended code): the
-    positions to flip, inner ones ascending, so the word becomes the
-    unique codeword within distance t, or None when no such codeword
+    """Bounded distance decoding from the odd syndromes S_1, S_3, ...,
+    S_{2t-1} of the inner word, which a kernel key holds (the even ones
+    follow: S_2j = S_j^2), and the overall parity (None for a non-extended
+    code): the positions to flip, inner ones ascending, so the word becomes
+    the unique codeword within distance t, or None when no such codeword
     exists. Berlekamp-Massey gives the error locator, a Chien search its
     roots."""
     flips: list[int] = []
-    if any(syn):
+    if any(odd):
+        syn: list[int] = []
+        for i in range(2 * spec.t):
+            syn.append(gf_mul(spec.field, syn[i // 2], syn[i // 2]) if i % 2 else odd[i // 2])
         sigma = _berlekamp_massey(spec.field, syn)
         if len(sigma) > spec.t + 1:
             return None
         flips = _chien_search(spec, sigma)
-        if len(flips) != len(sigma) - 1:
+        # the flipped word must really be a codeword; BM can emit a locator
+        # of plausible degree for uncorrectable patterns
+        if len(flips) != len(sigma) - 1 or _power_sums(spec, flips) != syn:
             return None
-        # verify the flipped word really is a codeword; BM can emit a
-        # locator of plausible degree for uncorrectable patterns
-        for j in range(1, 2 * spec.t + 1):
-            s = syn[j - 1]
-            for p in flips:
-                s ^= alpha_pow(spec.field, j * p)
-            if s != 0:
-                return None
     if spec.extended and (parity ^ len(flips)) & 1:
         flips.append(spec.n - 1)
     return flips if len(flips) <= spec.t else None
@@ -279,7 +255,8 @@ def bdd(spec: ComponentCodeSpec, r: np.ndarray) -> DecodeOutcome:
     """Bounded distance decoding: the unique codeword within distance t of
     r when it exists (possibly a miscorrection), else failure echoing r."""
     r = np.asarray(r, dtype=np.uint8)
-    flips = decode_syndromes(spec, *syndromes(spec, r))
+    syn, parity = syndromes(spec, r)
+    flips = decode_syndromes(spec, syn[::2], parity)
     word = r.copy()
     if flips is None:
         return DecodeOutcome(False, word, frozenset())

@@ -182,12 +182,13 @@ def _progress(info: dict) -> None:
 def cmd_simulate(args) -> int:
     started = time.time()
     setup = load_config(args.config, args)
-    records = []
-    for cfg in setup["configs"].values():
+    configs = setup["configs"].values()
+    for cfg in configs:
         if not cfg.ebno_grid:
             print("error: no ebno grid configured", file=sys.stderr)
             return 2
-        records.extend(run_sweep(cfg, progress=_progress))
+        cfg.resolve_w()  # a missing schedule fails before the first point
+    records = [rec for cfg in configs for rec in run_sweep(cfg, progress=_progress)]
     _write_results(setup["out"], records, setup["configs"], started)
     print(f"wrote {setup['out']} ({len(records)} points)", file=sys.stderr)
     if args.strict and any(r.budget_exhausted for r in records):
@@ -258,6 +259,9 @@ def cmd_report(args) -> int:
     if rate is None:
         print("error: no code rate in a run manifest next to the results; "
               "give it with --rate", file=sys.stderr)
+        return 2
+    if not 0 < rate < 1:  # NaN too
+        print(f"error: rate must be in (0, 1), got {rate:g}", file=sys.stderr)
         return 2
     target = args.target_ber
     base = None

@@ -151,15 +151,15 @@ class SimConfig:
                             ("opt_frames", 1), ("chase_p", 1), ("anchor_threshold", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        spec = self.product_spec()  # a code with no information bits fails here
         if "chase_p" in REGISTRY[self.algorithm].fields:
             try:
                 ChaseConfig.default(self.iterations, self.chase_p)
             except ValueError as exc:
                 raise ValueError(f"chase_p: {exc}") from None
-            n = 2 ** self.code_m - 1 + self.extended
-            if self.chase_p > n:
+            if self.chase_p > spec.n:
                 raise ValueError(f"chase_p: Chase p = {self.chase_p} test bits exceed the "
-                                 f"component length n = {n}")
+                                 f"component length n = {spec.n}")
         if self.w is not None:
             if len(self.w) != self.iterations:
                 raise ValueError(f"w must hold {self.iterations} weights, one per "

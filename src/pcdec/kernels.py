@@ -9,11 +9,11 @@ decoding step and takes only keys. For codes with m*t <= MAX_KEY_BITS
 of the corrections, built on first use with 2^(m*t+1) entries: the
 unique error pattern of weight <= t with those syndromes, plus the
 parity bit of an extended code where the parity disagrees; keys without
-one mean failure. Past the table each key is decoded on its own from
-the syndromes it holds, by the scalar Berlekamp-Massey/Chien core of
-``bch.bdd``. ``kernel_for`` keeps one kernel per code. Encoding is one
-GF(2) product with the systematic generator matrix, built from
-``bch.encode`` on first use.
+one mean failure. Past the table each key is decoded on its own by the
+scalar Berlekamp-Massey/Chien core of ``bch.bdd``, which takes the odd
+syndromes and the parity as the key holds them. ``kernel_for`` keeps
+one kernel per code. Encoding is one GF(2) product with the systematic
+generator matrix, built from ``bch.encode`` on first use.
 
 The keys are int64 words of 63 bits (one word for m*t < 63); a
 non-extended code leaves out the parity, so a key is 0 exactly for a
@@ -40,7 +40,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import bch
-from .gf import gf_mul
 
 # largest m*t whose coset-leader table (2^(m*t+1) entries) is built; beyond
 # it ``corrections`` decodes key by key
@@ -142,20 +141,17 @@ class ComponentKernel:
         """Per line, from its key (..., W): the positions to flip (..., t),
         ascending with n in unused slots, and the corrected mask (...).
         Past the table each key is decoded by ``bch.decode_syndromes`` from
-        the syndromes it holds: S_{2j+1} is block j, S_{2j} = S_j^2."""
+        its m-bit blocks, block j holding S_{2j+1}, and its parity."""
         if self.spec.field.m * self.spec.t <= MAX_KEY_BITS:
             fixes, fixed = self._leaders
             return fixes[keys[..., 0]], fixed[keys[..., 0]]
-        spec, field = self.spec, self.spec.field
+        spec, m = self.spec, self.spec.field.m
         cpos = np.full(keys.shape[:-1] + (spec.t,), spec.n)
         ok = np.zeros(keys.shape[:-1], dtype=bool)
         for i, parts in zip(np.ndindex(ok.shape), keys.reshape(-1, keys.shape[-1]).tolist()):
             key = sum(w << 63 * j for j, w in enumerate(parts))
-            syn = []
-            for j in range(2 * spec.t):
-                syn.append(gf_mul(field, syn[j // 2], syn[j // 2]) if j % 2
-                           else key >> field.m * (j // 2) & field.order)
-            flips = bch.decode_syndromes(spec, syn, key >> field.m * spec.t)
+            odd = [key >> m * j & spec.field.order for j in range(spec.t)]
+            flips = bch.decode_syndromes(spec, odd, key >> m * spec.t)
             if flips is not None:
                 ok[i] = True
                 cpos[i][:len(flips)] = flips

@@ -391,7 +391,7 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
     kern = kernel_for(spec.component)
     llrs = _stack(spec, llrs, "llrs", bits=False)
     sched = _as_schedule(w, l_max)
-    weights = np.unique(sched)
+    weights = sorted(set(sched))  # np.unique would import numpy.ma
     mag = np.abs(llrs)
     rank = np.zeros(mag.shape, dtype=np.min_scalar_type(len(weights)))
     for weight in weights:

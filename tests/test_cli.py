@@ -267,6 +267,19 @@ def test_chase_p_past_the_component_length_exits_2_before_any_point(tmp_path, ca
     assert not os.path.exists(out)
 
 
+def test_missing_schedule_exits_2_before_any_point(tmp_path, capsys):
+    # no shipped ibdd-sr schedule for m = 4: the ibdd point ran first, then
+    # the run failed without writing its results
+    sim = MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,ibdd-sr")
+    cfg = write(tmp_path, "bad.ini", sim)
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "no scaling schedule for ibdd-sr (m=4)" in err
+    assert " dB: " not in err  # no progress line: no point was simulated
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_ebno_exits_2_before_any_point(tmp_path, capsys, value):
     # at NaN the point came out error-free and the run exited 0
@@ -279,13 +292,23 @@ def test_non_finite_ebno_exits_2_before_any_point(tmp_path, capsys, value):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("target", ["0", "-1e-4", "1", "nan"])
-def test_report_target_ber_outside_0_1_exits_2(tmp_path, capsys, target):
+@pytest.mark.parametrize("flags,message", [
+    *(pytest.param([f"--target-ber={target}", "--rate", "0.8622"],
+                   "target BER must be in (0, 1)", id=target)
+      for target in ("0", "-1e-4", "1", "nan")),
+    # a bad rate printed the header before failing at the first capacity
+    # gap, and a whole table, exiting 0, when no curve crossed the target
+    *(pytest.param(["--rate", rate], "rate must be in (0, 1)", id=f"rate={rate}")
+      for rate in ("1.5", "0", "1", "-0.5", "nan", "inf")),
+    pytest.param(["--rate", "1.5", "--target-ber", "1e-9"], "rate must be in (0, 1)",
+                 id="rate=1.5-uncrossed"),
+])
+def test_report_target_ber_outside_0_1_exits_2(tmp_path, capsys, flags, message):
     # a target of 0 printed "censored" for ibdd and exited 0
     csv = write(tmp_path, "one.csv", CSV_HEADER + "\n" + "\n".join(make_curve("ibdd", 4.5)))
-    assert main(["report", csv, f"--target-ber={target}", "--rate", "0.8622"]) == 2
+    assert main(["report", csv, *flags]) == 2
     captured = capsys.readouterr()
-    assert "target BER must be in (0, 1)" in captured.err
+    assert message in captured.err
     assert captured.out == ""
 
 

@@ -66,6 +66,9 @@ def test_config_validation():
         SimConfig("ibdd", code_m=12)
     with pytest.raises(ValueError, match="code_t must be >= 1"):
         SimConfig("ibdd", code_t=0)
+    # the code is built here, not at the first point
+    with pytest.raises(ValueError, match=r"no information bits left \(m=4, t=8\)"):
+        SimConfig("ibdd", code_m=4, code_t=8)
     # settings that would crash a run later (max_frames = 0 divides by
     # zero frames), fail only inside a decoded batch, or be ignored
     for field, value, least in (("max_frames", 0, 1), ("opt_frames", 0, 1),
@@ -229,12 +232,15 @@ def test_serial_run_uses_one_blas_thread():
 
 def test_simulation_loads_neither_scipy_nor_numpy_ma():
     # scipy is two thirds of a cold start and only the capacity functions
-    # use it; numpy.ma came in through np.unique in build_field
+    # use it; numpy.ma came in through np.unique, in build_field and in
+    # ibdd_sr_stack
     words = run_fresh(
         "import sys",
         "import pcdec, pcdec.cli",
-        "from pcdec.harness import SimConfig, capacity_threshold_ebno_db, run_ber_point",
-        "for alg, w in (('ibdd', None), ('igmdd-sr', (1.0, 1.2, 1.4)), ('tpd', None)):",
+        "from pcdec.harness import ALGORITHMS, REGISTRY, SimConfig,"
+        " capacity_threshold_ebno_db, run_ber_point",
+        "for alg in ALGORITHMS:",
+        "    w = (1.0, 1.2, 1.4) if 'w' in REGISTRY[alg].fields else None",
         "    run_ber_point(SimConfig(alg, code_m=4, extended=False, iterations=3,"
         " max_frames=1, w=w), 3.0)",
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
