@@ -19,10 +19,10 @@ from .product import (
     is_pc_codeword,
     pc_encode,
 )
-from .tpd import ChaseConfig, tpd_decode
+from .tpd import tpd_decode
 
 __all__ = [
-    "BerRecord", "ChannelParams", "ChaseConfig", "ComponentCodeSpec",
+    "BerRecord", "ChannelParams", "ComponentCodeSpec",
     "DecodeOutcome", "DecoderResult", "FieldSpec", "ProductCodeSpec",
     "ScalingSchedule", "SimConfig", "anchor_decode", "bdd", "build_field",
     "construct_ebch", "encode", "hard_decide", "ibdd", "ibdd_sr",

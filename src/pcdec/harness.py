@@ -48,7 +48,7 @@ from .product import (  # noqa: F401
     igmdd_sr_stack,
     pc_encode,
 )
-from .tpd import ChaseConfig, tpd_decode, tpd_stack  # noqa: F401
+from .tpd import check_p, tpd_decode, tpd_stack  # noqa: F401
 
 # scaling schedules produced by optimize_scaling (see README for the
 # anchor points and how to regenerate with `pcdec optimize-w`); keyed by
@@ -99,8 +99,7 @@ REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
     Algorithm("igmdd-sr", "SD", _SR_FIELDS, lambda sim, soft, sent: igmdd_sr_stack(
         sim.spec, soft, sim.w, sim.cfg.iterations).array),
     Algorithm("tpd", "SD", ("chase_p",), lambda sim, soft, sent: tpd_stack(
-        sim.spec, soft, ChaseConfig.default(sim.cfg.iterations, sim.cfg.chase_p),
-        sim.cfg.iterations).array),
+        sim.spec, soft, sim.cfg.chase_p, sim.cfg.iterations).array),
 )}
 ALGORITHMS = tuple(REGISTRY)
 
@@ -148,18 +147,16 @@ class SimConfig:
                              f"got {self.code_m}")
         for name, least in (("code_t", 1), ("iterations", 1), ("min_frame_errors", 1),
                             ("max_frames", 1), ("batch_frames", 1), ("workers", 1),
-                            ("opt_frames", 1), ("chase_p", 1), ("anchor_threshold", 0)):
+                            ("opt_frames", 1), ("chase_p", 1), ("anchor_threshold", 0),
+                            ("master_seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         spec = self.product_spec()  # a code with no information bits fails here
         if "chase_p" in REGISTRY[self.algorithm].fields:
             try:
-                ChaseConfig.default(self.iterations, self.chase_p)
+                check_p(self.chase_p, spec.n)
             except ValueError as exc:
                 raise ValueError(f"chase_p: {exc}") from None
-            if self.chase_p > spec.n:
-                raise ValueError(f"chase_p: Chase p = {self.chase_p} test bits exceed the "
-                                 f"component length n = {spec.n}")
         if self.w is not None:
             if len(self.w) != self.iterations:
                 raise ValueError(f"w must hold {self.iterations} weights, one per "
@@ -175,10 +172,13 @@ class SimConfig:
             raise ValueError(f"ebno grid must be finite, got {self.ebno_grid}")
         if any(b <= a for a, b in zip(self.ebno_grid, self.ebno_grid[1:])):
             raise ValueError("ebno grid must be strictly increasing")
+        if self.ber_floor is not None and not 0 < self.ber_floor < 1:
+            raise ValueError(f"ber_floor must be in (0, 1), got {self.ber_floor}")
+        if not self.opt_grid or any(not 0 < g < math.inf for g in self.opt_grid):
+            raise ValueError(f"opt_grid must be positive and finite, got {self.opt_grid}")
 
     def product_spec(self) -> ProductCodeSpec:
-        field = build_field(self.code_m, DEFAULT_PRIMITIVE_POLYS[self.code_m])
-        return ProductCodeSpec(construct_ebch(field, self.code_t, self.extended))
+        return _product_spec(self.code_m, self.code_t, self.extended)
 
     def resolve_w(self) -> tuple[float, ...] | None:
         if self.w is not None:
@@ -192,6 +192,14 @@ class SimConfig:
         raise ValueError(
             f"no scaling schedule for {self.algorithm} (m={self.code_m}); "
             "set w or run the optimizer")
+
+
+@lru_cache(maxsize=None)
+def _product_spec(m: int, t: int, extended: bool) -> ProductCodeSpec:
+    """The product code of SimConfig.product_spec, built once per code: a
+    config builds it when it is made and each simulator reads it again."""
+    field = build_field(m, DEFAULT_PRIMITIVE_POLYS[m])
+    return ProductCodeSpec(construct_ebch(field, t, extended))
 
 
 @dataclass(frozen=True)
@@ -352,8 +360,6 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
     """
     if "w" not in REGISTRY[cfg.algorithm].fields:
         raise ValueError(f"{cfg.algorithm} takes no scaling schedule")
-    if not cfg.opt_grid or any(not 0 < g < math.inf for g in cfg.opt_grid):
-        raise ValueError(f"grid must be positive and finite, got {cfg.opt_grid}")
     scale = 2.0 / ChannelParams.make(ebno_db, cfg.product_spec().rate).sigma2
     grid = tuple(sorted(round(float(g) * scale, 4) for g in cfg.opt_grid))
     l_max = cfg.iterations

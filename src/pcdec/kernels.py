@@ -277,8 +277,9 @@ def least_reliable(values: np.ndarray, k: int) -> np.ndarray:
     return picks
 
 
-# one kernel per code, not per spec object: a run builds a fresh spec for
-# every point, and each kernel's tables would be built again
+# one kernel per code, not per spec object: SimConfig builds one spec per
+# code, but tests and callers of construct_ebch build equal specs of their
+# own, and each kernel's tables would be built again
 _KERNEL_CACHE: dict[tuple, ComponentKernel] = {}
 
 

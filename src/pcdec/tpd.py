@@ -5,9 +5,10 @@ each word it builds 2^p test sequences by toggling the p least reliable
 hard-decision bits, BDD-decodes all of them in one kernel call, keeps the
 candidate minimizing the correlation discrepancy sum_{disagree} |soft|,
 and emits per-bit extrinsics from the metric gap to the best competitor
-with the opposite bit (or the reliability fallback beta when no
-competitor exists). Extrinsics are damped by the per-half-iteration
-alpha before the crossing dimension consumes them.
+with the opposite bit (or the reliability fallback ``BETA`` when no
+competitor exists). Extrinsics are damped by ``ALPHA`` before the
+crossing dimension consumes them. Half-iteration h reads both tables at
+``min(h, len - 1)``: the last value holds for every later one.
 
 Each half-step is a rule on ``product._soft_stack``: a slice's rows of
 L plus the crossing damped extrinsic give the Chase decisions and the
@@ -16,8 +17,6 @@ next extrinsic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bch import ComponentCodeSpec
@@ -25,45 +24,25 @@ from .kernels import flip_support, kernel_for, least_reliable
 from .product import (MAX_WORDS_PER_CALL, DecoderResult, ProductCodeSpec, _frame, _one,
                       _soft_stack)
 
-# classic damping/fallback schedules; repeated-last-value padding covers
-# longer runs
-DEFAULT_ALPHA = (0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
-DEFAULT_BETA = (0.2, 0.4, 0.6, 0.8, 1.0)
+# the classic per-half-iteration damping and no-competitor fallback
+ALPHA = (0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
+BETA = (0.2, 0.4, 0.6, 0.8, 1.0)
 # most test-pattern bits: 2^MAX_P = MAX_WORDS_PER_CALL
 MAX_P = MAX_WORDS_PER_CALL.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class ChaseConfig:
-    """Test-pattern count (2^p) and per-half-iteration scaling schedules."""
-
-    p: int
-    alpha_schedule: tuple[float, ...]
-    beta_schedule: tuple[float, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.p <= MAX_P:
-            raise ValueError(f"p must be between 1 and {MAX_P}, so that a row's 2^p "
-                             f"test words fit one kernel call, got {self.p}")
-        if not self.alpha_schedule or not self.beta_schedule:
-            raise ValueError("schedules must be non-empty")
-
-    @classmethod
-    def default(cls, l_max: int = 10, p: int = 4) -> "ChaseConfig":
-        need = 2 * l_max
-        alpha = DEFAULT_ALPHA + (DEFAULT_ALPHA[-1],) * max(0, need - len(DEFAULT_ALPHA))
-        beta = DEFAULT_BETA + (DEFAULT_BETA[-1],) * max(0, need - len(DEFAULT_BETA))
-        return cls(p=p, alpha_schedule=alpha, beta_schedule=beta)
-
-    def alpha(self, half_iter: int) -> float:
-        return self.alpha_schedule[min(half_iter, len(self.alpha_schedule) - 1)]
-
-    def beta(self, half_iter: int) -> float:
-        return self.beta_schedule[min(half_iter, len(self.beta_schedule) - 1)]
+def check_p(p: int, n: int) -> None:
+    """Reject a Chase p whose 2^p test words of a row overrun one kernel
+    call, or whose p test bits exceed the component length n."""
+    if not 1 <= p <= MAX_P:
+        raise ValueError(f"p must be between 1 and {MAX_P}, so that a row's 2^p "
+                         f"test words fit one kernel call, got {p}")
+    if p > n:
+        raise ValueError(f"Chase p = {p} test bits exceed the component length n = {n}")
 
 
 def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
-                 cfg: ChaseConfig, half_iter: int) -> tuple[np.ndarray, np.ndarray]:
+                 p: int, half_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of soft_in: (scaled extrinsic, decision word).
 
     Rows where every test pattern fails keep their input hard decision as
@@ -73,7 +52,6 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
     hard = (soft_in < 0).astype(np.uint8)
     mag = np.abs(soft_in)
 
-    p = cfg.p
     npat = 1 << p
     flip = ((np.arange(npat)[:, None] >> np.arange(p)[None, :]) & 1).astype(bool)
     support, ok, metric = kernel_for(spec).decode_trials(
@@ -111,39 +89,34 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
     ext = comp[:spare].reshape(nrows, n)
     has_comp = np.isfinite(ext)
     ext -= np.where(np.isfinite(m_best), m_best, 0.0)[:, None]
-    ext[~has_comp] = cfg.beta(half_iter)
+    ext[~has_comp] = BETA[min(half_iter, len(BETA) - 1)]
     np.negative(ext, out=ext, where=decision == 1)
     np.subtract(ext, soft_in, out=ext, where=has_comp)
     ext[~any_ok] = 0.0
-    ext *= cfg.alpha(half_iter)
+    ext *= ALPHA[min(half_iter, len(ALPHA) - 1)]
     return ext, decision
 
 
-def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
+def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, p: int,
               l_max: int) -> DecoderResult:
     """``tpd_decode`` on a (B, n, n) stack of LLR frames. The rows of the
     stack are Chase-decoded in slices of at most
     ``product.MAX_WORDS_PER_CALL`` test-pattern words."""
-    if (len(cfg.alpha_schedule) < 2 * l_max
-            or len(cfg.beta_schedule) < 2 * l_max):
-        raise ValueError(f"schedules must cover {2 * l_max} half-iterations")
-    if cfg.p > spec.n:
-        raise ValueError(f"Chase p = {cfg.p} test bits exceed the component length "
-                         f"n = {spec.n}")
+    check_p(p, spec.n)
 
     def rule(soft, llr, half, ops):
-        soft[...], dec = _chase_batch(spec.component, soft, cfg, half)
+        soft[...], dec = _chase_batch(spec.component, soft, p, half)
         return dec
 
-    return _soft_stack(spec, llrs, l_max, 1 << cfg.p, rule)
+    return _soft_stack(spec, llrs, l_max, 1 << p, rule)
 
 
-def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, cfg: ChaseConfig,
+def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, p: int,
                l_max: int) -> DecoderResult:
     """Pyndiah iteration: rows then columns, soft input L + extrinsic from
-    the crossing dimension. The final array holds the last half-iteration's
+    the crossing dimension, 2^p Chase test patterns per component. The final array holds the last half-iteration's
     Chase decisions (failed components keep their input hard decisions);
     deciding instead on the sign of L plus both extrinsics leaves a
     measurable error floor from confidently wrong channel bits that both
     component decisions had already overruled."""
-    return _one(tpd_stack(spec, _frame(spec, llrs, "llrs"), cfg, l_max))
+    return _one(tpd_stack(spec, _frame(spec, llrs, "llrs"), p, l_max))

@@ -244,12 +244,23 @@ def test_strict_mode_flags_budget_exhaustion(tmp_path):
      "w must hold 3 weights"),
     (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,tpd") + "[tpd]\np = 13\n",
      "chase_p: p must be between 1 and 12"),
+    # a NaN floor never stopped a sweep, 2.0 stopped it after its first
+    # point, and -1 never did
+    (MINI_SIM + "ber_floor = nan\n", "ber_floor must be in (0, 1)"),
+    (MINI_SIM + "ber_floor = 2.0\n", "ber_floor must be in (0, 1)"),
+    (MINI_SIM + "ber_floor = -1\n", "ber_floor must be in (0, 1)"),
+    # a negative seed failed at the first frame, in numpy's words
+    (MINI_SIM.replace("seed = 11", "seed = -1"), "master_seed must be >= 0"),
+    (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd-sr")
+     + "[ibdd-sr]\nw = 5;5\nopt_grid = 0.8,nan\n", "opt_grid must be positive"),
 ])
 def test_config_faults_exit_2_naming_the_key(tmp_path, capsys, fault, key):
     cfg = write(tmp_path, "bad.ini", fault)
     out = str(tmp_path / "r.csv")
     assert main(["simulate", "--config", cfg, "--out", out]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    assert " dB: " not in err  # no progress line: no point was simulated
     assert not os.path.exists(out)
 
 

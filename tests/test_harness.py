@@ -74,7 +74,8 @@ def test_config_validation():
     for field, value, least in (("max_frames", 0, 1), ("opt_frames", 0, 1),
                                 ("chase_p", 0, 1), ("anchor_threshold", -1, 0),
                                 ("workers", 0, 1), ("workers", -2, 1),
-                                ("batch_frames", 0, 1), ("iterations", 0, 1)):
+                                ("batch_frames", 0, 1), ("iterations", 0, 1),
+                                ("master_seed", -1, 0)):
         with pytest.raises(ValueError, match=f"{field} must be >= {least}, got {value}"):
             SimConfig("ibdd", **{field: value})
     SimConfig("ad", anchor_threshold=0)
@@ -95,6 +96,21 @@ def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"ebno grid must be finite, got .*{bad}"):
             SimConfig("ibdd", ebno_grid=(3.0, bad))
+
+
+@pytest.mark.parametrize("floor", [math.nan, 2.0, 1.0, 0.0, -1.0])
+def test_ber_floor_outside_the_unit_interval_is_rejected(floor):
+    # unchecked, NaN never stopped a sweep, 2.0 stopped every sweep after
+    # its first point and -1 never stopped one
+    with pytest.raises(ValueError, match=rf"ber_floor must be in \(0, 1\), got {floor}"):
+        SimConfig("ibdd", ber_floor=floor)
+
+
+def test_config_copies_share_one_code():
+    # the optimizer makes a copy per evaluation; the code is built once
+    cfg = small_cfg("ibdd-sr", w=(5.0,) * 3)
+    copy = dataclasses.replace(cfg, w=(6.0,) * 3, max_frames=8)
+    assert copy.product_spec() is cfg.product_spec()
 
 
 @pytest.mark.parametrize("ebno_db", [math.nan, math.inf, -math.inf])

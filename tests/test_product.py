@@ -36,7 +36,7 @@ from pcdec.product import (
     pc_encode,
     scaled_reliability_message,
 )
-from pcdec.tpd import ChaseConfig, tpd_decode, tpd_stack
+from pcdec.tpd import tpd_decode, tpd_stack
 
 
 @pytest.fixture(scope="module")
@@ -677,7 +677,7 @@ def test_decoder_result_contract_all_decoders(pc15):
         lambda: ideal_ibdd(pc15, received, np.zeros_like(received), 3),
         lambda: ibdd_sr(pc15, L, w, 3),
         lambda: igmdd_sr(pc15, L, w, 3),
-        lambda: tpd_decode(pc15, L, ChaseConfig.default(3), 3),
+        lambda: tpd_decode(pc15, L, 4, 3),
     ]
     for run in runs:
         res, again = run(), run()
@@ -694,7 +694,7 @@ MALFORMED_INPUT_RUNS = {
     "ideal-ibdd": lambda pc, x, c, l_max: ideal_ibdd(pc, x, c, l_max),
     "ibdd-sr": lambda pc, x, c, l_max: ibdd_sr(pc, x, (1.0,) * l_max, l_max),
     "igmdd-sr": lambda pc, x, c, l_max: igmdd_sr(pc, x, (1.0,) * l_max, l_max),
-    "tpd": lambda pc, x, c, l_max: tpd_decode(pc, x, ChaseConfig.default(2), l_max),
+    "tpd": lambda pc, x, c, l_max: tpd_decode(pc, x, 4, l_max),
 }
 
 
@@ -743,8 +743,8 @@ STACK_DECODERS = {
                 lambda pc, L, c, l_max: ibdd_sr(pc, L, sr_weights(l_max), l_max)),
     "igmdd-sr": (lambda pc, L, c, l_max: igmdd_sr_stack(pc, L, sr_weights(l_max), l_max),
                  lambda pc, L, c, l_max: igmdd_sr(pc, L, sr_weights(l_max), l_max)),
-    "tpd": (lambda pc, L, c, l_max: tpd_stack(pc, L, ChaseConfig.default(l_max), l_max),
-            lambda pc, L, c, l_max: tpd_decode(pc, L, ChaseConfig.default(l_max), l_max)),
+    "tpd": (lambda pc, L, c, l_max: tpd_stack(pc, L, 4, l_max),
+            lambda pc, L, c, l_max: tpd_decode(pc, L, 4, l_max)),
 }
 # (m, t) -> extended component code; all by table lookup but PAST_TABLE
 STACK_CODES = {(4, 2): False, (4, 3): True, (6, 2): True, (6, 3): True, PAST_TABLE: True}
@@ -934,7 +934,7 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
 
     monkeypatch.setattr(kernels.ComponentKernel, "decode_trials", counted_trials)
     monkeypatch.setattr(product, "batch_gmd", counted_gmd)
-    tpd_stack(pc, L, ChaseConfig.default(1), 1)
+    tpd_stack(pc, L, 4, 1)
     assert len(words) == 2 * 4  # slices of 256 rows: 4 per half-iteration
     assert max(words) <= product.MAX_WORDS_PER_CALL
     assert sum(words) == 2 * 28 * 31 * 16
