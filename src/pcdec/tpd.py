@@ -114,9 +114,10 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, p: int,
 def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, p: int,
                l_max: int) -> DecoderResult:
     """Pyndiah iteration: rows then columns, soft input L + extrinsic from
-    the crossing dimension, 2^p Chase test patterns per component. The final array holds the last half-iteration's
-    Chase decisions (failed components keep their input hard decisions);
-    deciding instead on the sign of L plus both extrinsics leaves a
-    measurable error floor from confidently wrong channel bits that both
-    component decisions had already overruled."""
+    the crossing dimension, 2^p Chase test patterns per component. The
+    final array holds the last half-iteration's Chase decisions (failed
+    components keep their input hard decisions); deciding instead on the
+    sign of L plus both extrinsics leaves a measurable error floor from
+    confidently wrong channel bits that both component decisions had
+    already overruled."""
     return _one(tpd_stack(spec, _frame(spec, llrs, "llrs"), p, l_max))
