@@ -10,7 +10,6 @@ from .harness import BerRecord, SimConfig, run_ber_point, run_sweep
 from .product import (
     DecoderResult,
     ProductCodeSpec,
-    ScalingSchedule,
     anchor_decode,
     ibdd,
     ibdd_sr,
@@ -24,7 +23,7 @@ from .tpd import tpd_decode
 __all__ = [
     "BerRecord", "ChannelParams", "ComponentCodeSpec",
     "DecodeOutcome", "DecoderResult", "FieldSpec", "ProductCodeSpec",
-    "ScalingSchedule", "SimConfig", "anchor_decode", "bdd", "build_field",
+    "SimConfig", "anchor_decode", "bdd", "build_field",
     "construct_ebch", "encode", "hard_decide", "ibdd", "ibdd_sr",
     "ideal_ibdd", "igmdd_sr", "is_pc_codeword", "llr", "modulate",
     "pc_encode", "run_ber_point", "run_sweep", "tpd_decode", "transmit",

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -108,8 +109,8 @@ def load_config(paths: list[str], overrides: argparse.Namespace) -> dict:
     """Merge config files (later files win) and CLI overrides into the
     per-algorithm SimConfig set plus the run settings. Unset keys take the
     SimConfig defaults; PCDEC_WORKERS sets workers when neither the flag
-    nor the INI does. Unknown or misplaced keys and a missing algorithms
-    setting raise ValueError."""
+    nor the INI does. Unknown or misplaced keys, a missing algorithms
+    setting and a value SimConfig rejects raise ValueError naming the key."""
     parser = configparser.ConfigParser()
     for path in paths:
         with open(path) as fh:
@@ -136,12 +137,15 @@ def load_config(paths: list[str], overrides: argparse.Namespace) -> dict:
     if not algorithms:
         raise ValueError("no algorithms: set algorithms in [simulation] "
                          "or give --algorithms")
-    return {
-        "configs": {alg: SimConfig(algorithm=alg, **shared, **sections.get(alg, {}))
-                    for alg in algorithms},
-        "out": out or "results.csv",
-        "optimize_at": optimize_at,
-    }
+    try:
+        configs = {alg: SimConfig(algorithm=alg, **shared, **sections.get(alg, {}))
+                   for alg in algorithms}
+    except ValueError as exc:
+        # SimConfig's messages lead with the field: name the key written instead
+        field, rest = re.match(r"(\w*)(.*)", str(exc), re.S).groups()
+        key = next((k for k, (f, _) in KEYS.items() if f == field), field)
+        raise ValueError(key + rest) from None
+    return {"configs": configs, "out": out or "results.csv", "optimize_at": optimize_at}
 
 
 def _write_results(out_path: str, records, configs: dict, started: float) -> None:

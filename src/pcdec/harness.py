@@ -35,9 +35,9 @@ from .gf import DEFAULT_PRIMITIVE_POLYS, build_field
 # the registry calls: perfbench/tracing.py wraps them here.
 from .product import (  # noqa: F401
     ProductCodeSpec,
-    ScalingSchedule,
     anchor_decode,
     anchor_stack,
+    check_w,
     ibdd,
     ibdd_sr,
     ibdd_sr_stack,
@@ -158,14 +158,7 @@ class SimConfig:
             except ValueError as exc:
                 raise ValueError(f"chase_p: {exc}") from None
         if self.w is not None:
-            if len(self.w) != self.iterations:
-                raise ValueError(f"w must hold {self.iterations} weights, one per "
-                                 f"iteration, got {len(self.w)}")
-            try:
-                ScalingSchedule(tuple(self.w))
-            except ValueError:
-                raise ValueError("w must hold positive weights, not NaN or infinite, "
-                                 f"got {self.w}") from None
+            check_w(self.w, self.iterations)
         if self.transmission not in ("all-zero", "random"):
             raise ValueError("transmission must be 'all-zero' or 'random'")
         if not all(map(math.isfinite, self.ebno_grid)):
@@ -348,13 +341,14 @@ def run_sweep(cfg: SimConfig, progress=None) -> list[BerRecord]:
     return records
 
 
-def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
-    """Coordinate ascent over monotone non-decreasing scaling vectors.
+def optimize_scaling(cfg: SimConfig, ebno_db: float) -> SimConfig:
+    """Coordinate ascent over monotone non-decreasing scaling vectors; returns
+    cfg with ``w`` set to the best one, a config run_ber_point runs as is.
 
     Grid values are relative to the channel LLR magnitude scale 2/sigma^2
     at the optimization point, so the same grid serves every code and
-    operating point; the returned schedule holds absolute weights. Starts
-    from the best constant vector, then repeatedly sweeps the positions,
+    operating point; the returned weights are absolute. Starts from the
+    best constant vector, then repeatedly sweeps the positions,
     re-evaluating the Monte Carlo BER with a fixed seed and a fixed frame
     budget (cfg.opt_frames) so comparisons are paired.
     """
@@ -393,7 +387,7 @@ def optimize_scaling(cfg: SimConfig, ebno_db: float) -> "ScalingSchedule":
                     changed = True
         if not changed:
             break
-    return ScalingSchedule(best)
+    return dataclasses.replace(cfg, w=best)
 
 
 def required_ebno(records: list[BerRecord], target_ber: float) -> float:

@@ -91,25 +91,6 @@ class ProductCodeSpec:
         return (self.component.k / self.component.n) ** 2
 
 
-@dataclass(frozen=True)
-class ScalingSchedule:
-    """Per-iteration weights trading decoder decisions against channel
-    evidence in the scaled-reliability updates."""
-
-    w: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.w or any(not 0 < x < math.inf for x in self.w):
-            raise ValueError(f"scaling weights must be positive and finite, got {self.w}")
-
-    @classmethod
-    def constant(cls, value: float, iterations: int) -> "ScalingSchedule":
-        return cls(tuple(float(value) for _ in range(iterations)))
-
-    def is_monotone(self) -> bool:
-        return all(a <= b for a, b in zip(self.w, self.w[1:]))
-
-
 @dataclass
 class DecoderResult:
     """Final hard decisions plus bookkeeping from one decoding run. For a
@@ -129,14 +110,15 @@ def _one(res: DecoderResult) -> DecoderResult:
                          bool(res.converged[0]), res.op_counters)
 
 
-def _as_schedule(w, iterations: int) -> tuple[float, ...]:
-    if isinstance(w, ScalingSchedule):
-        w = w.w
+def check_w(w, l_max: int) -> tuple[float, ...]:
+    """The scaling weights ``w`` of the SR decoders as a tuple of floats,
+    checked to hold one positive, finite weight per iteration."""
     w = tuple(float(x) for x in w)
-    if len(w) != iterations:
-        raise ValueError(f"need {iterations} scaling weights, got {len(w)}")
-    # no weights (l_max < 1) is left for _iterate to reject
-    return ScalingSchedule(w).w if w else w
+    if len(w) != l_max:
+        raise ValueError(f"w must hold {l_max} weights, one per iteration, got {len(w)}")
+    if any(not 0 < x < math.inf for x in w):
+        raise ValueError(f"w must hold positive weights, not NaN or infinite, got {w}")
+    return w
 
 
 def pc_encode(spec: ProductCodeSpec, info: np.ndarray) -> np.ndarray:
@@ -390,7 +372,7 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
     distinct weights, a byte per bit: |L| < weights[k] is rank <= k."""
     kern = kernel_for(spec.component)
     llrs = _stack(spec, llrs, "llrs", bits=False)
-    sched = _as_schedule(w, l_max)
+    sched = check_w(w, l_max)
     weights = sorted(set(sched))  # np.unique would import numpy.ma
     mag = np.abs(llrs)
     rank = np.zeros(mag.shape, dtype=np.min_scalar_type(len(weights)))
@@ -429,7 +411,7 @@ def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderRe
 def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
                    l_max: int) -> DecoderResult:
     """``igmdd_sr`` on a (B, n, n) stack of LLR frames."""
-    sched, comp = _as_schedule(w, l_max), spec.component
+    sched, comp = check_w(w, l_max), spec.component
 
     def rule(soft, llr, half, ops):
         weight = sched[half // 2]
@@ -557,7 +539,7 @@ def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
 
 
 def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
-                 threshold: int = 1) -> DecoderResult:
+                 threshold: int) -> DecoderResult:
     """``anchor_decode`` on a (B, n, n) stack of frames: each pass is one
     BDD of the components of every frame, then ``_anchor_pass``. The
     anchor state rides in the state of ``_iterate``, frames along axis 0.
@@ -594,7 +576,7 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
-                  threshold: int = 1) -> DecoderResult:
+                  threshold: int) -> DecoderResult:
     """iBDD with anchor bookkeeping.
 
     Successful components become anchors. A correction that would flip a

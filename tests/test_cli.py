@@ -243,14 +243,16 @@ def test_strict_mode_flags_budget_exhaustion(tmp_path):
      .replace("iterations = 2", "iterations = 3") + "[ibdd-sr]\nw = 5;5\n",
      "w must hold 3 weights"),
     (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,tpd") + "[tpd]\np = 13\n",
-     "chase_p: p must be between 1 and 12"),
+     "error: p: p must be between 1 and 12"),
+    (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd,ad") + "[ad]\nthreshold = -1\n",
+     "error: threshold must be >= 0, got -1"),
     # a NaN floor never stopped a sweep, 2.0 stopped it after its first
     # point, and -1 never did
     (MINI_SIM + "ber_floor = nan\n", "ber_floor must be in (0, 1)"),
     (MINI_SIM + "ber_floor = 2.0\n", "ber_floor must be in (0, 1)"),
     (MINI_SIM + "ber_floor = -1\n", "ber_floor must be in (0, 1)"),
     # a negative seed failed at the first frame, in numpy's words
-    (MINI_SIM.replace("seed = 11", "seed = -1"), "master_seed must be >= 0"),
+    (MINI_SIM.replace("seed = 11", "seed = -1"), "error: seed must be >= 0, got -1"),
     (MINI_SIM.replace("algorithms = ibdd", "algorithms = ibdd-sr")
      + "[ibdd-sr]\nw = 5;5\nopt_grid = 0.8,nan\n", "opt_grid must be positive"),
 ])
@@ -273,8 +275,16 @@ def test_chase_p_past_the_component_length_exits_2_before_any_point(tmp_path, ca
     out = str(tmp_path / "r.csv")
     assert main(["simulate", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "chase_p: Chase p = 9 test bits exceed the component length n = 7" in err
+    assert "error: p: Chase p = 9 test bits exceed the component length n = 7" in err
     assert " dB: " not in err  # no progress line: no point was simulated
+    assert not os.path.exists(out)
+
+
+def test_rejected_flag_value_names_the_flag(tmp_path, capsys):
+    cfg = write(tmp_path, "sim.ini", MINI_SIM)
+    out = str(tmp_path / "r.csv")
+    assert main(["simulate", "--config", cfg, "--out", out, "--seed=-3"]) == 2
+    assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

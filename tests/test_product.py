@@ -21,9 +21,9 @@ from pcdec.gf import build_field
 from pcdec.product import (
     DecoderResult,
     ProductCodeSpec,
-    ScalingSchedule,
     anchor_decode,
     anchor_stack,
+    check_w,
     ibdd,
     ibdd_sr,
     ibdd_sr_stack,
@@ -108,17 +108,15 @@ def test_encode_and_codeword_test_reject_non_bit_or_misshaped_input(pc15):
         pc_encode(pc15, np.zeros((7, 8), dtype=np.uint8))
 
 
-def test_scaling_schedule_validation():
-    with pytest.raises(ValueError):
-        ScalingSchedule((0.5, -1.0))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            ScalingSchedule((0.5, bad))
-        with pytest.raises(ValueError, match="positive and finite"):
-            product._as_schedule([bad], 1)
-    s = ScalingSchedule.constant(0.8, 4)
-    assert s.is_monotone()
-    assert not ScalingSchedule((2.0, 1.0)).is_monotone()
+def test_check_w_takes_one_positive_finite_weight_per_iteration():
+    with pytest.raises(ValueError, match="w must hold 3 weights, one per iteration, got 2"):
+        check_w((1.0, 1.0), 3)
+    for bad in (0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="w must hold positive weights, not NaN or "
+                                             "infinite"):
+            check_w((0.5, bad), 2)
+    w = check_w([1, 2], 2)
+    assert w == (1.0, 2.0) and all(type(x) is float for x in w)
 
 
 # ---------------------------------------------------------------- iBDD
@@ -209,7 +207,7 @@ def weight5_codeword(cw15):
 def test_anchor_error_free_matches_ibdd(pc15):
     rng = np.random.default_rng(55)
     arr = pc_encode(pc15, rng.integers(0, 2, (7, 7)).astype(np.uint8))
-    res = anchor_decode(pc15, arr, l_max=5)
+    res = anchor_decode(pc15, arr, l_max=5, threshold=1)
     ref = ibdd(pc15, arr, l_max=5)
     assert res.converged and np.array_equal(res.array, ref.array)
 
@@ -245,8 +243,8 @@ def test_anchor_blocks_when_threshold_not_reached(pc15, cw15):
 def test_anchor_deterministic(pc15):
     _, L = noisy_frame(pc15, 2.0, 11)
     received = hard_decide(L)
-    a = anchor_decode(pc15, received, l_max=6)
-    b = anchor_decode(pc15, received, l_max=6)
+    a = anchor_decode(pc15, received, l_max=6, threshold=1)
+    b = anchor_decode(pc15, received, l_max=6, threshold=1)
     assert np.array_equal(a.array, b.array)
 
 
@@ -395,11 +393,11 @@ def test_scaled_reliability_message_equals_float_formula(inputs):
 
 
 def test_ibdd_sr_matches_scalar_reference(pc15):
-    w = ScalingSchedule((0.6, 0.9, 1.4, 2.0))
+    w = (0.6, 0.9, 1.4, 2.0)
     for seed in range(6):
         _, L = noisy_frame(pc15, 2.5, 100 + seed)
         res = ibdd_sr(pc15, L, w, l_max=4)
-        want, iterations = ref_ibdd_sr(pc15, L, w.w, 4)
+        want, iterations = ref_ibdd_sr(pc15, L, w, 4)
         assert np.array_equal(res.array, want) and res.iterations_used == iterations
 
 
@@ -492,15 +490,17 @@ def test_ibdd_sr_decodes_the_lines_in_place(monkeypatch):
 def test_ibdd_sr_noiseless_converges(pc15):
     c = np.zeros((15, 15), dtype=np.uint8)
     L = np.full((15, 15), 8.0)
-    res = ibdd_sr(pc15, L, ScalingSchedule.constant(1.0, 3), l_max=3)
+    res = ibdd_sr(pc15, L, (1.0,) * 3, l_max=3)
     assert res.converged and res.iterations_used == 1
     assert np.array_equal(res.array, c)
 
 
 def test_ibdd_sr_rejects_bad_schedule(pc15):
     _, L = noisy_frame(pc15, 3.0, 1)
-    with pytest.raises(ValueError):
-        ibdd_sr(pc15, L, (1.0, 1.0), l_max=3)
+    for decode in (ibdd_sr, igmdd_sr):
+        with pytest.raises(ValueError, match="w must hold 3 weights, one per iteration, "
+                                             "got 2"):
+            decode(pc15, L, (1.0, 1.0), l_max=3)
 
 
 # ---------------------------------------------------------------- iGMDD-SR
@@ -606,7 +606,7 @@ def test_igmdd_sr_erasure_call_budget(pc15):
     # unerased word and both fills of each erasure set); gd_evals is the
     # count of valid candidates that the two-fill code scored on this frame
     _, L = noisy_frame(pc15, 1.5, 301)
-    res = igmdd_sr(pc15, L, ScalingSchedule.constant(1.0, 4), l_max=4)
+    res = igmdd_sr(pc15, L, (1.0,) * 4, l_max=4)
     t = pc15.component.t
     components = 2 * pc15.n * res.iterations_used
     assert res.iterations_used == 4
@@ -670,10 +670,10 @@ def test_decoder_result_contract_all_decoders(pc15):
     # n x n output, converged <=> product codeword, bit-identical reruns
     _, L = noisy_frame(pc15, 2.0, 600)
     received = hard_decide(L)
-    w = ScalingSchedule.constant(1.2, 3)
+    w = (1.2,) * 3
     runs = [
         lambda: ibdd(pc15, received, 3),
-        lambda: anchor_decode(pc15, received, 3),
+        lambda: anchor_decode(pc15, received, 3, 1),
         lambda: ideal_ibdd(pc15, received, np.zeros_like(received), 3),
         lambda: ibdd_sr(pc15, L, w, 3),
         lambda: igmdd_sr(pc15, L, w, 3),
@@ -690,7 +690,7 @@ def test_decoder_result_contract_all_decoders(pc15):
 
 MALFORMED_INPUT_RUNS = {
     "ibdd": lambda pc, x, c, l_max: ibdd(pc, x, l_max),
-    "ad": lambda pc, x, c, l_max: anchor_decode(pc, x, l_max),
+    "ad": lambda pc, x, c, l_max: anchor_decode(pc, x, l_max, 1),
     "ideal-ibdd": lambda pc, x, c, l_max: ideal_ibdd(pc, x, c, l_max),
     "ibdd-sr": lambda pc, x, c, l_max: ibdd_sr(pc, x, (1.0,) * l_max, l_max),
     "igmdd-sr": lambda pc, x, c, l_max: igmdd_sr(pc, x, (1.0,) * l_max, l_max),
@@ -947,7 +947,7 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
 
 def test_stack_decoders_reject_malformed_stacks(pc15):
     zeros = np.zeros((2, 15, 15), dtype=np.uint8)
-    for stack_decode in (ibdd_stack, anchor_stack):
+    for stack_decode in (ibdd_stack, lambda pc, x, l_max: anchor_stack(pc, x, l_max, 1)):
         for bad in (zeros[0], zeros[:0], zeros[:, :14]):
             with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
                 stack_decode(pc15, bad, 2)
