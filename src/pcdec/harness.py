@@ -84,8 +84,8 @@ class Algorithm:
 
 _SR_FIELDS = ("w", "opt_grid", "opt_frames")
 
-# To add a decoder: write its half-step on product._iterate (or a rule on
-# _soft_stack), then add a row.
+# To add a decoder: write a line rule on product._key_stack (a rule on
+# _soft_stack, or a half-step of its own on _iterate), then add a row.
 REGISTRY: dict[str, Algorithm] = {a.name: a for a in (
     Algorithm("none", "HD", (), lambda sim, hard, sent: hard),
     Algorithm("ibdd", "HD", (), lambda sim, hard, sent: ibdd_stack(

@@ -18,7 +18,7 @@ generator matrix, built from ``bch.encode`` on first use.
 The keys are int64 words of 63 bits (one word for m*t < 63); a
 non-extended code leaves out the parity, so a key is 0 exactly for a
 codeword. ``line_keys`` gives the keys of the rows and columns of a
-stack of frames, which lets iBDD carry the keys across half-steps and
+stack of frames; the keyed decoders carry them across half-steps and
 update them per flipped bit (see ``product``).
 
 ``decode_trials`` (Chase, GMD) builds no trial word: a trial's key is
@@ -67,23 +67,20 @@ class ComponentKernel:
             ext_row = np.zeros((1, smat.shape[1]), dtype=np.int64)
             ext_row[0, -1] = 1
             smat = np.concatenate([smat, ext_row], axis=0)
-        self._smat = smat.astype(np.float32)
         # syndrome bit i is bit i % 63 of key word i // 63; a non-extended
         # code leaves out the parity, its last bit
         keyed = np.arange(m * spec.t + spec.extended)
         self._pack = np.zeros((smat.shape[1], -(-len(keyed) // 63)), dtype=np.int64)
         self._pack[keyed, keyed // 63] = 1 << keyed % 63
+        # (n, W) the key of a single error at each of the n positions
+        self.col_keys = smat @ self._pack
+        self._smat = smat.astype(np.float32)
 
     @cached_property
     def _generator(self) -> np.ndarray:
         """k x n generator matrix: row i is bch.encode of unit message i."""
         eye = np.eye(self.spec.k, dtype=np.uint8)
         return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
-
-    @cached_property
-    def col_keys(self) -> np.ndarray:
-        """(n, W) the key of a single error at each of the n positions."""
-        return self.keys(np.eye(self.spec.n))
 
     @cached_property
     def _leaders(self) -> tuple[np.ndarray, np.ndarray]:

@@ -10,21 +10,23 @@ decodes all rows (even half-iterations) or all columns (odd ones) of
 every frame still iterating at once, and may hand back the stop test.
 A frame that has converged leaves the state, so it stops at the same
 iteration as it would alone. ``_lines`` presents an array so that the
-half-step's component words are its rows, and ``_rows`` stacks them to
-(B * n, n) for one kernel call.
+half-step's component words are its rows.
 
-Two half-steps are shared, and two decoders bring their own:
+Two half-steps are shared, and ``ibdd_sr`` brings its own:
 
-* ``_key_stack``    -- BDD results applied in place, from the syndrome
-                       key of every row and column, computed once per
-                       stack and updated per bit flip (no syndrome
-                       product, transpose or codeword check per
-                       half-step); it stops a frame once all its keys
-                       vanish:
+* ``_key_stack``    -- BDD from the syndrome key of every row and column,
+                       computed once per stack and updated per bit flip
+                       (no syndrome product, transpose or codeword check
+                       per half-step); a line rule picks the flips, and a
+                       frame stops once all its keys vanish:
   - ``ibdd``          applies every correction;
   - ``ideal_ibdd``    keeps a line's corrections only where the line has
                       at most t wrong bits, which is exactly where BDD
-                      returns the sent word (reference curve).
+                      returns the sent word (reference curve);
+  - ``anchor_decode`` ``_anchor_pass``: a decoded component becomes an
+                      anchor; a correction overturning an anchor is
+                      blocked until too many components conflict with it,
+                      then the anchor is backtracked.
 * ``_soft_stack``   -- soft messages: a rule decodes L plus the message
                        ext of the crossing half-step, writes the next ext
                        in place and returns the decisions:
@@ -35,12 +37,6 @@ Two half-steps are shared, and two decoders bring their own:
                        message psi = B(w * mubar + L) keeps a decoded bit
                        only where |L| < w. Carried keys (``_key_stack``)
                        would have to follow it: m=8 went 4.1 -> 5.2 ms/frame.
-* ``anchor_decode`` -- BDD of a pass as contiguous rows (in place on the
-                       transposed view, m=8 went 11.0 -> 13.1 ms/frame),
-                       then ``_anchor_pass``: a decoded component becomes
-                       an anchor; a correction overturning an anchor is
-                       blocked until too many components conflict with it,
-                       then the anchor is backtracked.
 
 GMD and Chase BDD-decode 2t+1 and 2^p trial words per component (GMD
 none for a codeword), in one ``ComponentKernel.decode_trials`` call per
@@ -62,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -186,19 +183,6 @@ def _lines(array: np.ndarray, half: int) -> np.ndarray:
     return array if half % 2 == 0 else array.swapaxes(-1, -2)
 
 
-def _rows(array: np.ndarray, half: int) -> np.ndarray:
-    """The component words of half-iteration ``half`` of every frame of a
-    stack, as the C-contiguous rows of one (B * n, n) matrix: a view for a
-    row pass, a copy for a column pass."""
-    return np.ascontiguousarray(_lines(array, half)).reshape(-1, array.shape[-1])
-
-
-def _put_rows(array: np.ndarray, half: int, rows: np.ndarray) -> None:
-    """Write rows laid out as ``_rows(array, half)`` back into the array."""
-    lines = _lines(array, half)
-    lines[...] = rows.reshape(lines.shape)
-
-
 # Cap on the trial words per kernel call in the Chase and GMD
 # half-steps: one m=8 Chase call (256 rows x 2^4 patterns). They decode the
 # rows of a stack in slices of this size, so peak memory does not grow with
@@ -250,49 +234,49 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
     return DecoderResult(arrays, iterations, converged, ops)
 
 
-def _key_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
-               true: np.ndarray | None = None) -> DecoderResult:
-    """BDD results applied in place, from the syndrome keys of the lines: the
-    state holds the decisions ``dec`` and ``key`` (B, 2, n, W), the key of
+def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
+               **state) -> DecoderResult:
+    """BDD from the syndrome keys of the lines: the state holds the decisions
+    ``dec`` (a checked (B, n, n) stack), ``key`` (B, 2, n, W), the key of
     every row (key[:, 0]) and column (key[:, 1]) of dec, computed once per
-    stack. A half-step reads the corrections of the lines whose key is not
-    0, flips them in dec and updates the keys by the flips: a corrected
-    line's key becomes 0, and a flip at position p of line i XORs the key
-    of a single error at position i into the key of the crossing line p
-    (several flips can meet there). A frame stops once all 2n keys vanish.
-
-    With the sent codewords ``true`` the genie rides along: ``errors``
-    (B, 2, n) counts each line's wrong bits, and a line keeps its
-    corrections only with at most t of them, exactly when BDD returns the
-    sent word (error patterns of weight <= t have distinct keys). Each
-    kept flip fixes a wrong bit of its crossing line."""
+    stack, and the rule's own entries ``state``. A half-step reads the
+    corrections ``cpos, ok`` of the lines ``fb, line`` (frame, index) whose
+    key is not 0; a line whose key is 0 is a codeword, which BDD returns
+    unchanged. ``rule(s, half, fb, line, cpos, ok, ops)`` decides which
+    flips (frame, line, position) to make, and each goes through ``_flip``,
+    so the keys follow dec with no syndrome product, transpose or codeword
+    check per half-step. A frame stops once all 2n keys vanish."""
     kern = kernel_for(spec.component)
-    n, t = spec.n, spec.component.t
-    dec = _stack(spec, received, "received", bits=True)
-    state = {"dec": dec, "key": kern.line_keys(dec)}
-    if true is not None:
-        wrong = dec != true
-        state["errors"] = np.stack([wrong.sum(axis=2), wrong.sum(axis=1)], axis=1)
 
     def half_step(s, half, ops):
-        lines, key = _lines(s["dec"], half), s["key"]
-        own, cross = half % 2, 1 - half % 2
-        ops["bdd_calls"] += lines.shape[0] * n
+        key, own = s["key"], half % 2
+        ops["bdd_calls"] += len(key) * spec.n
         fb, line = np.nonzero(key[:, own].any(axis=-1))
         cpos, ok = kern.corrections(key[fb, own, line])
-        if true is not None:
-            ok &= s["errors"][fb, own, line] <= t
-            s["errors"][fb[ok], own, line[ok]] = 0
-        r, c = np.nonzero((cpos < n) & ok[:, None])
-        b, i, p = fb[r], line[r], cpos[r, c]
-        lines[b, i, p] ^= 1
-        key[fb[ok], own, line[ok]] = 0
-        np.bitwise_xor.at(key[:, cross], (b, p), kern.col_keys[i])
-        if true is not None:
-            np.subtract.at(s["errors"][:, cross], (b, p), 1)
+        _flip(s, half, *rule(s, half, fb, line, cpos, ok, ops), kern.col_keys)
         return ~key.any(axis=(1, 2, 3))
 
-    return _iterate(spec, l_max, state, half_step)
+    return _iterate(spec, l_max, {"dec": dec, "key": kern.line_keys(dec), **state},
+                    half_step)
+
+
+def _flip(s: dict, half: int, b: np.ndarray, i: np.ndarray, p: np.ndarray,
+          col_keys: np.ndarray) -> None:
+    """Flip bit p of line i of frame b (each once) among the lines of
+    half-iteration ``half`` of ``s["dec"]``, and XOR the key of a single error
+    at p into line i's key, and of one at i into the crossing line p's."""
+    own = half % 2
+    _lines(s["dec"], half)[b, i, p] ^= 1
+    np.bitwise_xor.at(s["key"][:, own], (b, i), col_keys[p])
+    np.bitwise_xor.at(s["key"][:, 1 - own], (b, p), col_keys[i])
+
+
+def _every_correction(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
+                      cpos: np.ndarray, ok: np.ndarray, ops: dict) -> tuple:
+    """iBDD's line rule: the flips (frame, line, position) of the corrections
+    ``cpos`` (n in unused slots) of the lines ``fb, line`` where ``ok``."""
+    r, c = np.nonzero((cpos < s["dec"].shape[-1]) & ok[:, None])
+    return fb[r], line[r], cpos[r, c]
 
 
 def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
@@ -312,13 +296,13 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
         # a view of the state for a row pass, so the rule writes in place;
         # batch_gmd sums reliabilities along rows, so it gets them
         # C-contiguous: the summation order fixes the last bits
-        ext = _rows(s["ext"], half)
+        ext = np.ascontiguousarray(_lines(s["ext"], half)).reshape(-1, spec.n)
         dec = np.empty(ext.shape, dtype=np.uint8)
         for sl in _row_slices(len(ext), trials):
             dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half, ops)
         if half % 2:  # _iterate reads the decisions after column passes only
-            _put_rows(s["ext"], half, ext)
-            _put_rows(s["dec"], half, dec)
+            for name, rows in (("ext", ext), ("dec", dec)):
+                _lines(s[name], half)[...] = rows.reshape(s[name].shape)
         ops["bdd_calls"] += len(ext) * trials
 
     return _iterate(spec, l_max, state, half_step)
@@ -326,8 +310,9 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
 
 def ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
                l_max: int) -> DecoderResult:
-    """``ibdd`` on a (B, n, n) stack of frames."""
-    return _key_stack(spec, received, l_max)
+    """``ibdd`` on a (B, n, n) stack of frames: every correction applied."""
+    return _key_stack(spec, _stack(spec, received, "received", bits=True), l_max,
+                      _every_correction)
 
 
 def ibdd(spec: ProductCodeSpec, received: np.ndarray, l_max: int) -> DecoderResult:
@@ -337,11 +322,27 @@ def ibdd(spec: ProductCodeSpec, received: np.ndarray, l_max: int) -> DecoderResu
 
 def ideal_ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
                      c_true: np.ndarray, l_max: int) -> DecoderResult:
-    """``ideal_ibdd`` on a (B, n, n) stack of frames and their codewords."""
+    """``ideal_ibdd`` on a (B, n, n) stack of frames and their codewords: a
+    genie rides along, ``errors`` (B, 2, n) counting each line's wrong bits,
+    and a line keeps its corrections only with at most t of them, exactly
+    when BDD returns the sent word (error patterns of weight <= t have
+    distinct keys). Each kept flip fixes a wrong bit of its crossing line."""
     true = _stack(spec, c_true, "c_true", bits=True)
     if len(true) != len(received):
         raise ValueError(f"c_true holds {len(true)} frames, received {len(received)}")
-    return _key_stack(spec, received, l_max, true)
+    dec = _stack(spec, received, "received", bits=True)
+    wrong = dec != true
+
+    def genie(s, half, fb, line, cpos, ok, ops):
+        own, errors = half % 2, s["errors"]
+        ok &= errors[fb, own, line] <= spec.component.t
+        errors[fb[ok], own, line[ok]] = 0
+        b, i, p = _every_correction(s, half, fb, line, cpos, ok, ops)
+        np.subtract.at(errors[:, 1 - own], (b, p), 1)
+        return b, i, p
+
+    return _key_stack(spec, dec, l_max, genie,
+                      errors=np.stack([wrong.sum(axis=2), wrong.sum(axis=1)], axis=1))
 
 
 def ideal_ibdd(spec: ProductCodeSpec, received: np.ndarray,
@@ -441,13 +442,18 @@ def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderR
 _ANCHOR_STATE = ("anchor", "conflicts", "applied", "touched")
 
 
-def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
-                 half: int, threshold: int, kern, ops: dict) -> None:
-    """One anchor-decoding pass over the components of half-iteration
-    ``half`` of every frame, in index order within a frame: their words are
-    ``lines`` (B, n, n), updated in place, and ``ok, diff`` (B, n) and
-    (B, n, n) their BDD (success, flip mask), redone for words that a
-    backtrack changes. The state ``s`` is described in ``anchor_stack``.
+def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
+                 cpos: np.ndarray, fixed: np.ndarray, ops: dict, threshold: int,
+                 kern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AD's line rule on ``_key_stack``: one anchor-decoding pass over the
+    components of half-iteration ``half`` of every frame, in index order
+    within a frame. Their BDD results ``ok, diff`` (B, n) and (B, n, n)
+    (success, flip mask) come from the corrections ``cpos, fixed`` of the
+    lines ``fb, line`` whose key is not 0 (the others are codewords), and
+    are read again from the current key of a word that a backtrack changes.
+    The state ``s`` is described in ``anchor_stack``. A backtrack's undo
+    goes through ``_flip`` at once; the pass returns the flips of the
+    components that apply their corrections.
 
     Until a frame's next backtrack its crossing anchors are fixed, so each
     component's outcome follows from its own BDD result: decoded and
@@ -458,11 +464,15 @@ def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
     anchors' corrections are undone and they lose their status. If another
     blocker survives, the component is blocked; if not, its word is
     decoded again and proposed anew. A round finds and makes the next
-    backtrack of every frame, then re-decodes the words it changed in one
-    call. Nothing in the pass reads the state of its own components, so
+    backtrack of every frame, then re-decodes the words it changed from
+    their keys in one call. Nothing in the pass reads the state of its own components, so
     their outcomes are applied once, after the last round."""
-    frames, n = lines.shape[:2]
+    frames, n = s["dec"].shape[:2]
     own, cross = (0, n) if half % 2 == 0 else (n, 0)
+    ok = np.ones((frames, n), dtype=bool)
+    ok[fb, line] = fixed
+    diff = np.zeros((frames, n, n), dtype=bool)
+    diff[_every_correction(s, half, fb, line, cpos, fixed, ops)] = True
     anchor, conflicts, applied, touched = (s[k] for k in _ANCHOR_STATE)
     cross_anchor = anchor[:, cross:cross + n]
     own_conf = conflicts[:, own:own + n]
@@ -496,7 +506,8 @@ def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
         nconf[hit[:, None], cols] = count[at]
         bb, bp = np.nonzero(new[at] & (count[at] > threshold))
         bb, bp = hit[bb], cols[bp]
-        lines[bb, :, bp] ^= applied[bb, cross + bp]
+        k, i = np.nonzero(applied[bb, cross + bp])
+        _flip(s, half, bb[k], i, bp[k], kern.col_keys)
         np.logical_or.at(stale, bb, touched[bb, cross + bp])
         anchor[bb, cross + bp] = applied[bb, cross + bp] = touched[bb, cross + bp] = False
         own_conf[bb, :, bp] = False
@@ -516,9 +527,9 @@ def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
         ops["bdd_calls"] += np.count_nonzero(~held)
         rb, ri = np.nonzero(stale)
         if rb.size:
-            words = lines[rb, ri]
-            out, ok[rb, ri] = kern.batch_bdd(words)
-            diff[rb, ri] = out != words
+            cpos, ok[rb, ri] = kern.corrections(s["key"][rb, half % 2, ri])
+            diff[rb, ri] = False
+            diff[_every_correction(s, half, rb, ri, cpos, ok[rb, ri], ops)] = True
             blk[rb, ri] = diff[rb, ri] & cross_anchor[rb]
             blocked[rb, ri] = blk[rb, ri].any(axis=1)
             stale[rb, ri] = False
@@ -528,7 +539,6 @@ def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
     ops["bdd_calls"] += np.count_nonzero(dirty)
     go = ok & ~blocked
     flips = diff & go[:, :, None]
-    lines ^= flips
     anchor[:, own:own + n] = go
     applied[:, own:own + n] ^= flips
     applied[:, own:own + n] &= go[:, :, None]
@@ -536,13 +546,15 @@ def _anchor_pass(lines: np.ndarray, ok: np.ndarray, diff: np.ndarray, s: dict,
     touched[:, own:own + n] &= go[:, :, None]
     conflicts[:, cross:cross + n] &= go[:, None, :]
     own_conf |= blk
+    # np.nonzero of the (B, n, n) mask takes ~15x as long (128 m=6 frames, numpy 2.4)
+    return np.unravel_index(np.flatnonzero(flips), flips.shape)
 
 
 def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
                  threshold: int) -> DecoderResult:
-    """``anchor_decode`` on a (B, n, n) stack of frames: each pass is one
-    BDD of the components of every frame, then ``_anchor_pass``. The
-    anchor state rides in the state of ``_iterate``, frames along axis 0.
+    """``anchor_decode`` on a (B, n, n) stack of frames: ``_key_stack`` with
+    ``_anchor_pass`` as its line rule. The anchor state rides with ``dec``
+    and ``key`` in the state of ``_iterate``, frames along axis 0.
     Components 0..n-1 are rows, n..2n-1 columns, and j indexes the
     components crossing component c:
 
@@ -557,22 +569,12 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     a conflict with it."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    kern = kernel_for(spec.component)
-    n = spec.n
-    received = _stack(spec, received, "received", bits=True)
-    frames = len(received)
-
-    def half_step(s, half, ops):
-        words = _rows(s["dec"], half)
-        out, ok = kern.batch_bdd(words)
-        _anchor_pass(words.reshape(-1, n, n), ok.reshape(-1, n),
-                     (out != words).reshape(-1, n, n), s, half, threshold, kern, ops)
-        _put_rows(s["dec"], half, words)
-        ops["bdd_calls"] += len(words)
-
-    state = {"dec": received, "anchor": np.zeros((frames, 2 * n), dtype=bool),
-             **{k: np.zeros((frames, 2 * n, n), dtype=bool) for k in _ANCHOR_STATE[1:]}}
-    return _iterate(spec, l_max, state, half_step)
+    dec = _stack(spec, received, "received", bits=True)
+    frames, n = len(dec), spec.n
+    return _key_stack(spec, dec, l_max, partial(_anchor_pass, threshold=threshold,
+                                                kern=kernel_for(spec.component)),
+                      anchor=np.zeros((frames, 2 * n), dtype=bool),
+                      **{k: np.zeros((frames, 2 * n, n), dtype=bool) for k in _ANCHOR_STATE[1:]})
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,

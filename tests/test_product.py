@@ -830,11 +830,12 @@ def test_stack_frames_leave_at_their_own_iteration(name):
     assert len(set(res.iterations_used[res.converged].tolist())) >= 2
 
 
-@pytest.mark.parametrize("name", ["ibdd", "ideal-ibdd"])
+@pytest.mark.parametrize("name", ["ibdd", "ideal-ibdd", "ad"])
 def test_keyed_stacks_compute_syndromes_once(monkeypatch, name):
-    # iBDD and ideal iBDD carry the key of every row and column: one
+    # iBDD, ideal iBDD and AD carry the key of every row and column: one
     # syndrome product for the rows and one for the columns per stack,
-    # and no BDD call or codeword check per half-step
+    # and no BDD call on dense words or codeword check per half-step (AD's
+    # re-decodes after a backtrack included)
     pc = stack_spec(6, 2)
     L, sent = frame_stack(pc, (4.4, 4.2, 4.0, 3.8, 3.6, 12.0), 11, [False, True] * 3)
     keys = kernels.ComponentKernel.keys
@@ -851,8 +852,9 @@ def test_keyed_stacks_compute_syndromes_once(monkeypatch, name):
     monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
     monkeypatch.setattr(kernels.ComponentKernel, "codeword_mask", dense)
     received = hard_decide(L)
-    res = (ibdd_stack(pc, received, 10) if name == "ibdd"
-           else ideal_ibdd_stack(pc, received, sent, 10))
+    res = {"ibdd": lambda: ibdd_stack(pc, received, 10),
+           "ideal-ibdd": lambda: ideal_ibdd_stack(pc, received, sent, 10),
+           "ad": lambda: anchor_stack(pc, received, 10, 1)}[name]()
     assert res.iterations_used.max() >= 3 and res.converged.any()
     assert len(calls) <= 2
 
@@ -863,19 +865,27 @@ KEYED_CODES = [(m, t, ext) for m in (3, 4, 5, 6) for t in (1, 2, 3)
                for ext in (False, True)] + [(6, 4, True), (6, 11, False)]
 
 
-@settings(deadline=None, max_examples=40)
-@given(code=st.sampled_from(KEYED_CODES), ideal=st.booleans(), frames=st.integers(1, 3),
+@settings(deadline=None, max_examples=60)
+@given(code=st.sampled_from(KEYED_CODES), name=st.sampled_from(("ibdd", "ideal-ibdd", "ad")),
+       threshold=st.sampled_from((0, 1, 3)), frames=st.integers(1, 3),
        l_max=st.integers(1, 4), ebno=st.sampled_from((1.0, 3.0, 4.0, 5.0, 7.0)),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(code=(6, 4, True), ideal=False, frames=2, l_max=3, ebno=3.0, seed=1)
-@example(code=(6, 4, True), ideal=True, frames=2, l_max=3, ebno=3.0, seed=2)
-@example(code=(6, 11, False), ideal=False, frames=2, l_max=4, ebno=5.0, seed=3)
-@example(code=(6, 11, False), ideal=True, frames=2, l_max=4, ebno=5.0, seed=3)
-def test_keyed_half_steps_carry_the_syndrome_keys(code, ideal, frames, l_max, ebno, seed):
-    # after every half-step the carried keys are those of the rows and
-    # columns of the decisions, and for ideal iBDD the error counts those
-    # of the lines against the sent codewords; the decisions and
-    # iterations are those of the scalar reference
+@example(code=(6, 4, True), name="ibdd", threshold=1, frames=2, l_max=3, ebno=3.0, seed=1)
+@example(code=(6, 4, True), name="ideal-ibdd", threshold=1, frames=2, l_max=3, ebno=3.0,
+         seed=2)
+@example(code=(6, 11, False), name="ibdd", threshold=1, frames=2, l_max=4, ebno=5.0, seed=3)
+@example(code=(6, 11, False), name="ideal-ibdd", threshold=1, frames=2, l_max=4, ebno=5.0,
+         seed=3)
+@example(code=(6, 4, True), name="ad", threshold=0, frames=2, l_max=3, ebno=3.0, seed=1)
+@example(code=(6, 4, True), name="ad", threshold=1, frames=2, l_max=3, ebno=3.0, seed=2)
+@example(code=(6, 4, True), name="ad", threshold=3, frames=2, l_max=3, ebno=3.0, seed=3)
+def test_keyed_half_steps_carry_the_syndrome_keys(code, name, threshold, frames, l_max, ebno,
+                                                  seed):
+    # after every half-step (AD's backtracks included) the carried keys are
+    # those of the rows and columns of the decisions, and for ideal iBDD
+    # the error counts those of the lines against the sent codewords; the
+    # decisions and iterations are those of the scalar reference, and for
+    # AD the convergence and op counters too, those of the sequential oracle
     m, t, ext = code
     try:
         pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, ext))
@@ -885,6 +895,7 @@ def test_keyed_half_steps_carry_the_syndrome_keys(code, ideal, frames, l_max, eb
                           [i % 2 == 1 for i in range(frames)])
     received = hard_decide(L)
     kern = kernels.kernel_for(pc.component)
+    ideal = name == "ideal-ibdd"
     iterate = product._iterate
     seen = []
 
@@ -898,13 +909,20 @@ def test_keyed_half_steps_carry_the_syndrome_keys(code, ideal, frames, l_max, eb
         return iterate(spec, l_max, state, checked)
 
     with mock.patch.object(product, "_iterate", checked_iterate):
-        res = (ideal_ibdd_stack(pc, received, sent, l_max) if ideal
-               else ibdd_stack(pc, received, l_max))
+        res = {"ibdd": lambda: ibdd_stack(pc, received, l_max),
+               "ideal-ibdd": lambda: ideal_ibdd_stack(pc, received, sent, l_max),
+               "ad": lambda: anchor_stack(pc, received, l_max, threshold)}[name]()
     assert len(seen) == 2 * res.iterations_used.max()
     for half, dec, errors in seen if ideal else ():
         wrong = dec != sent[res.iterations_used > half // 2]
         assert np.array_equal(errors, np.stack([wrong.sum(axis=2), wrong.sum(axis=1)], axis=1))
-    want = [ref_ibdd(pc, received[b], l_max, sent[b] if ideal else None) for b in range(frames)]
+    if name == "ad":
+        want = [oracle_anchor_decode(pc, x, l_max, threshold) for x in received]
+        assert res.converged.tolist() == [w[2] for w in want]
+        assert res.op_counters == {k: sum(w[3][k] for w in want) for k in res.op_counters}
+    else:
+        want = [ref_ibdd(pc, received[b], l_max, sent[b] if ideal else None)
+                for b in range(frames)]
     assert np.array_equal(res.array, np.stack([w[0] for w in want]))
     assert res.iterations_used.tolist() == [w[1] for w in want]
 
