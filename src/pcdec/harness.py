@@ -219,6 +219,7 @@ class _FrameSimulator:
 
     def __init__(self, cfg: SimConfig, ebno_db: float):
         _one_blas_thread()
+        _steady_heap()
         self.cfg = cfg
         self.spec = cfg.product_spec()
         self.params = ChannelParams.make(ebno_db, self.spec.rate)
@@ -267,6 +268,18 @@ def _one_blas_thread() -> None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
                 return
+
+
+def _steady_heap() -> None:
+    """Fix glibc's mmap and trim thresholds in this process and the pool
+    workers it forks, so that freed decoder temporaries stay in the heap.
+    glibc's own threshold rises with the largest mmapped block freed so
+    far: an m=6 igmdd-sr point of 12 frames took 0 or ~1600 page faults,
+    hanging on what the process had run before. Needs glibc's mallopt."""
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's largest
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _pool_frames(lo: int, hi: int) -> list[int]:

@@ -4,6 +4,7 @@ import glob
 import inspect
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -243,6 +244,28 @@ def test_serial_run_uses_one_blas_thread():
         " max_frames=16, batch_frames=16), 3.0)",
         "print(blas_threads())")
     assert words[-1] in ("None", "1")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+def test_simulator_keeps_freed_temporaries_in_the_heap():
+    # glibc trims the heap's free top past twice its dynamic mmap threshold,
+    # which a freed 1 MB block sets to 1 MB: four such blocks freed together
+    # went back to the kernel and came again as fresh pages, 1024 faults a
+    # round. Whether a decoder's temporaries did so hung on what the process
+    # had run before.
+    words = run_fresh(
+        "import resource",
+        "import numpy as np",
+        "from pcdec.harness import SimConfig, run_ber_point",
+        "run_ber_point(SimConfig('ibdd', code_m=4, extended=False, iterations=3,"
+        " max_frames=1), 3.0)",
+        "np.ones(1 << 20, np.uint8).sum()",
+        "for _ in range(3):",
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "    blocks = [np.ones(1 << 20, np.uint8) for _ in range(4)]",
+        "    del blocks",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    assert int(words[-1]) < 64
 
 
 def test_simulation_loads_neither_scipy_nor_numpy_ma():
