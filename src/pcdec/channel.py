@@ -36,13 +36,26 @@ def modulate(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
-def transmit(x: np.ndarray, params: ChannelParams,
-             rng: np.random.Generator) -> np.ndarray:
-    return x + rng.normal(0.0, np.sqrt(params.sigma2), size=x.shape)
+def transmit(x, params: ChannelParams, rng: np.random.Generator,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """The channel output x + sigma * z, z standard normal noise from
+    ``rng``, drawn and scaled as ``x + rng.normal(0, sigma, x.shape)`` draws
+    and scales it, so the two are equal bit for bit. With ``out`` (float64,
+    C-contiguous) the noise is drawn into it and x, an array or a scalar,
+    added in place."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    rng.standard_normal(out=out)
+    out *= np.sqrt(params.sigma2)
+    out += x
+    return out
 
 
-def llr(y: np.ndarray, params: ChannelParams) -> np.ndarray:
-    return 2.0 * y / params.sigma2
+def llr(y: np.ndarray, params: ChannelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """The LLRs 2y / sigma2, written over ``out`` when given."""
+    out = np.multiply(y, 2.0, out=out)
+    out /= params.sigma2
+    return out
 
 
 def hard_decide(llr_values: np.ndarray) -> np.ndarray:

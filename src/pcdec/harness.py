@@ -229,22 +229,29 @@ class _FrameSimulator:
 
     def __call__(self, lo: int, hi: int) -> list[int]:
         """Bit errors per frame after decoding frames lo..hi-1 as one
-        stack; each frame is drawn from its own RNG stream. An HD decoder
-        gets the hard decisions y < 0 of the channel outputs y, which are
-        those of the LLRs 2y/sigma^2, and no float stack."""
+        stack; each frame is drawn from its own RNG stream, its noise in
+        place: into one reused buffer for an HD decoder, which gets the hard
+        decisions y < 0 of the channel outputs y (those of the LLRs
+        2y/sigma^2) and no float stack, and into the LLR stack for an SD
+        decoder. An all-zero word is sent as the symbols +1."""
         cfg = self.cfg
         spec = self.spec
         sent = np.zeros((hi - lo, spec.n, spec.n), dtype=np.uint8)
         channel = np.empty(sent.shape, dtype=np.uint8 if self.hard else np.float64)
+        y = np.empty(sent.shape[1:]) if self.hard else None
         for b, frame_index in enumerate(range(lo, hi)):
             rng = frame_rng(cfg.master_seed, frame_index)
+            x = 1.0
             if cfg.transmission == "random":
                 info = rng.integers(0, 2, (spec.k, spec.k)).astype(np.uint8)
                 sent[b] = pc_encode(spec, info)
-            y = transmit(modulate(sent[b]), self.params, rng)
-            channel[b] = y < 0 if self.hard else llr(y, self.params)
+                x = modulate(sent[b])
+            if self.hard:
+                np.less(transmit(x, self.params, rng, out=y), 0, out=channel[b].view(bool))
+            else:
+                llr(transmit(x, self.params, rng, out=channel[b]), self.params, out=channel[b])
         hard = self.decode(self, channel, sent)
-        return [int(np.count_nonzero(h != s)) for h, s in zip(hard, sent)]
+        return np.count_nonzero(hard != sent, axis=(1, 2)).tolist()
 
 
 _POOL_SIM: _FrameSimulator | None = None

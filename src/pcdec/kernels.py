@@ -136,7 +136,8 @@ class ComponentKernel:
 
     def corrections(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per line, from its key (..., W): the positions to flip (..., t),
-        ascending with n in unused slots, and the corrected mask (...).
+        ascending with n in unused slots (all of them where BDD fails), and
+        the corrected mask (...).
         Past the table each key is decoded by ``bch.decode_syndromes`` from
         its m-bit blocks, block j holding S_{2j+1}, and its parity."""
         if self.spec.field.m * self.spec.t <= MAX_KEY_BITS:

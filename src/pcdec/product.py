@@ -26,7 +26,9 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
   - ``anchor_decode`` ``_anchor_pass``: a decoded component becomes an
                       anchor; a correction overturning an anchor is
                       blocked until too many components conflict with it,
-                      then the anchor is backtracked.
+                      then the anchor is backtracked. The bookkeeping
+                      works on the pass's conflict pairs and flips, not
+                      on (B, n, n) masks.
 * ``_soft_stack``   -- soft messages: a rule decodes L plus the message
                        ext of the crossing half-step, writes the next ext
                        in place and returns the decisions:
@@ -439,7 +441,7 @@ def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderR
     return _one(igmdd_sr_stack(spec, _frame(spec, llrs, "llrs"), w, l_max))
 
 
-_ANCHOR_STATE = ("anchor", "conflicts", "applied", "touched")
+_ANCHOR_STATE = ("anchor", "nconf", "conflicts", "applied", "touched")
 
 
 def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
@@ -447,13 +449,13 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
                  kern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """AD's line rule on ``_key_stack``: one anchor-decoding pass over the
     components of half-iteration ``half`` of every frame, in index order
-    within a frame. Their BDD results ``ok, diff`` (B, n) and (B, n, n)
-    (success, flip mask) come from the corrections ``cpos, fixed`` of the
-    lines ``fb, line`` whose key is not 0 (the others are codewords), and
-    are read again from the current key of a word that a backtrack changes.
-    The state ``s`` is described in ``anchor_stack``. A backtrack's undo
-    goes through ``_flip`` at once; the pass returns the flips of the
-    components that apply their corrections.
+    within a frame. Their BDD results ``ok, cp`` (B, n) and (B, n, t)
+    (success, positions to flip with n in unused slots) come from the
+    corrections ``cpos, fixed`` of the lines ``fb, line`` whose key is not 0
+    (the others are codewords), and are read again from the current key of
+    a word that a backtrack changes. The state ``s`` is described in
+    ``anchor_stack``. A backtrack's undo goes through ``_flip`` at once; the
+    pass returns the flips of the components that apply their corrections.
 
     Until a frame's next backtrack its crossing anchors are fixed, so each
     component's outcome follows from its own BDD result: decoded and
@@ -465,89 +467,114 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
     blocker survives, the component is blocked; if not, its word is
     decoded again and proposed anew. A round finds and makes the next
     backtrack of every frame, then re-decodes the words it changed from
-    their keys in one call. Nothing in the pass reads the state of its own components, so
-    their outcomes are applied once, after the last round."""
+    their keys in one call. Nothing in the pass reads the state of its own
+    components, so their outcomes are applied once, after the last round.
+
+    The work follows the conflicts and flips of the pass, not B * n * n. A
+    round counts conflicts on the (component, blocking anchor) pairs, at
+    most t per blocked component, grouped by (frame, anchor) with a stable
+    sort. The outcomes reach the state through the lists of flips, of the
+    anchors that lose their status and of the new conflicts."""
     frames, n = s["dec"].shape[:2]
     own, cross = (0, n) if half % 2 == 0 else (n, 0)
+    anchor, nconf, conflicts, applied, touched = (s[k] for k in _ANCHOR_STATE)
+    own_conf = conflicts[:, own:own + n]
     ok = np.ones((frames, n), dtype=bool)
     ok[fb, line] = fixed
-    diff = np.zeros((frames, n, n), dtype=bool)
-    diff[_every_correction(s, half, fb, line, cpos, fixed, ops)] = True
-    anchor, conflicts, applied, touched = (s[k] for k in _ANCHOR_STATE)
-    cross_anchor = anchor[:, cross:cross + n]
-    own_conf = conflicts[:, own:own + n]
-    # crossing anchors only leave during a pass, so the blockers of a word
-    # change only where an anchor is backtracked or the word re-decoded;
-    # from its visit on, ``blocked`` keeps a component's outcome
-    blk = diff & cross_anchor[:, None, :]
-    blocked = blk.any(axis=2)
-    nconf = own_conf.sum(axis=1, dtype=np.int16)  # per crossing anchor
+    cp = np.full((frames, n, cpos.shape[-1]), n, dtype=cpos.dtype)
+    cp[fb, line] = cpos
+    # the crossing anchors and False at n: ca[b, cp[b, i]] marks the
+    # blockers of component i. Crossing anchors only leave during a pass,
+    # so the blockers of a word change only where an anchor is backtracked
+    # or the word re-decoded; from its visit on, ``blocked`` keeps a
+    # component's outcome
+    ca = np.zeros((frames, n + 1), dtype=bool)
+    ca[:, :n] = anchor[:, cross:cross + n]
+    blocked = np.zeros((frames, n), dtype=bool)
+    blocked[fb, line] = ca[fb[:, None], cpos].any(axis=1)
     dirty = np.zeros((frames, n), dtype=bool)  # re-decoded before its visit
-    stale = np.zeros((frames, n), dtype=bool)
-    pos = np.arange(n)
+
+    def new_conflicts(qb, qi):
+        """The corrections c of the components ``qb, qi`` (frame, index) and
+        their conflicts not yet recorded: component pi (row q of c) of frame
+        pb with the crossing anchor pa."""
+        c = cp[qb, qi]
+        q, k = np.nonzero(ca[qb[:, None], c])
+        pb, pi, pa = qb[q], qi[q], c[q, k]
+        new = ~own_conf[pb, pi, pa]
+        return c, q[new], pb[new], pi[new], pa[new]
+
     start = np.zeros(frames, dtype=np.intp)
+    upto = np.zeros(frames, dtype=np.intp)
     pending = np.arange(frames)
     while pending.size:
-        # conflicts per crossing anchor after each blocked component from
-        # ``start`` on: the stored ones plus a running count of new ones
-        fb, ib = np.nonzero(blocked[pending] & (pos >= start[pending, None]))
-        fb = pending[fb]
-        new = blk[fb, ib] & ~own_conf[fb, ib]
-        cols = np.flatnonzero(new.any(axis=0))  # anchors gaining conflicts
-        new = new[:, cols]
-        count = np.cumsum(new, axis=0, dtype=np.intp)
-        count -= (count - new)[np.searchsorted(fb, fb)] - nconf[fb[:, None], cols]
-        over = np.flatnonzero((new & (count > threshold)).any(axis=1))
+        # the new conflicts (frame pb, component pi, anchor pa) of the
+        # blocked components, and the conflicts of the anchor up to each:
+        # the recorded ones plus a running count of the new ones. Up to
+        # ``start`` the counts are those of the components' visits, none
+        # past the threshold, so the first pair past it is the backtrack
+        qb, qi = np.nonzero(blocked[pending])
+        qb = pending[qb]
+        c, q, pb, pi, pa = new_conflicts(qb, qi)
+        group = pb * n + pa
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        count = np.empty_like(group)
+        count[order] = np.arange(len(group)) - np.searchsorted(group, group)
+        count += nconf[pb, cross + pa]
+        over = np.flatnonzero(count >= threshold)
         # component hi of frame hit makes the frame's next backtrack: the
         # anchors it takes past the threshold undo their corrections
-        hit, at = np.unique(fb[over], return_index=True)
-        at = over[at]
-        hi = ib[at]
-        nconf[hit[:, None], cols] = count[at]
-        bb, bp = np.nonzero(new[at] & (count[at] > threshold))
-        bb, bp = hit[bb], cols[bp]
-        k, i = np.nonzero(applied[bb, cross + bp])
+        head = np.ones(len(over), dtype=bool)
+        np.not_equal(pb[over[1:]], pb[over[:-1]], out=head[1:])
+        at = over[head]
+        hit, hi = pb[at], pi[at]
+        upto[hit] = hi
+        gone = over[pi[over] == upto[pb[over]]]
+        bb, bp = pb[gone], pa[gone]
+        bc = cross + bp
+        k, i = np.nonzero(applied[bb, bc])
         _flip(s, half, bb[k], i, bp[k], kern.col_keys)
-        np.logical_or.at(stale, bb, touched[bb, cross + bp])
-        anchor[bb, cross + bp] = applied[bb, cross + bp] = touched[bb, cross + bp] = False
+        k, i = np.nonzero(touched[bb, bc])
+        ca[bb, bp] = applied[bb, bc] = touched[bb, bc] = False
         own_conf[bb, :, bp] = False
-        qb, qi = np.nonzero(blk[bb, :, bp])
-        blk[bb, :, bp] = False
-        held = blk[hit, hi].any(axis=1)  # a blocker survives
+        still = ca[qb[:, None], c].any(axis=1)
+        held = still[q[at]]  # a blocker of hi survives
+        start[pending] = n
         start[hit] = hi + held
-        qb = bb[qb]
-        later = qi >= start[qb]
-        qb, qi = qb[later], qi[later]
-        blocked[qb, qi] = blk[qb, qi].any(axis=1)
+        blocked[qb, qi] = still | (qi < start[qb])
         # changed words ahead are decoded again, and so are the components
         # whose blockers were all backtracked, which propose anew
-        stale[hit] &= pos > hi[:, None]
-        dirty |= stale
-        stale[hit[~held], hi[~held]] = True
-        ops["bdd_calls"] += np.count_nonzero(~held)
-        rb, ri = np.nonzero(stale)
+        ahead = i > upto[bb[k]]
+        rb, ri = bb[k[ahead]], i[ahead]
+        dirty[rb, ri] = True
+        redo = ~held
+        ops["bdd_calls"] += np.count_nonzero(redo)
+        rb, ri = np.concatenate([rb, hit[redo]]), np.concatenate([ri, hi[redo]])
         if rb.size:
-            cpos, ok[rb, ri] = kern.corrections(s["key"][rb, half % 2, ri])
-            diff[rb, ri] = False
-            diff[_every_correction(s, half, rb, ri, cpos, ok[rb, ri], ops)] = True
-            blk[rb, ri] = diff[rb, ri] & cross_anchor[rb]
-            blocked[rb, ri] = blk[rb, ri].any(axis=1)
-            stale[rb, ri] = False
-        pending = hit[start[hit] < n]
+            cp[rb, ri], ok[rb, ri] = kern.corrections(s["key"][rb, half % 2, ri])
+            blocked[rb, ri] = ca[rb[:, None], cp[rb, ri]].any(axis=1)
+        pending = hit
 
-    # each component's outcome at its visit
+    # each component's outcome at its visit; an anchor that loses its
+    # status drops its flips and the conflicts against it
     ops["bdd_calls"] += np.count_nonzero(dirty)
     go = ok & ~blocked
-    flips = diff & go[:, :, None]
+    lb, li = np.nonzero(anchor[:, own:own + n] & ~go)
+    applied[lb, own + li] = touched[lb, own + li] = False
+    conflicts[lb, cross:cross + n, li] = nconf[lb, own + li] = 0
     anchor[:, own:own + n] = go
-    applied[:, own:own + n] ^= flips
-    applied[:, own:own + n] &= go[:, :, None]
-    touched[:, own:own + n] |= flips
-    touched[:, own:own + n] &= go[:, :, None]
-    conflicts[:, cross:cross + n] &= go[:, None, :]
-    own_conf |= blk
-    # np.nonzero of the (B, n, n) mask takes ~15x as long (128 m=6 frames, numpy 2.4)
-    return np.unravel_index(np.flatnonzero(flips), flips.shape)
+    anchor[:, cross:cross + n] = ca[:, :n]
+    nconf[:, cross:cross + n] *= ca[:, :n]
+    b, i, k = np.nonzero((cp < n) & go[:, :, None])
+    p = cp[b, i, k]
+    applied[b, own + i, p] ^= True
+    touched[b, own + i, p] = True
+    # the blocked components' conflicts with the surviving anchors
+    _, _, pb, pi, pa = new_conflicts(*np.nonzero(blocked))
+    own_conf[pb, pi, pa] = True
+    np.add.at(nconf, (pb, cross + pa), 1)
+    return b, i, p
 
 
 def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
@@ -559,6 +586,8 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     components crossing component c:
 
     * ``anchor[b, c]``: c is an anchor;
+    * ``nconf[b, c]``: the number of components counting toward c's
+      conflicts, so that a pass need not sum ``conflicts`` over (B, 2n, n);
     * ``conflicts[b, c, j]``: c was blocked by the crossing anchor j and
       counts toward j's conflicts;
     * ``applied[b, c, j]``, ``touched[b, c, j]``: the anchor c has flipped
@@ -566,7 +595,7 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
       the first and re-decodes the crossing words in the second).
 
     A component that is not an anchor has no flips, and no component has
-    a conflict with it."""
+    a conflict with it (its ``nconf`` is 0)."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     dec = _stack(spec, received, "received", bits=True)
@@ -574,7 +603,8 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     return _key_stack(spec, dec, l_max, partial(_anchor_pass, threshold=threshold,
                                                 kern=kernel_for(spec.component)),
                       anchor=np.zeros((frames, 2 * n), dtype=bool),
-                      **{k: np.zeros((frames, 2 * n, n), dtype=bool) for k in _ANCHOR_STATE[1:]})
+                      nconf=np.zeros((frames, 2 * n), dtype=np.intp),
+                      **{k: np.zeros((frames, 2 * n, n), dtype=bool) for k in _ANCHOR_STATE[2:]})
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,

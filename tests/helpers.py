@@ -289,11 +289,13 @@ class AnchorState:
                 self.demote(comp)
 
 
-def oracle_anchor_decode(spec, received: np.ndarray, l_max: int, threshold: int):
+def oracle_anchor_decode(spec, received: np.ndarray, l_max: int, threshold: int,
+                         halves: list | None = None):
     """Sequential anchor decoding of one n-by-n frame: rows then columns,
     each pass one BDD of every component and then an ``AnchorState.walk``,
     stopping after the first iteration that ends on a product codeword.
-    Returns (array, iterations used, converged, op counters, backtracks)."""
+    Returns (array, iterations used, converged, op counters, backtracks);
+    ``halves``, if given, gets the backtracks of each half-iteration."""
     kern = kernel_for(spec.component)
     arr = np.array(received, dtype=np.uint8)
     state = AnchorState(spec.n)
@@ -304,7 +306,10 @@ def oracle_anchor_decode(spec, received: np.ndarray, l_max: int, threshold: int)
             words = np.ascontiguousarray(lines)
             out, ok = kern.batch_bdd(words)
             ops["bdd_calls"] += len(words)
+            before = state.backtracks
             state.walk(words, ok, out != words, half, threshold, kern, ops)
+            if halves is not None:
+                halves.append(state.backtracks - before)
             lines[...] = words
         if kern.codeword_mask(arr).all() and kern.codeword_mask(arr.T).all():
             return arr, it, True, ops, state.backtracks

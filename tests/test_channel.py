@@ -10,6 +10,8 @@ from pcdec.channel import (
     modulate,
     transmit,
 )
+from pcdec.harness import SimConfig, _FrameSimulator
+from pcdec.product import pc_encode
 
 
 def test_modulate():
@@ -88,3 +90,37 @@ def test_frame_rng_deterministic_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("transmission", ["all-zero", "random"])
+@pytest.mark.parametrize("algorithm", ["none", "ibdd-sr"])  # HD and SD
+def test_simulator_channel_matches_normal_draws(algorithm, transmission):
+    # the simulator draws each frame's noise in place; its channel stack
+    # must equal x + rng.normal(0, sigma, size), then y < 0 (HD) or the LLRs
+    # 2y/sigma2 (SD), bit for bit, on each frame's own stream
+    cfg = SimConfig(algorithm, code_m=6, transmission=transmission, master_seed=9)
+    sim = _FrameSimulator(cfg, 3.5)
+    seen = {}
+    decode = sim.decode
+
+    def spy(s, channel, sent):
+        seen["channel"], seen["sent"] = channel.copy(), sent.copy()
+        return decode(s, channel, sent)
+
+    sim.decode = spy
+    errs = sim(3, 9)
+    spec, sigma2 = sim.spec, sim.params.sigma2
+    for b, frame_index in enumerate(range(3, 9)):
+        rng = frame_rng(9, frame_index)
+        c = np.zeros((spec.n, spec.n), dtype=np.uint8)
+        if transmission == "random":
+            c = pc_encode(spec, rng.integers(0, 2, (spec.k, spec.k)).astype(np.uint8))
+        y = modulate(c) + rng.normal(0.0, np.sqrt(sigma2), size=c.shape)
+        want = (y < 0).astype(np.uint8) if algorithm == "none" else 2.0 * y / sigma2
+        assert seen["channel"][b].dtype == want.dtype
+        assert seen["channel"][b].tobytes() == want.tobytes()
+        assert np.array_equal(seen["sent"][b], c)
+        if algorithm == "none":
+            assert errs[b] == np.count_nonzero(want != c)
+    assert transmission == "all-zero" or seen["sent"].any()
+    assert seen["channel"].any() and all(type(e) is int for e in errs)

@@ -173,6 +173,8 @@ def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
         row[rng.choice(spec.n, size=rng.integers(0, spec.t + 3), replace=False)] ^= 1
     words[6:] = rng.integers(0, 2, (2, spec.n))
     out, ok = kern.batch_bdd(words)
+    cpos, fixed = kern.corrections(kern.keys(words))
+    assert np.array_equal(fixed, ok) and (cpos[~fixed] == spec.n).all()  # a failure flips nothing
     genie_out, genie_ok = genie_by_weight(kern, words, true)
     mask = kern.codeword_mask(words)
     # a key is 0 exactly for a codeword, the parity dropped if not extended

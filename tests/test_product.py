@@ -296,6 +296,26 @@ def test_anchor_stack_matches_sequential_oracle():
     assert seen["backtracks"] and seen["redecodes"], seen
 
 
+@pytest.mark.parametrize("threshold", [0, 1, 3])
+def test_anchor_stack_matches_oracle_on_a_waterfall_stack(threshold):
+    # perfbench's m6 AD point: 28 frames of the (64,51,6)^2 code at 4.0 dB in
+    # one stack, so a round holds the next backtrack of many frames at once
+    # (the drawn cases above hold 1-5 frames)
+    pc = ProductCodeSpec(bch.construct_ebch(build_field(6), 2, True))
+    L, _ = frame_stack(pc, [4.0] * 28, 0, [False] * 28)
+    res = anchor_stack(pc, hard_decide(L), 10, threshold)
+    halves = [[] for _ in L]
+    want = [oracle_anchor_decode(pc, hard_decide(x), 10, threshold, halves=h)
+            for x, h in zip(L, halves)]
+    assert np.array_equal(res.array, np.stack([w[0] for w in want]))
+    assert res.iterations_used.tolist() == [w[1] for w in want]
+    assert res.converged.tolist() == [w[2] for w in want]
+    assert res.op_counters == {k: sum(w[3][k] for w in want) for k in res.op_counters}
+    # frames that backtrack in the same half-iteration, the most of any
+    together = max(sum(len(h) > j and h[j] > 0 for h in halves) for j in range(20))
+    assert together >= 20, halves
+
+
 # A 31x31 hard-decision frame (packed bits) on which anchor decoding with
 # threshold 1 backtracks 16 times in 4 iterations. Conflicts recorded
 # against a component that loses its anchor status must be dropped at the
