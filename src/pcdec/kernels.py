@@ -23,8 +23,8 @@ update them per flipped bit (see ``product``).
 
 ``decode_trials`` (Chase, GMD) builds no trial word: a trial's key is
 its hard word's key XOR its flipped bits' keys. Candidates come back as
-supports (where they differ from the hard word), scored in numpy's
-pairwise summation order.
+supports (where they differ from the hard word), each scored by the sum
+of its weights added in ascending position order.
 
 The batch results are bit-exact with ``bch.bdd`` on every input; the test
 suite pins this equivalence exhaustively for small codes.
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -177,8 +176,8 @@ class ComponentKernel:
         differs from words[r], ascending, n in unused slots (anywhere); the
         corrected mask (rows, T), a failed trial's candidate being its trial
         word; and each trial's discrepancy (rows, T), the sum of weights[r]
-        over its support, bit-equal to the dense row sum. ``keys`` are the
-        words' keys, if already known."""
+        over its support added in ascending position order. ``keys`` are
+        the words' keys, if already known."""
         n = words.shape[1]
         flips = np.asarray(flips, dtype=bool)
         positions = np.asarray(positions, dtype=np.intp)
@@ -208,52 +207,19 @@ def flip_support(words: np.ndarray, support: np.ndarray) -> np.ndarray:
     return out
 
 
-@cache
-def _lane_plan(n: int) -> tuple[np.ndarray, int, Callable]:
-    """numpy's pairwise summation order for a contiguous row of n float64:
-    up to 128 values go into 8 lanes (position i into lane i mod 8, in
-    order; none when n < 8) summed as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the n mod 8 tail is added in order; longer rows are split at n//2
-    rounded down to a multiple of 8. Returns each position's lane (n: a
-    spare lane), the lane count and the (lanes, N) -> N combining sum."""
-    lane = np.empty(n + 1, dtype=np.intp)
-
-    def build(start, size, base):
-        if size > 128:
-            half = size // 2 - size // 2 % 8
-            left, base = build(start, half, base)
-            right, base = build(start + half, size - half, base)
-            return (lambda acc: left(acc) + right(acc)), base
-        body = size - size % 8 if size >= 8 else 0
-        i = np.arange(size)
-        lane[start:start + size] = base + np.where(i < body, i % 8, 8 + i - body)
-
-        def combine(acc):
-            r = acc[base:base + 8]
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for j in range(base + 8, base + 8 + size - body):
-                res = res + acc[j]
-            return res
-
-        return combine, base + 8 + size - body
-
-    combine, lane[n] = build(0, n, 0)
-    return lane, lane[n] + 1, combine
-
-
 def _support_sum(weights: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Per row r and trial j, the sum of weights[r] (nonnegative) over
-    support[r, j] (ascending positions, n in unused slots), bit-equal to the
-    dense row sum: one bincount adds each weight into its lane in order,
-    and the dense sum's added +0.0 terms are exact."""
+    """Per row r and trial j, the sum of weights[r] over support[r, j]
+    (ascending positions, n in unused slots, which add 0.0), added slot by
+    slot from the lowest position up; vals.sum(axis=-1) would add 8 or
+    more slots in numpy's pairwise order."""
     rows, n = weights.shape
-    cells = support.shape[1]
-    lane, lanes, combine = _lane_plan(n)
-    # an unused slot (n) reads the next row's first weight into the spare lane
+    # an unused slot (n) reads the next row's first weight, then zeroed
     vals = np.take(weights, support + np.arange(0, rows * n, n)[:, None, None], mode="clip")
-    bins = lane[support] + np.arange(0, rows * cells * lanes, lanes).reshape(rows, cells, 1)
-    acc = np.bincount(bins.reshape(-1), vals.reshape(-1), minlength=rows * cells * lanes)
-    return combine(acc.reshape(-1, lanes).T).reshape(rows, cells)
+    vals[support == n] = 0.0
+    acc = vals[..., 0].copy()
+    for k in range(1, vals.shape[-1]):
+        acc += vals[..., k]
+    return acc
 
 
 def least_reliable(values: np.ndarray, k: int) -> np.ndarray:

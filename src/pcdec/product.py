@@ -365,7 +365,18 @@ def scaled_reliability_message(mubar: np.ndarray, llrs: np.ndarray,
     is 0) all give the channel hard decision.
     """
     mubar, ch = np.asarray(mubar), np.asarray(channel_hard, dtype=np.uint8)
-    return ch ^ (((mubar < 0) ^ ch) & (mubar != 0) & (np.abs(llrs) < weight))
+    return _sr_select((mubar < 0).view(np.uint8), ch, (mubar != 0) & (np.abs(llrs) < weight))
+
+
+def _sr_select(bits: np.ndarray, ch: np.ndarray, trusted: np.ndarray) -> np.ndarray:
+    """B(w * mubar + L) in place over the decoded ``bits`` (uint8): the
+    decoded bit where ``trusted`` (decoded and |L| < w), the channel hard
+    decision ``ch`` elsewhere; np.where(trusted, bits, ch) without its slow
+    select of bytes."""
+    bits ^= ch
+    bits &= trusted
+    bits ^= ch
+    return bits
 
 
 def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
@@ -394,12 +405,8 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         ok[fb, line] = fixed
         r, c = np.nonzero(cpos < spec.n)
         lines[fb[r], line[r], cpos[r, c]] ^= 1
-        # psi = B(w * mubar + L) keeps the decoded bit where ok and |L| < w:
-        # np.where(trusted, lines, ch) without its slow select of bytes
-        ch_lines = _lines(s["ch"], half)
-        lines ^= ch_lines
-        lines &= ok[..., None] & (_lines(s["rank"], half) <= k[half // 2])
-        lines ^= ch_lines
+        _sr_select(lines, _lines(s["ch"], half),
+                   ok[..., None] & (_lines(s["rank"], half) <= k[half // 2]))
         ops["bdd_calls"] += ok.size
         ops["msg_updates"] += lines.size
 
@@ -425,13 +432,10 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         ops["erasure_calls"] += stats["attempts"]
         ops["gd_evals"] += stats["gd_evals"]
         ops["msg_updates"] += soft.size
-        # ext = w * mubar; B(L + ext) is the decoded bit where ok and |L| < w
+        # ext = w * mubar
         np.take(weight * np.array([1.0, -1.0]), out, out=soft, mode="clip")
         soft[~ok] = 0.0
-        out ^= ch
-        out &= ok[:, None] & (np.abs(llr) < weight)
-        out ^= ch
-        return out
+        return _sr_select(out, ch, ok[:, None] & (np.abs(llr) < weight))
 
     return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule)  # 2t+1 GMD trials
 

@@ -275,9 +275,15 @@ def test_least_reliable_with_non_finite_values():
         assert np.array_equal(least_reliable(values, k), want)
 
 
+def ascending_sum(values):
+    """Plain left-to-right float sum, in the order given."""
+    return sum(values.tolist(), 0.0)
+
+
 def dense_trials(kern, words, positions, flips, weights):
     """decode_trials' reference: the trial words built densely, batch_bdd,
-    and the dense row sums of the weights where a candidate differs."""
+    and the sums of the weights over the ascending positions where a
+    candidate differs."""
     rows, n = words.shape
     flips = np.broadcast_to(flips, (rows,) + flips.shape[-2:])
     trials = np.repeat(words[:, None, :], flips.shape[1], axis=1)
@@ -285,8 +291,9 @@ def dense_trials(kern, words, positions, flips, weights):
         trials[r][:, positions[r]] ^= flips[r]
     cands, ok = kern.batch_bdd(trials.reshape(-1, n))
     cands = cands.reshape(trials.shape)
-    disc = np.stack([((cands[:, j] != words) * weights).sum(axis=1)
-                     for j in range(flips.shape[1])], axis=1)
+    differs = cands != words[:, None, :]
+    disc = np.array([[ascending_sum(weights[r][differs[r, j]]) for j in range(flips.shape[1])]
+                     for r in range(rows)])
     return cands, ok.reshape(rows, -1), disc
 
 
@@ -362,23 +369,21 @@ def test_decode_trials_table_path_builds_no_trial_words(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256,
                                1023, 1024])
-def test_support_sum_follows_numpy_row_sum_order(n):
-    # decode_trials' discrepancies equal the dense row sums only while
-    # numpy sums a contiguous row in the pairwise order of _lane_plan
+def test_support_sum_adds_in_ascending_position_order(n):
+    # a trial's discrepancy is its weights added left to right over its
+    # ascending used positions, for any number of slots; numpy's pairwise
+    # row sum groups 8 or more terms differently
     rng = np.random.default_rng([34, n])
     rows = 40
     weights = 10.0 ** rng.uniform(-8, 8, (rows, n))
     dense = np.broadcast_to(np.arange(n), (rows, 1, n))
-    size = min(n, 12)
-    sparse = np.sort(np.argsort(rng.random((rows, 8, n)), axis=2)[..., :size], axis=2)
+    sparse = np.sort(np.argsort(rng.random((rows, 8, n)), axis=2)[..., :min(n, 12)], axis=2)
     sparse[rng.random(sparse.shape) < 0.3] = n
-    indicator = np.zeros((rows, 8, n + 1))
-    np.put_along_axis(indicator, sparse, 1.0, axis=2)
-    for support, want in ((dense, weights.sum(axis=1)[:, None]),
-                          (sparse, np.stack([(weights * indicator[:, j, :n]).sum(axis=1)
-                                             for j in range(8)], axis=1))):
+    # up to 32 used slots, every fifth slot unused
+    wide = np.sort(np.argsort(rng.random((rows, 8, n)), axis=2)[..., :min(n, 40)], axis=2)
+    wide[:, :, ::5] = n
+    for support in (dense, sparse, wide):
+        want = np.array([[ascending_sum(weights[r, s[s < n]]) for s in support[r]]
+                         for r in range(rows)])
         got = kernels._support_sum(weights, support)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
-            f"numpy no longer sums a row of {n} float64 in the pairwise order "
-            "that kernels._lane_plan mirrors; decode_trials' discrepancies "
-            "would drift from the dense row sums")
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
