@@ -1,15 +1,17 @@
 """Extended BCH component codes.
 
-Construction from a field and a design error-correcting capability,
-systematic encoding, syndrome computation, and ``bdd``: strict bounded
-distance decoding of one word, returning the unique codeword within
-Hamming distance t of the input when one exists (including
-miscorrections), else echoing the input as a failure. ``bdd`` is the
-word's syndromes plus ``decode_syndromes``, the Berlekamp-Massey/Chien
-core, which takes the odd syndromes and the parity as a key of
-``kernels.ComponentKernel`` holds them: past its syndrome table the
-kernel decodes each key by that core. The module keeps no tables; one
-power-sum routine gives a word's syndromes and checks a decoder's flips.
+Construction from a field and a design error-correcting capability t
+(the generator is the product of x - alpha^e over its roots, the
+cyclotomic cosets of 1, 3, ..., 2t - 1), systematic encoding, syndrome
+computation, and ``bdd``: strict bounded distance decoding of one word,
+returning the unique codeword within Hamming distance t of the input
+when one exists (including miscorrections), else echoing the input as a
+failure. ``bdd`` is the word's syndromes plus ``decode_syndromes``, the
+Berlekamp-Massey/Chien core, which takes the odd syndromes and the
+parity as a key of ``kernels.ComponentKernel`` holds them: past its
+syndrome table the kernel decodes each key by that core. The module
+keeps no tables; one power-sum routine gives a word's syndromes and
+checks a decoder's flips.
 
 Bit/polynomial convention: vector position i holds the coefficient of x^i
 of the inner (cyclic) code; the overall parity bit of an extended code is
@@ -60,67 +62,33 @@ class DecodeOutcome:
     flips: frozenset[int]
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def _poly_mul_gf2(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
-def minimal_polynomial(field: FieldSpec, element: int) -> int:
-    """Minimal polynomial over GF(2) of a field element, as a bit-packed int."""
-    # conjugates: element, element^2, element^4, ... until the orbit closes
-    conj = []
-    x = element
-    while x not in conj:
-        conj.append(x)
-        x = gf_mul(field, x, x)
-    # product of (x - c) over the conjugates, coefficients tracked in GF(2^m)
-    coeffs = [1]  # coeffs[i] multiplies x^i, highest degree last
-    for c in conj:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i + 1] ^= a
-            nxt[i] ^= gf_mul(field, a, c)
-        coeffs = nxt
-    poly = 0
-    for i, a in enumerate(coeffs):
-        if a not in (0, 1):
-            raise AssertionError("minimal polynomial has non-binary coefficient")
-        poly |= a << i
-    return poly
-
-
 def construct_ebch(field: FieldSpec, t_design: int,
                    extend: bool = True) -> ComponentCodeSpec:
     """Build a (possibly extended) BCH code correcting t_design errors.
 
-    The generator is the LCM of the minimal polynomials of alpha^1,
-    alpha^3, ..., alpha^(2*t_design - 1); extending appends an overall
-    parity bit, raising d_min by one.
+    The generator's roots are alpha^e for every e in the cyclotomic cosets
+    of 1, 3, ..., 2*t_design - 1 (the exponents 2^j * i mod 2^m - 1), so
+    g(x) is the product of (x - alpha^e) over them and k = 2^m - 1 minus
+    their count; extending appends an overall parity bit, raising d_min
+    by one.
     """
     if t_design < 1:
         raise UnsupportedParametersError("t_design must be >= 1")
     inner_n = field.order
-    seen: set[int] = set()
-    gen = 1
-    for i in range(1, 2 * t_design, 2):
-        mp = minimal_polynomial(field, alpha_pow(field, i))
-        if mp not in seen:
-            seen.add(mp)
-            gen = _poly_mul_gf2(gen, mp)
-    k = inner_n - _poly_degree(gen)
+    roots = sorted({(i << j) % inner_n for i in range(1, 2 * t_design, 2)
+                    for j in range(field.m)})
+    k = inner_n - len(roots)
     if k <= 0:
         raise UnsupportedParametersError(
             f"no information bits left (m={field.m}, t={t_design})"
         )
+    coeffs = [1]  # coeffs[i] multiplies x^i, in GF(2^m)
+    for e in roots:
+        root = alpha_pow(field, e)
+        coeffs = [a ^ gf_mul(field, b, root) for a, b in zip([0] + coeffs, coeffs + [0])]
+    if any(a > 1 for a in coeffs):
+        raise AssertionError("generator has a non-binary coefficient")
+    gen = sum(a << i for i, a in enumerate(coeffs))
     d_base = 2 * t_design + 1
     if extend:
         n, d_min = inner_n + 1, d_base + 1
@@ -137,7 +105,7 @@ def encode(spec: ComponentCodeSpec, message: np.ndarray) -> np.ndarray:
     message = np.asarray(message, dtype=np.uint8)
     if message.shape != (spec.k,):
         raise ValueError(f"message must have length {spec.k}")
-    deg = _poly_degree(spec.generator_poly)
+    deg = spec.inner_n - spec.k
     msg_int = 0
     for i, b in enumerate(message):
         if b:

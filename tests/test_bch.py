@@ -36,15 +36,11 @@ def test_construct_256_239_6():
     spec = construct_ebch(build_field(8), t_design=2, extend=True)
     assert (spec.n, spec.k, spec.d_min, spec.t) == (256, 239, 6, 2)
     assert spec.extended
-    # generator = product of the minimal polynomials of alpha and alpha^3,
-    # computed here independently of the library's polynomial arithmetic
-    from pcdec.bch import minimal_polynomial
-    from pcdec.gf import alpha_pow
-    f = build_field(8)
-    m1 = minimal_polynomial(f, alpha_pow(f, 1))
-    m3 = minimal_polynomial(f, alpha_pow(f, 3))
-    assert m1 == f.primitive_poly == 0x11D
-    assert spec.generator_poly == polymul_gf2(m1, m3) == 0x16F63
+    # generator = product of the minimal polynomials of alpha (the
+    # primitive polynomial) and alpha^3, multiplied here independently of
+    # the library's polynomial arithmetic
+    assert build_field(8).primitive_poly == 0x11D
+    assert spec.generator_poly == polymul_gf2(0x11D, 0x177) == 0x16F63
 
 
 def test_construct_15_7_5(bch15):
@@ -52,6 +48,22 @@ def test_construct_15_7_5(bch15):
     assert bch15.generator_poly.bit_length() - 1 == 8
     # x^8+x^7+x^6+x^4+1, the standard generator for this code
     assert bch15.generator_poly == 0b111010001
+
+
+@pytest.mark.parametrize("m,t,n,k,octal", [
+    (4, 1, 15, 11, "23"), (4, 2, 15, 7, "721"), (4, 3, 15, 5, "2467"),
+    (5, 2, 31, 21, "3551"), (5, 3, 31, 16, "107657"),
+    (6, 2, 63, 51, "12471"), (6, 3, 63, 45, "1701317"),
+    (7, 2, 127, 113, "41567"),
+    (8, 1, 255, 247, "435"), (8, 2, 255, 239, "267543"),
+    (8, 3, 255, 231, "156720665"),
+])
+def test_construct_matches_standard_generators(m, t, n, k, octal):
+    # (n, k) and the octal generator of each primitive narrow-sense BCH
+    # code, as tabulated in the literature (Lin & Costello, Appendix C)
+    spec = construct_ebch(build_field(m), t_design=t, extend=False)
+    assert (spec.n, spec.k) == (n, k)
+    assert spec.generator_poly == int(octal, 8)
 
 
 def test_construct_64_51_6():
