@@ -12,7 +12,8 @@ with a_i the reliabilities normalized to a maximum of 1.
 ``batch_gmd`` decodes every row of a matrix at once, BDD-decoding the
 2t+1 trial words of all rows that are not already codewords (the unerased
 row and both fills of each erasure set) in one ``decode_trials`` call and
-reading the candidates' supports. The test suite checks it bit for bit
+reading the candidates' slot-major supports (see ``kernels``) as they
+come. The test suite checks it bit for bit
 against the scalar one-word GMD reference in ``tests/helpers.py``.
 """
 
@@ -89,8 +90,7 @@ def _gmd_trials(kern, words: np.ndarray, keys: np.ndarray,
     rank = np.full((nrows, n + 1), profile[-1], dtype=np.int8)
     np.put_along_axis(rank, order, np.arange(profile[-1], dtype=np.int8)[None, :], axis=1)
     rank[:, n] = -1
-    e = (np.take_along_axis(rank, support.reshape(nrows, -1), axis=1).reshape(support.shape)
-         >= sizes[:, None]).sum(axis=2)
+    e = (np.take(rank, support + np.arange(0, rank.size, n + 1)[:, None]) >= sizes).sum(axis=0)
     valid = ok & (2 * e + sizes <= spec.d_min - 1)
     # two-fill selection: smaller e wins, ties to the zeros fill
     use1 = valid[:, 2::2] & (~valid[:, 1::2] | (e[:, 2::2] < e[:, 1::2]))
@@ -100,5 +100,5 @@ def _gmd_trials(kern, words: np.ndarray, keys: np.ndarray,
     # generalized distance; argmin keeps the first minimum
     metric = np.where(valid, np.sum(1.0 - alphas, axis=1)[:, None] + 2.0 * disc, np.inf)
     any_ok = valid.any(axis=1)
-    best = support[np.arange(nrows), np.argmin(metric, axis=1)]
-    return flip_support(words, np.where(any_ok[:, None], best, n)), any_ok, int(valid.sum())
+    best = support[:, np.arange(nrows), np.argmin(metric, axis=1)]
+    return flip_support(words, np.where(any_ok, best, n).T), any_ok, int(valid.sum())

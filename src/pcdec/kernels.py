@@ -23,8 +23,12 @@ update them per flipped bit (see ``product``).
 
 ``decode_trials`` (Chase, GMD) builds no trial word: a trial's key is
 its hard word's key XOR its flipped bits' keys. Candidates come back as
-supports (where they differ from the hard word), each scored by the sum
-of its weights added in ascending position order.
+supports (where they differ from the hard word), slot-major: an (S, rows,
+T) array whose S = P + t slots are each one contiguous (rows, T) plane, so
+that ordering the slots (a fixed comparator network, ``sorting_network``),
+cancelling a flip against a correction of the same bit and adding the
+weights of a support in ascending position order all work on whole
+planes.
 
 The batch results are bit-exact with ``bch.bdd`` on every input; the test
 suite pins this equivalence exhaustively for small codes.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -141,7 +145,7 @@ class ComponentKernel:
         its m-bit blocks, block j holding S_{2j+1}, and its parity."""
         if self.spec.field.m * self.spec.t <= MAX_KEY_BITS:
             fixes, fixed = self._leaders
-            return fixes[keys[..., 0]], fixed[keys[..., 0]]
+            return np.take(fixes, keys[..., 0], axis=0), np.take(fixed, keys[..., 0])
         spec, m = self.spec, self.spec.field.m
         cpos = np.full(keys.shape[:-1] + (spec.t,), spec.n)
         ok = np.zeros(keys.shape[:-1], dtype=bool)
@@ -172,29 +176,62 @@ class ComponentKernel:
         """BDD-decode T trial words per row: trial j of row r is words[r]
         with the bits at positions[r] (P distinct positions per row) XORed
         with flips[r, j] (or flips[j], shared by all rows). Returns the
-        candidates' supports (rows, T, P + t): the positions where each
+        candidates' supports, slot-major (S, rows, T) uint16 with S = P + t:
+        support[:, r, j] lists the positions where candidate j of row r
         differs from words[r], ascending, n in unused slots (anywhere); the
         corrected mask (rows, T), a failed trial's candidate being its trial
         word; and each trial's discrepancy (rows, T), the sum of weights[r]
         over its support added in ascending position order. ``keys`` are
         the words' keys, if already known."""
-        n = words.shape[1]
+        rows, n = words.shape
         flips = np.asarray(flips, dtype=bool)
         positions = np.asarray(positions, dtype=np.intp)
-        fpos = np.where(flips, positions[:, None, :], n)
+        ntrials, nflips = flips.shape[-2:]
         keys = self.keys(words) if keys is None else keys
-        key = np.repeat(keys[:, None], flips.shape[-2], axis=1)
+        key = np.repeat(keys[:, None], ntrials, axis=1)
         trial_keys = self.col_keys[positions]
-        for k in range(positions.shape[1]):
+        for k in range(nflips):
             key ^= np.where(flips[..., k, None], trial_keys[:, k, None], 0)
         cpos, ok = self.corrections(key)
+        # one plane per slot, plus a spare for the comparators to write to;
+        # n is above every position, so max(position, n or 0) is the
+        # flipped position or n (numpy's masked writes cost far more)
+        buf = np.empty((nflips + self.spec.t + 1, rows, ntrials), dtype=np.uint16)
+        unflipped = np.moveaxis(~flips * np.uint16(n), -1, 0).reshape(nflips, -1, ntrials)
+        np.maximum(positions.T[..., None], unflipped, out=buf[:nflips], casting="unsafe")
+        buf[nflips:-1] = np.moveaxis(cpos, -1, 0)
+        planes = list(buf)
+        spare = planes.pop()
+        for i, j in sorting_network(len(planes)):
+            np.minimum(planes[i], planes[j], out=spare)
+            np.maximum(planes[i], planes[j], out=planes[j])
+            planes[i], spare = spare, planes[i]
+        support = np.stack(planes)
         # sorted, a correction on a flipped bit sits next to it; the pair
         # restores the hard bit
-        support = np.sort(np.concatenate([fpos, cpos], axis=-1), axis=-1)
-        pair = support[..., 1:] == support[..., :-1]
-        support[..., 1:][pair] = n
-        support[..., :-1][pair] = n
+        pair = (support[1:] == support[:-1]) * np.uint16(n)
+        np.maximum(support[1:], pair, out=support[1:])
+        np.maximum(support[:-1], pair, out=support[:-1])
         return support, ok, _support_sum(weights, support)
+
+
+@cache
+def sorting_network(width: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on ``width`` slots: comparator pairs
+    (i, j), i < j, each putting the smaller value in slot i. Applied in
+    order they sort any ``width`` values."""
+    pairs = []
+    p = 1
+    while p < width:
+        k = p
+        while k >= 1:
+            for j in range(k % p, width - k, 2 * k):
+                for i in range(j, j + min(k, width - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
 
 
 def flip_support(words: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -208,17 +245,17 @@ def flip_support(words: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _support_sum(weights: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Per row r and trial j, the sum of weights[r] over support[r, j]
-    (ascending positions, n in unused slots, which add 0.0), added slot by
-    slot from the lowest position up; vals.sum(axis=-1) would add 8 or
-    more slots in numpy's pairwise order."""
+    """Per row r and trial j, the sum of the finite weights[r] over
+    support[:, r, j] (ascending positions, n in unused slots, which add
+    0.0), added slot by slot from the lowest position up; a sum over the
+    slot axis would add 8 or more slots in numpy's pairwise order."""
     rows, n = weights.shape
     # an unused slot (n) reads the next row's first weight, then zeroed
-    vals = np.take(weights, support + np.arange(0, rows * n, n)[:, None, None], mode="clip")
-    vals[support == n] = 0.0
-    acc = vals[..., 0].copy()
-    for k in range(1, vals.shape[-1]):
-        acc += vals[..., k]
+    vals = np.take(weights, support + np.arange(0, rows * n, n)[:, None], mode="clip")
+    vals *= support < n
+    acc = vals[0].copy()
+    for plane in vals[1:]:
+        acc += plane
     return acc
 
 

@@ -42,7 +42,8 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
 
 GMD and Chase BDD-decode 2t+1 and 2^p trial words per component (GMD
 none for a codeword), in one ``ComponentKernel.decode_trials`` call per
-slice of rows, and count them all in ``bdd_calls``.
+slice of rows, and count them all in ``bdd_calls``. A slice holds at most
+MAX_TRIAL_BITS trial bits (trial words x n), but at least one row.
 
 Every BDD here starts from syndrome keys, and ``ComponentKernel.corrections``
 alone decides how a key is decoded: by the coset table, or past it by
@@ -185,16 +186,17 @@ def _lines(array: np.ndarray, half: int) -> np.ndarray:
     return array if half % 2 == 0 else array.swapaxes(-1, -2)
 
 
-# Cap on the trial words per kernel call in the Chase and GMD
-# half-steps: one m=8 Chase call (256 rows x 2^4 patterns). They decode the
-# rows of a stack in slices of this size, so peak memory does not grow with
-# the stack.
-MAX_WORDS_PER_CALL = 4096
+# Cap on the trial bits (trial words x n) per kernel call in the Chase and
+# GMD half-steps: one m=8 Chase call (256 rows x 2^4 patterns x 256 bits).
+# They decode the rows of a stack in slices of this size, so peak memory
+# does not grow with the stack.
+MAX_TRIAL_BITS = 4096 * 256
 
 
-def _row_slices(rows: int, words_per_row: int) -> list[slice]:
-    """Slices of ``rows`` rows with at most MAX_WORDS_PER_CALL words each."""
-    step = MAX_WORDS_PER_CALL // words_per_row
+def _row_slices(rows: int, words_per_row: int, n: int) -> list[slice]:
+    """Slices of ``rows`` rows of ``words_per_row`` trial words of n bits,
+    with at most MAX_TRIAL_BITS trial bits each, but at least one row."""
+    step = max(1, MAX_TRIAL_BITS // (words_per_row * n))
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
@@ -300,7 +302,7 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
         # C-contiguous: the summation order fixes the last bits
         ext = np.ascontiguousarray(_lines(s["ext"], half)).reshape(-1, spec.n)
         dec = np.empty(ext.shape, dtype=np.uint8)
-        for sl in _row_slices(len(ext), trials):
+        for sl in _row_slices(len(ext), trials, spec.n):
             dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half, ops)
         if half % 2:  # _iterate reads the decisions after column passes only
             for name, rows in (("ext", ext), ("dec", dec)):

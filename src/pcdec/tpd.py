@@ -10,6 +10,16 @@ competitor exists). Extrinsics are damped by ``ALPHA`` before the
 crossing dimension consumes them. Half-iteration h reads both tables at
 ``min(h, len - 1)``: the last value holds for every later one.
 
+The competitors come from the candidates' slot-major supports (see
+``kernels``): one scatter-min gives each bit the least metric of the
+candidates whose support holds it, which is its competitor off the
+decision's support. For the bits on it, a per-cell bitmask of the
+decision's slots, OR-ed over each candidate's support, tells which
+candidates hold which of the decision's positions, and the competitor is
+the least metric of those that do not. The extrinsic starts as the dense
+fallback of the decision and is overwritten at the bits that have a
+competitor.
+
 Each half-step is a rule on ``product._soft_stack``: a slice's rows of
 L plus the crossing damped extrinsic give the Chase decisions and the
 next extrinsic.
@@ -21,14 +31,18 @@ import numpy as np
 
 from .bch import ComponentCodeSpec
 from .kernels import flip_support, kernel_for, least_reliable
-from .product import (MAX_WORDS_PER_CALL, DecoderResult, ProductCodeSpec, _frame, _one,
-                      _soft_stack)
+from .product import DecoderResult, ProductCodeSpec, _frame, _one, _soft_stack
 
 # the classic per-half-iteration damping and no-competitor fallback
 ALPHA = (0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
 BETA = (0.2, 0.4, 0.6, 0.8, 1.0)
-# most test-pattern bits: 2^MAX_P = MAX_WORDS_PER_CALL
-MAX_P = MAX_WORDS_PER_CALL.bit_length() - 1
+# by a held bit (1) or not (0): the penalty a trial's metric takes, and
+# the sign of a decided bit
+_HOLDS = np.array([-np.inf, np.inf])
+_SIGN = np.array([1.0, -1.0])
+# most test-pattern bits: a row's 2^12 test words of n = 256 bits fill one
+# kernel call (product.MAX_TRIAL_BITS); longer rows get a call each
+MAX_P = 12
 
 
 def check_p(p: int, n: int) -> None:
@@ -62,46 +76,57 @@ def _chase_batch(spec: ComponentCodeSpec, soft_in: np.ndarray,
     rows = np.arange(nrows)
     didx = np.argmin(metric, axis=1)
     m_best = metric[rows, didx]
-    best = np.where(any_ok[:, None], support[rows, didx], n)
-    decision = flip_support(hard, best)
+    best = np.where(any_ok, support[:, rows, didx], n)
+    decision = flip_support(hard, best.T)
 
-    # The best competitor of each bit, in a flat (rows, n) buffer with one
-    # spare cell for empty support slots. A candidate differs from the
+    # The best competitor of each bit, in a (rows, n + 1) table whose last
+    # column takes the empty support slots. A candidate differs from the
     # decision at a bit off the decision's support where its own support
     # holds the bit, and at a bit on it where its support does not.
-    spare = nrows * n
-    cells = np.where(support < n, rows[:, None, None] * n + support, spare)
-    comp = np.full(spare + 1, np.inf)
-    slots = support.shape[2]
-    np.minimum.at(comp, cells.reshape(-1), np.repeat(metric.reshape(-1), slots))
-    bcells = np.where(best < n, rows[:, None] * n + best, spare)
-    # which slot of the decision's support each trial's support holds
-    slot = np.full(spare + 1, slots, dtype=np.int8)
-    slot[bcells] = np.arange(slots)
-    slot[spare] = slots
-    held = np.zeros((nrows, npat, slots + 1), dtype=bool)
-    held.reshape(-1)[np.arange(0, held.size, slots + 1).reshape(nrows, npat, 1)
-                     + slot[cells]] = True
-    comp[bcells] = np.where(held[..., :slots], np.inf, metric[..., None]).min(axis=1)
+    offsets = rows * (n + 1)
+    cells = support + offsets[:, None]
+    comp = np.full((nrows, n + 1), np.inf)
+    np.minimum.at(comp.reshape(-1), cells.reshape(-1),
+                  np.broadcast_to(metric, cells.shape).reshape(-1))
+    bcells = best + offsets
+    # per cell, one bit for each slot of the decision's support holding
+    # it; OR-ed over a trial's support, the decision slots the trial holds.
+    # Trial-major copies: the minima over a row's trials run down columns.
+    metric_t = np.ascontiguousarray(metric.T)
+    for lo in range(0, len(bcells), 64):
+        group = bcells[lo:lo + 64]
+        bits = np.zeros((nrows, n + 1), dtype=np.min_scalar_type((1 << len(group)) - 1))
+        bits.reshape(-1)[group] = (1 << np.arange(len(group), dtype=bits.dtype))[:, None]
+        bits[:, n] = 0
+        held = np.ascontiguousarray(np.bitwise_or.reduce(np.take(bits, cells), axis=0).T)
+        for s, cell in enumerate(group):
+            # +inf where the trial holds the slot's position, else -inf
+            skip = np.take(_HOLDS, held >> s & 1)
+            comp.reshape(-1)[cell] = np.maximum(skip, metric_t, out=skip).min(axis=0)
 
-    # (comp - best) * sign - soft_in, or beta * sign without a competitor,
-    # sign = -1 where the decision is 1; built in place
-    ext = comp[:spare].reshape(nrows, n)
-    has_comp = np.isfinite(ext)
-    ext -= np.where(np.isfinite(m_best), m_best, 0.0)[:, None]
-    ext[~has_comp] = BETA[min(half_iter, len(BETA) - 1)]
-    np.negative(ext, out=ext, where=decision == 1)
-    np.subtract(ext, soft_in, out=ext, where=has_comp)
+    # alpha * beta * sign without a competitor, sign = -1 where the
+    # decision is 1; alpha * ((comp - best) * sign - soft_in) with one
+    alpha = ALPHA[min(half_iter, len(ALPHA) - 1)]
+    fallback = BETA[min(half_iter, len(BETA) - 1)] * alpha
+    ext = np.take(np.array([fallback, -fallback]), decision)
+    comp[:, n] = np.inf
+    cell = np.flatnonzero(np.isfinite(comp))
+    row = cell // (n + 1)
+    bit = cell - row  # row * n + column
+    val = comp.reshape(-1)[cell] - m_best[row]
+    val *= np.take(_SIGN, decision.reshape(-1)[bit])
+    val -= soft_in.reshape(-1)[bit]
+    val *= alpha
+    ext.reshape(-1)[bit] = val
     ext[~any_ok] = 0.0
-    ext *= ALPHA[min(half_iter, len(ALPHA) - 1)]
     return ext, decision
 
 
 def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, p: int,
               l_max: int) -> DecoderResult:
     """``tpd_decode`` on a (B, n, n) stack of LLR frames. The rows of the
-    stack are Chase-decoded in slices of at most
-    ``product.MAX_WORDS_PER_CALL`` test-pattern words."""
+    stack are Chase-decoded in slices of at most ``product.MAX_TRIAL_BITS``
+    trial bits (2^p test words of n bits per row), at least one row each."""
     check_p(p, spec.n)
 
     def rule(soft, llr, half, ops):

@@ -15,6 +15,11 @@ from pcdec.gmd import _gmd_trials, erasure_profile
 from pcdec.kernels import kernel_for
 
 
+def ascending_sum(values) -> float:
+    """Plain left-to-right float sum, in the order given."""
+    return sum(np.asarray(values).tolist(), 0.0)
+
+
 def all_codewords(spec: ComponentCodeSpec) -> np.ndarray:
     """Every codeword of a small code, via exhaustive message enumeration."""
     k = spec.k

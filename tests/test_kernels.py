@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import genie_bdd
+from helpers import ascending_sum, genie_bdd
 from pcdec import kernels
 from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch, encode, syndromes
 from pcdec.gf import build_field
@@ -275,11 +275,6 @@ def test_least_reliable_with_non_finite_values():
         assert np.array_equal(least_reliable(values, k), want)
 
 
-def ascending_sum(values):
-    """Plain left-to-right float sum, in the order given."""
-    return sum(values.tolist(), 0.0)
-
-
 def dense_trials(kern, words, positions, flips, weights):
     """decode_trials' reference: the trial words built densely, batch_bdd,
     and the sums of the weights over the ascending positions where a
@@ -312,7 +307,9 @@ def check_trials_against_dense(spec, rng, rows, p, ntrials, shared, levels):
         weights = rng.integers(0, levels, (rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
     support, ok, disc = kern.decode_trials(words, positions, flips, weights)
     cands, ref_ok, ref_disc = dense_trials(kern, words, positions, flips, weights)
-    assert support.shape == (rows, ntrials, p + spec.t)
+    # slot-major: support[:, r, j] is candidate j of row r
+    assert support.shape == (p + spec.t, rows, ntrials)
+    support = np.moveaxis(support, 0, -1).astype(np.intp)
     assert np.array_equal(ok, ref_ok)
     # ascending positions, n in unused slots
     used = np.where(support < n, support, -1)
@@ -367,6 +364,30 @@ def test_decode_trials_table_path_builds_no_trial_words(monkeypatch):
     assert ok.any()
 
 
+def apply_network(x, width):
+    for i, j in kernels.sorting_network(width):
+        assert 0 <= i < j < width
+        x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
+    return x
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_sorting_network_sorts_every_zero_one_input(width):
+    # the 0-1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input
+    x = (np.arange(1 << width)[None, :] >> np.arange(width)[:, None]) & 1
+    assert np.all(np.diff(apply_network(x, width), axis=0) >= 0)
+
+
+def test_sorting_network_sorts_random_permutations():
+    # up to width 40: GMD past the table sorts 3t + 1 slots, 34 at t = 11
+    rng = np.random.default_rng(36)
+    for width in range(1, 41):
+        x = np.argsort(rng.random((width, 300)), axis=0)
+        assert np.array_equal(apply_network(x, width),
+                              np.broadcast_to(np.arange(width)[:, None], x.shape))
+
+
 @pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256,
                                1023, 1024])
 def test_support_sum_adds_in_ascending_position_order(n):
@@ -385,5 +406,5 @@ def test_support_sum_adds_in_ascending_position_order(n):
     for support in (dense, sparse, wide):
         want = np.array([[ascending_sum(weights[r, s[s < n]]) for s in support[r]]
                          for r in range(rows)])
-        got = kernels._support_sum(weights, support)
+        got = kernels._support_sum(weights, np.moveaxis(support, -1, 0))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -947,18 +947,18 @@ def test_keyed_half_steps_carry_the_syndrome_keys(code, name, threshold, frames,
     assert res.iterations_used.tolist() == [w[1] for w in want]
 
 
-def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
-    # 28 frames of 31 rows: the Chase half-step (16 trials per row) and the
-    # GMD half-step (5 per row) each need several slices. Every slice is
-    # one decode_trials call; its words are rows x trials.
+def test_chase_and_gmd_calls_respect_trial_bit_cap(monkeypatch):
+    # 28 frames of 31 rows. Every slice is one decode_trials call; its
+    # trial bits are rows x trials x n, at most product.MAX_TRIAL_BITS.
     pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
     L, _ = frame_stack(pc, [3.0] * 28, 5, [False] * 28)
-    words, gmd_calls, gmd_words, noisy_words = [], [], [], []
+    words, bits, gmd_calls, gmd_words, noisy_words = [], [], [], [], []
     trials = kernels.ComponentKernel.decode_trials
     gmd = product.batch_gmd
 
     def counted_trials(self, hard, positions, flips, *rest):
         words.append(len(hard) * flips.shape[-2])
+        bits.append(words[-1] * hard.shape[1])
         return trials(self, hard, positions, flips, *rest)
 
     def counted_gmd(spec, hard, rel):
@@ -973,14 +973,44 @@ def test_chase_and_gmd_calls_respect_word_cap(monkeypatch):
     monkeypatch.setattr(kernels.ComponentKernel, "decode_trials", counted_trials)
     monkeypatch.setattr(product, "batch_gmd", counted_gmd)
     tpd_stack(pc, L, 4, 1)
-    assert len(words) == 2 * 4  # slices of 256 rows: 4 per half-iteration
-    assert max(words) <= product.MAX_WORDS_PER_CALL
+    assert len(words) == 2  # a slice holds 2114 rows of 16 x 31 trial bits
+    assert max(bits) <= product.MAX_TRIAL_BITS
+    assert sum(words) == 2 * 28 * 31 * 16
+    # capped at 256 rows (2^4 x 31 x 256 trial bits): 4 slices per half-step
+    monkeypatch.setattr(product, "MAX_TRIAL_BITS", 16 * 31 * 256)
+    words.clear()
+    bits.clear()
+    tpd_stack(pc, L, 4, 1)
+    assert len(words) == 2 * 4
+    assert max(bits) <= product.MAX_TRIAL_BITS
     assert sum(words) == 2 * 28 * 31 * 16
     words.clear()
+    bits.clear()
     igmdd_sr_stack(pc, L, (2.0,), 1)
     assert gmd_calls == [1] * (2 * 2)  # 2 slices of 819 rows, one call each
-    assert max(words) <= product.MAX_WORDS_PER_CALL
+    assert max(bits) <= product.MAX_TRIAL_BITS
     assert gmd_words == noisy_words
+    # a row of 2^12 trial words of 31 bits is past a cap of one m=8 row of
+    # 2^4; a slice still holds one row
+    monkeypatch.setattr(product, "MAX_TRIAL_BITS", 16 * 256)
+    words.clear()
+    tpd_stack(pc, L[:1], 12, 1)
+    assert words == [4096] * (2 * 31)
+
+
+def test_chase_and_gmd_results_do_not_depend_on_the_slices(monkeypatch):
+    # one row per slice gives the same decisions, iterations and counters
+    pc = ProductCodeSpec(bch.construct_ebch(build_field(5), 2, extend=False))
+    L, _ = frame_stack(pc, [2.5, 3.0, 3.0, 3.5], 66, [False, True, False, True])
+    runs = []
+    for cap in (product.MAX_TRIAL_BITS, 1):
+        monkeypatch.setattr(product, "MAX_TRIAL_BITS", cap)
+        runs.append([tpd_stack(pc, L, 4, 3), igmdd_sr_stack(pc, L, (1.0, 2.0, 2.0), 3)])
+    for got, want in zip(*runs):
+        assert np.array_equal(got.array, want.array)
+        assert np.array_equal(got.iterations_used, want.iterations_used)
+        assert np.array_equal(got.converged, want.converged)
+        assert got.op_counters == want.op_counters
 
 
 def test_stack_decoders_reject_malformed_stacks(pc15):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_codewords
+from helpers import all_codewords, ascending_sum
 from pcdec import bch
 from pcdec.channel import ChannelParams, frame_rng, llr, modulate, transmit
 from pcdec.gf import build_field
@@ -35,7 +35,9 @@ def at(table, half_iter):
 
 def ref_chase(spec, soft_in, p, half_iter):
     """Plain-loop reference for the Chase component decoding; also returns
-    the decision codeword (None when every pattern fails)."""
+    the decision codeword (None when every pattern fails). A candidate's
+    metric adds |soft_in| over the positions where it differs from the
+    hard decision in ascending position order, as the kernel does."""
     n = spec.n
     hard = (soft_in < 0).astype(np.uint8)
     mag = np.abs(soft_in)
@@ -49,7 +51,7 @@ def ref_chase(spec, soft_in, p, half_iter):
         out = bch.bdd(spec, trial)
         if out.corrected:
             cands.append(out.word)
-            metrics.append(float(mag[out.word != hard].sum()))
+            metrics.append(ascending_sum(mag[out.word != hard]))
     if not cands:
         return np.zeros(n), None
     best = int(np.argmin(metrics))
@@ -101,6 +103,41 @@ def test_chase_matches_reference(comp15, p):
             assert np.allclose(got, want, atol=1e-12)
 
 
+@settings(deadline=None, max_examples=40)
+@given(m=st.sampled_from([4, 5, 6]), t=st.integers(1, 3), extend=st.booleans(),
+       p=st.integers(1, 12), nrows=st.integers(1, 4), scale=st.sampled_from([1.0, 2.0]),
+       half=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+# decisions of more than 8 slots whose 9th slot bit matters
+@example(m=6, t=3, extend=True, p=12, nrows=4, scale=2.0, half=0, seed=2)
+@example(m=5, t=3, extend=False, p=12, nrows=4, scale=2.0, half=0, seed=1)
+def test_chase_batch_bit_exact_against_reference(m, t, extend, p, nrows, scale, half, seed):
+    # Rows of three kinds: noisy codewords; random words, every trial of
+    # which may fail; and codewords with up to p weak errors among their p
+    # least reliable bits and up to t strong ones, whose decisions differ
+    # from the hard word in up to p + t positions (past 8, the decision's
+    # slot bits take 16-bit cells). Quantized inputs tie on |soft| and
+    # hold zeros.
+    spec = bch.construct_ebch(build_field(m), t, extend=extend)
+    rng = np.random.default_rng(seed)
+    cw = kernel_for(spec).encode(rng.integers(0, 2, (nrows, spec.k)))
+    soft = 2.0 * (1.0 - 2.0 * cw) + rng.normal(0, 1.5, cw.shape)
+    for i, kind in enumerate(rng.integers(0, 3, nrows)):
+        if kind == 1:
+            soft[i] = rng.normal(0, 2, spec.n)
+        elif kind == 2:
+            soft[i] = 4.0 * (1.0 - 2.0 * cw[i])
+            pos = rng.permutation(spec.n)[:p + t]
+            soft[i, pos[:p]] *= rng.uniform(0.0, 0.3, p)
+            soft[i, pos[:rng.integers(0, p + 1)]] *= -1.0
+            soft[i, pos[p:p + rng.integers(0, t + 1)]] *= -1.0
+    soft = np.round(soft * scale) / scale
+    ext, dec = _chase_batch(spec, soft, p, half)
+    for i in range(nrows):
+        want, word = ref_chase(spec, soft[i], p, half)
+        assert np.array_equal(ext[i].view(np.int64), want.view(np.int64))
+        assert np.array_equal(dec[i], (soft[i] < 0) if word is None else word)
+
+
 @settings(deadline=None, max_examples=30)
 @given(m=st.sampled_from([4, 6]), extend=st.booleans(), nrows=st.integers(2, 40),
        quantized=st.booleans(), half=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
@@ -118,6 +155,23 @@ def test_chase_batch_rows_equal_single_rows(m, extend, nrows, quantized, half, s
         ext_i, dec_i = _chase_batch(spec, soft[i:i + 1], p, half)
         assert np.array_equal(ext[i], ext_i[0])
         assert np.array_equal(dec[i], dec_i[0])
+
+
+def test_chase_decisions_of_more_than_64_slots():
+    # the (127,1) repetition code, t = 63, p = 3: 66 slots. Row 0's
+    # decision (all zeros) differs from its hard word in 62 strong and 3
+    # weak positions, 65 slots; the other codeword competes at all of them
+    spec = bch.construct_ebch(build_field(7), 63, extend=False)
+    soft = np.full((2, 127), 4.0)
+    soft[:, :62] = -3.0
+    soft[0, [70, 90, 126]] = [-0.1, -0.2, -0.05]
+    soft[1, [62, 63, 64]] = [-0.3, 0.0, -0.3]
+    ext, dec = _chase_batch(spec, soft, 3, 2)
+    assert not dec[0].any()
+    for i in range(2):
+        want, word = ref_chase(spec, soft[i], 3, 2)
+        assert np.array_equal(ext[i].view(np.int64), want.view(np.int64))
+        assert np.array_equal(dec[i], word)
 
 
 def test_chase_pattern_list_recovers_beyond_t(comp15, cw15, p):
