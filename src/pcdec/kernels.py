@@ -9,9 +9,10 @@ decoding step and takes only keys. For codes with m*t <= MAX_KEY_BITS
 of the corrections, built on first use with 2^(m*t+1) entries: the
 unique error pattern of weight <= t with those syndromes, plus the
 parity bit of an extended code where the parity disagrees; keys without
-one mean failure. Past the table each key is decoded on its own by the
-scalar Berlekamp-Massey/Chien core of ``bch.bdd``, which takes the odd
-syndromes and the parity as the key holds them. ``kernel_for`` keeps
+one mean failure. Past the table a key of 0 is a codeword, and each
+nonzero key is decoded on its own by the scalar Berlekamp-Massey/Chien
+core of ``bch.bdd``, which takes the odd syndromes and the parity as the
+key holds them. ``kernel_for`` keeps
 one kernel per code. Encoding is one GF(2) product with the systematic
 generator matrix, built from ``bch.encode`` on first use.
 
@@ -141,15 +142,17 @@ class ComponentKernel:
         """Per line, from its key (..., W): the positions to flip (..., t),
         ascending with n in unused slots (all of them where BDD fails), and
         the corrected mask (...).
-        Past the table each key is decoded by ``bch.decode_syndromes`` from
-        its m-bit blocks, block j holding S_{2j+1}, and its parity."""
+        Past the table a key of 0 gives no flips and success, and each
+        nonzero key is decoded by ``bch.decode_syndromes`` from its m-bit
+        blocks, block j holding S_{2j+1}, and its parity."""
         if self.spec.field.m * self.spec.t <= MAX_KEY_BITS:
             fixes, fixed = self._leaders
             return np.take(fixes, keys[..., 0], axis=0), np.take(fixed, keys[..., 0])
         spec, m = self.spec, self.spec.field.m
-        cpos = np.full(keys.shape[:-1] + (spec.t,), spec.n)
-        ok = np.zeros(keys.shape[:-1], dtype=bool)
-        for i, parts in zip(np.ndindex(ok.shape), keys.reshape(-1, keys.shape[-1]).tolist()):
+        ok = ~keys.any(axis=-1)
+        cpos = np.full(ok.shape + (spec.t,), spec.n)
+        lines = np.nonzero(~ok)
+        for i, parts in zip(zip(*lines), keys[lines].tolist()):
             key = sum(w << 63 * j for j, w in enumerate(parts))
             odd = [key >> m * j & spec.field.order for j in range(spec.t)]
             flips = bch.decode_syndromes(spec, odd, key >> m * spec.t)

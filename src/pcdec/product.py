@@ -17,7 +17,9 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
 * ``_key_stack``    -- BDD from the syndrome key of every row and column,
                        computed once per stack and updated per bit flip
                        (no syndrome product, transpose or codeword check
-                       per half-step); a line rule picks the flips, and a
+                       per half-step); a line rule gets the dense BDD
+                       result of every line of the pass (its flips, n in
+                       unused slots, and success), picks the flips, and a
                        frame stops once all its keys vanish:
   - ``ibdd``          applies every correction;
   - ``ideal_ibdd``    keeps a line's corrections only where the line has
@@ -35,7 +37,8 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
   - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
   - ``tpd.tpd_decode`` Chase-Pyndiah, ext = the damped extrinsic.
 * ``ibdd_sr``       -- the lines of the messages decoded in place from
-                       their keys, one syndrome product per pass; the
+                       their keys, one syndrome product per pass and the
+                       same dense BDD result and flips as ``ibdd``; the
                        message psi = B(w * mubar + L) keeps a decoded bit
                        only where |L| < w. Carried keys (``_key_stack``)
                        would have to follow it: m=8 went 4.1 -> 5.2 ms/frame.
@@ -243,21 +246,22 @@ def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
     """BDD from the syndrome keys of the lines: the state holds the decisions
     ``dec`` (a checked (B, n, n) stack), ``key`` (B, 2, n, W), the key of
     every row (key[:, 0]) and column (key[:, 1]) of dec, computed once per
-    stack, and the rule's own entries ``state``. A half-step reads the
-    corrections ``cpos, ok`` of the lines ``fb, line`` (frame, index) whose
-    key is not 0; a line whose key is 0 is a codeword, which BDD returns
-    unchanged. ``rule(s, half, fb, line, cpos, ok, ops)`` decides which
-    flips (frame, line, position) to make, and each goes through ``_flip``,
-    so the keys follow dec with no syndrome product, transpose or codeword
-    check per half-step. A frame stops once all 2n keys vanish."""
+    stack, and the rule's own entries ``state``. A half-step decodes every
+    line of the pass from its key, ``cp, ok = kern.corrections(...)``: the
+    positions to flip (B, n, t), n in unused slots (in all of a failed
+    line's), and the corrected mask (B, n); a codeword's key is 0, which
+    gives no flips and ok. ``rule(s, half, cp, ok, ops)`` may write to both,
+    which are new per half-step, and returns the flips (frame, line,
+    position) to make; each goes through ``_flip``, so the keys follow dec
+    with no syndrome product, transpose or codeword check per half-step. A
+    frame stops once all 2n keys vanish."""
     kern = kernel_for(spec.component)
 
     def half_step(s, half, ops):
-        key, own = s["key"], half % 2
+        key = s["key"]
         ops["bdd_calls"] += len(key) * spec.n
-        fb, line = np.nonzero(key[:, own].any(axis=-1))
-        cpos, ok = kern.corrections(key[fb, own, line])
-        _flip(s, half, *rule(s, half, fb, line, cpos, ok, ops), kern.col_keys)
+        _flip(s, half, *rule(s, half, *kern.corrections(key[:, half % 2]), ops),
+              kern.col_keys)
         return ~key.any(axis=(1, 2, 3))
 
     return _iterate(spec, l_max, {"dec": dec, "key": kern.line_keys(dec), **state},
@@ -275,12 +279,13 @@ def _flip(s: dict, half: int, b: np.ndarray, i: np.ndarray, p: np.ndarray,
     np.bitwise_xor.at(s["key"][:, 1 - own], (b, p), col_keys[i])
 
 
-def _every_correction(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
-                      cpos: np.ndarray, ok: np.ndarray, ops: dict) -> tuple:
+def _every_correction(s: dict, half: int, cp: np.ndarray, ok: np.ndarray,
+                      ops: dict) -> tuple:
     """iBDD's line rule: the flips (frame, line, position) of the corrections
-    ``cpos`` (n in unused slots) of the lines ``fb, line`` where ``ok``."""
-    r, c = np.nonzero((cpos < s["dec"].shape[-1]) & ok[:, None])
-    return fb[r], line[r], cpos[r, c]
+    ``cp`` (B, n, t) of every line, n in unused slots (in all of a failed
+    line's)."""
+    b, i, k = np.nonzero(cp < s["dec"].shape[-1])
+    return b, i, cp[b, i, k]
 
 
 def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
@@ -337,11 +342,12 @@ def ideal_ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
     dec = _stack(spec, received, "received", bits=True)
     wrong = dec != true
 
-    def genie(s, half, fb, line, cpos, ok, ops):
+    def genie(s, half, cp, ok, ops):
         own, errors = half % 2, s["errors"]
-        ok &= errors[fb, own, line] <= spec.component.t
-        errors[fb[ok], own, line[ok]] = 0
-        b, i, p = _every_correction(s, half, fb, line, cpos, ok, ops)
+        ok &= errors[:, own] <= spec.component.t
+        errors[:, own][ok] = 0
+        cp[~ok] = spec.n
+        b, i, p = _every_correction(s, half, cp, ok, ops)
         np.subtract.at(errors[:, 1 - own], (b, p), 1)
         return b, i, p
 
@@ -400,13 +406,8 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
 
     def half_step(s, half, ops):
         lines = _lines(s["dec"], half)
-        key = kern.keys(s["dec"], columns=half % 2 == 1)
-        fb, line = np.nonzero(key.any(axis=-1))
-        cpos, fixed = kern.corrections(key[fb, line])
-        ok = np.ones(lines.shape[:2], dtype=bool)
-        ok[fb, line] = fixed
-        r, c = np.nonzero(cpos < spec.n)
-        lines[fb[r], line[r], cpos[r, c]] ^= 1
+        cp, ok = kern.corrections(kern.keys(s["dec"], columns=half % 2 == 1))
+        lines[_every_correction(s, half, cp, ok, ops)] ^= 1
         _sr_select(lines, _lines(s["ch"], half),
                    ok[..., None] & (_lines(s["rank"], half) <= k[half // 2]))
         ops["bdd_calls"] += ok.size
@@ -450,16 +451,14 @@ def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderR
 _ANCHOR_STATE = ("anchor", "nconf", "conflicts", "applied", "touched")
 
 
-def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
-                 cpos: np.ndarray, fixed: np.ndarray, ops: dict, threshold: int,
-                 kern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _anchor_pass(s: dict, half: int, cp: np.ndarray, ok: np.ndarray, ops: dict,
+                 threshold: int, kern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """AD's line rule on ``_key_stack``: one anchor-decoding pass over the
     components of half-iteration ``half`` of every frame, in index order
-    within a frame. Their BDD results ``ok, cp`` (B, n) and (B, n, t)
-    (success, positions to flip with n in unused slots) come from the
-    corrections ``cpos, fixed`` of the lines ``fb, line`` whose key is not 0
-    (the others are codewords), and are read again from the current key of
-    a word that a backtrack changes. The state ``s`` is described in
+    within a frame. Their BDD results ``cp, ok`` (B, n, t) and (B, n)
+    (positions to flip with n in unused slots, success) are those of
+    ``_key_stack``, read again from the current key of a word that a
+    backtrack changes. The state ``s`` is described in
     ``anchor_stack``. A backtrack's undo goes through ``_flip`` at once; the
     pass returns the flips of the components that apply their corrections.
 
@@ -482,22 +481,17 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
     sort. The outcomes reach the state through the lists of flips, of the
     anchors that lose their status and of the new conflicts."""
     frames, n = s["dec"].shape[:2]
-    own, cross = (0, n) if half % 2 == 0 else (n, 0)
+    own, cross = half % 2, 1 - half % 2
     anchor, nconf, conflicts, applied, touched = (s[k] for k in _ANCHOR_STATE)
-    own_conf = conflicts[:, own:own + n]
-    ok = np.ones((frames, n), dtype=bool)
-    ok[fb, line] = fixed
-    cp = np.full((frames, n, cpos.shape[-1]), n, dtype=cpos.dtype)
-    cp[fb, line] = cpos
+    own_conf = conflicts[:, own]
     # the crossing anchors and False at n: ca[b, cp[b, i]] marks the
     # blockers of component i. Crossing anchors only leave during a pass,
     # so the blockers of a word change only where an anchor is backtracked
     # or the word re-decoded; from its visit on, ``blocked`` keeps a
     # component's outcome
     ca = np.zeros((frames, n + 1), dtype=bool)
-    ca[:, :n] = anchor[:, cross:cross + n]
-    blocked = np.zeros((frames, n), dtype=bool)
-    blocked[fb, line] = ca[fb[:, None], cpos].any(axis=1)
+    ca[:, :n] = anchor[:, cross]
+    blocked = ca[np.arange(frames)[:, None, None], cp].any(axis=2)
     dirty = np.zeros((frames, n), dtype=bool)  # re-decoded before its visit
 
     def new_conflicts(qb, qi):
@@ -527,7 +521,7 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
         group = group[order]
         count = np.empty_like(group)
         count[order] = np.arange(len(group)) - np.searchsorted(group, group)
-        count += nconf[pb, cross + pa]
+        count += nconf[pb, cross, pa]
         over = np.flatnonzero(count >= threshold)
         # component hi of frame hit makes the frame's next backtrack: the
         # anchors it takes past the threshold undo their corrections
@@ -538,11 +532,10 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
         upto[hit] = hi
         gone = over[pi[over] == upto[pb[over]]]
         bb, bp = pb[gone], pa[gone]
-        bc = cross + bp
-        k, i = np.nonzero(applied[bb, bc])
+        k, i = np.nonzero(applied[bb, cross, bp])
         _flip(s, half, bb[k], i, bp[k], kern.col_keys)
-        k, i = np.nonzero(touched[bb, bc])
-        ca[bb, bp] = applied[bb, bc] = touched[bb, bc] = False
+        k, i = np.nonzero(touched[bb, cross, bp])
+        ca[bb, bp] = applied[bb, cross, bp] = touched[bb, cross, bp] = False
         own_conf[bb, :, bp] = False
         still = ca[qb[:, None], c].any(axis=1)
         held = still[q[at]]  # a blocker of hi survives
@@ -558,7 +551,7 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
         ops["bdd_calls"] += np.count_nonzero(redo)
         rb, ri = np.concatenate([rb, hit[redo]]), np.concatenate([ri, hi[redo]])
         if rb.size:
-            cp[rb, ri], ok[rb, ri] = kern.corrections(s["key"][rb, half % 2, ri])
+            cp[rb, ri], ok[rb, ri] = kern.corrections(s["key"][rb, own, ri])
             blocked[rb, ri] = ca[rb[:, None], cp[rb, ri]].any(axis=1)
         pending = hit
 
@@ -566,20 +559,20 @@ def _anchor_pass(s: dict, half: int, fb: np.ndarray, line: np.ndarray,
     # status drops its flips and the conflicts against it
     ops["bdd_calls"] += np.count_nonzero(dirty)
     go = ok & ~blocked
-    lb, li = np.nonzero(anchor[:, own:own + n] & ~go)
-    applied[lb, own + li] = touched[lb, own + li] = False
-    conflicts[lb, cross:cross + n, li] = nconf[lb, own + li] = 0
-    anchor[:, own:own + n] = go
-    anchor[:, cross:cross + n] = ca[:, :n]
-    nconf[:, cross:cross + n] *= ca[:, :n]
+    lb, li = np.nonzero(anchor[:, own] & ~go)
+    applied[lb, own, li] = touched[lb, own, li] = False
+    conflicts[lb, cross, :, li] = nconf[lb, own, li] = 0
+    anchor[:, own] = go
+    anchor[:, cross] = ca[:, :n]
+    nconf[:, cross] *= ca[:, :n]
     b, i, k = np.nonzero((cp < n) & go[:, :, None])
     p = cp[b, i, k]
-    applied[b, own + i, p] ^= True
-    touched[b, own + i, p] = True
+    applied[b, own, i, p] ^= True
+    touched[b, own, i, p] = True
     # the blocked components' conflicts with the surviving anchors
     _, _, pb, pi, pa = new_conflicts(*np.nonzero(blocked))
     own_conf[pb, pi, pa] = True
-    np.add.at(nconf, (pb, cross + pa), 1)
+    np.add.at(nconf[:, cross], (pb, pa), 1)
     return b, i, p
 
 
@@ -587,18 +580,19 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
                  threshold: int) -> DecoderResult:
     """``anchor_decode`` on a (B, n, n) stack of frames: ``_key_stack`` with
     ``_anchor_pass`` as its line rule. The anchor state rides with ``dec``
-    and ``key`` in the state of ``_iterate``, frames along axis 0.
-    Components 0..n-1 are rows, n..2n-1 columns, and j indexes the
-    components crossing component c:
+    and ``key`` in the state of ``_iterate``, frames along axis 0, in
+    ``key``'s line layout: (B, 2, n) and (B, 2, n, n), component c = (d, i)
+    being row i (d = 0) or column i (d = 1), and j indexing the components
+    crossing it, those of direction 1 - d:
 
-    * ``anchor[b, c]``: c is an anchor;
-    * ``nconf[b, c]``: the number of components counting toward c's
-      conflicts, so that a pass need not sum ``conflicts`` over (B, 2n, n);
-    * ``conflicts[b, c, j]``: c was blocked by the crossing anchor j and
+    * ``anchor[b, d, i]``: c is an anchor;
+    * ``nconf[b, d, i]``: the number of components counting toward c's
+      conflicts, so that a pass need not sum ``conflicts`` over (B, n, n);
+    * ``conflicts[b, d, i, j]``: c was blocked by the crossing anchor j and
       counts toward j's conflicts;
-    * ``applied[b, c, j]``, ``touched[b, c, j]``: the anchor c has flipped
-      its position j an odd number of times, or at all (a backtrack undoes
-      the first and re-decodes the crossing words in the second).
+    * ``applied[b, d, i, j]``, ``touched[b, d, i, j]``: the anchor c has
+      flipped its position j an odd number of times, or at all (a backtrack
+      undoes the first and re-decodes the crossing words in the second).
 
     A component that is not an anchor has no flips, and no component has
     a conflict with it (its ``nconf`` is 0)."""
@@ -608,9 +602,9 @@ def anchor_stack(spec: ProductCodeSpec, received: np.ndarray, l_max: int,
     frames, n = len(dec), spec.n
     return _key_stack(spec, dec, l_max, partial(_anchor_pass, threshold=threshold,
                                                 kern=kernel_for(spec.component)),
-                      anchor=np.zeros((frames, 2 * n), dtype=bool),
-                      nconf=np.zeros((frames, 2 * n), dtype=np.intp),
-                      **{k: np.zeros((frames, 2 * n, n), dtype=bool) for k in _ANCHOR_STATE[2:]})
+                      anchor=np.zeros((frames, 2, n), dtype=bool),
+                      nconf=np.zeros((frames, 2, n), dtype=np.intp),
+                      **{k: np.zeros((frames, 2, n, n), dtype=bool) for k in _ANCHOR_STATE[2:]})
 
 
 def anchor_decode(spec: ProductCodeSpec, received: np.ndarray, l_max: int,

@@ -1,4 +1,13 @@
+from pcdec.harness import _steady_heap
+
 RESULTS: list[tuple[str, bool, str]] = []
+
+
+def pytest_sessionstart(session):
+    # the simulator's allocator thresholds for every test, not only those
+    # that build a _FrameSimulator: without them a direct tpd_stack or
+    # _chase_batch call pays page faults that hang on which test ran first
+    _steady_heap()
 
 
 def record_criterion(name: str, passed: bool, detail: str = "") -> None:

@@ -188,6 +188,35 @@ def test_kernel_matches_scalar_oracle_on_random_codes(m, t, extend, seed):
         assert mask[i] == (not any(syn) and not parity)
 
 
+def test_corrections_past_the_table_skip_zero_keys(monkeypatch):
+    # a key of 0 is a codeword: no flips and success, with no call to the
+    # scalar core, which decodes each nonzero key once
+    spec = construct_ebch(build_field(6), 4)
+    kern = kernel_for(spec)
+    assert spec.field.m * spec.t > kernels.MAX_KEY_BITS
+    rng = np.random.default_rng(36)
+    words = np.zeros((2, 5, spec.n), dtype=np.uint8)
+    words[0, 1, [3, 9]] = words[1, 0, 40] = words[1, 3, :7] = 1
+    words[1, 4] = rng.integers(0, 2, spec.n)
+    keys = kern.keys(words)
+    zero = ~keys.any(axis=-1)
+    assert zero.sum() == 6
+    decode, calls = kernels.bch.decode_syndromes, []
+
+    def counted(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(kernels.bch, "decode_syndromes", counted)
+    cpos, ok = kern.corrections(keys)
+    assert len(calls) == 4
+    assert ok[zero].all() and (cpos[zero] == spec.n).all()
+    for b, i in zip(*np.nonzero(~zero)):
+        ref = bdd(spec, words[b, i])
+        assert ok[b, i] == ref.corrected
+        assert np.array_equal(flip_support(words[b, i][None], cpos[b, i][None])[0], ref.word)
+
+
 # m*t + 1 > 63 takes two key words; (6, 10) fills 61 bits of one
 @pytest.mark.parametrize("m,t,extend", [(5, 2, False), (6, 10, True), (6, 11, False),
                                          (6, 11, True), (7, 9, False), (7, 9, True),

@@ -686,6 +686,39 @@ def test_ideal_ibdd_beats_plain_on_miscorrection_frame(pc15):
     pytest.fail("no diverging frame found")
 
 
+def test_ideal_ibdd_keeps_the_count_of_a_wrong_codeword_line(monkeypatch):
+    # an all-zero frame whose only errors are one weight-6 codeword along
+    # row 5: the row's key is 0, so the row pass leaves it and its genie
+    # count at 6; each of the six columns holds one error, and the column
+    # pass corrects them all, taking the row's count to 0
+    pc = stack_spec(6, 2)
+    kern = kernels.kernel_for(pc.component)
+    word = np.zeros(pc.n, dtype=np.uint8)
+    for first in range(pc.n - 7):
+        word[:] = 0
+        word[[first, first + 1, first + 3, first + 7]] = 1
+        cp, ok = kern.corrections(kern.keys(word[None]))
+        if ok[0] and (cp[0] < pc.n).sum() == 2:
+            word[cp[0][cp[0] < pc.n]] ^= 1
+            break
+    assert word.sum() == 6 and not kern.keys(word[None]).any()
+    received = np.zeros((1, pc.n, pc.n), dtype=np.uint8)
+    received[0, 5] = word
+    iterate, counts = product._iterate, []
+
+    def recorded(spec, l_max, state, half_step):
+        def checked(s, half, ops):
+            done = half_step(s, half, ops)
+            counts.append(s["errors"][0, 0, 5])
+            return done
+        return iterate(spec, l_max, state, checked)
+
+    monkeypatch.setattr(product, "_iterate", recorded)
+    res = ideal_ibdd_stack(pc, received, np.zeros_like(received), 4)
+    assert counts == [6, 0]
+    assert res.converged.all() and not res.array.any()
+
+
 def test_decoder_result_contract_all_decoders(pc15):
     # n x n output, converged <=> product codeword, bit-identical reruns
     _, L = noisy_frame(pc15, 2.0, 600)
