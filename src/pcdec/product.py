@@ -9,8 +9,16 @@ its state (arrays with the frames along axis 0) and a half-step, which
 decodes all rows (even half-iterations) or all columns (odd ones) of
 every frame still iterating at once, and may hand back the stop test.
 A frame that has converged leaves the state, so it stops at the same
-iteration as it would alone. ``_lines`` presents an array so that the
-half-step's component words are its rows.
+iteration as it would alone. The op counters hold one count per frame
+of the state, so a frame's work stays its own. ``_lines`` presents an
+array so that the half-step's component words are its rows.
+
+The SR decoders' half-steps read one weight per iteration, and they
+tell ``_iterate`` so (``repeats``): a frame whose messages an iteration
+leaves as they were, with the same weight next, would repeat that
+iteration until the weight changes. It waits outside the state until
+then, or to l_max, and adds its last iteration's op counts for each
+iteration it skips, so every result is that of running them.
 
 Two half-steps are shared, and ``ibdd_sr`` brings its own:
 
@@ -203,27 +211,57 @@ def _row_slices(rows: int, words_per_row: int, n: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
-def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
-             half_step) -> DecoderResult:
+OP_COUNTERS = ("bdd_calls", "erasure_calls", "gd_evals", "msg_updates")
+
+
+def _iterate(spec: ProductCodeSpec, l_max: int, state: dict, half_step,
+             repeats=None) -> DecoderResult:
     """Run up to l_max iterations of ``half_step(state, half, ops)`` over
     the rows (half = 2 * iteration - 2), then the columns (half + 1). A
     frame stops after the first iteration whose decisions ``state["dec"]``
     are a product codeword, and is then dropped from every array of
     ``state`` (each holds the frames still iterating along axis 0).
     ``half_step`` updates the decoder's working state and adds its work to
-    the op counters ``ops``. A column pass may return the stop test, a
-    bool per frame; when it returns None, the decisions are checked
-    here."""
+    the op counters ``ops``, an int array per counter with one entry per
+    frame of the state. A column pass may return the stop test, a bool per
+    frame; when it returns None, the decisions are checked here.
+
+    ``repeats``, if given, is (values, moving): one hashable value per
+    iteration, the one its half-steps read, and the names of the state
+    entries they change (the stop test must read only those). A frame
+    whose ``moving`` entries after iteration i equal those after i - 1,
+    where iteration i + 1 reads the value of i, is at a fixed point: each
+    later iteration with that value repeats iteration i, op counts
+    included, and does not stop the frame. It leaves the state, adds
+    iteration i's counts once per iteration it skips, and rejoins, state
+    unchanged, at the first later iteration that reads another value;
+    with none, it ends at l_max, not converged."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     kern = kernel_for(spec.component)
-    ops = {"bdd_calls": 0, "erasure_calls": 0, "gd_evals": 0, "msg_updates": 0}
+    values, moving = repeats or (range(l_max), ())
     frames = len(state["dec"])
     arrays = np.empty((frames, spec.n, spec.n), dtype=np.uint8)
     iterations = np.full(frames, l_max)
     converged = np.zeros(frames, dtype=bool)
-    active = np.arange(frames)
+    finished = np.zeros(len(OP_COUNTERS), dtype=np.int64)
+    # the frames iterating and those parked until iteration ``back``, each
+    # as (frame indices, state, op counts: a row per counter, a column per frame)
+    group = (np.arange(frames), state, np.zeros((len(OP_COUNTERS), frames), dtype=np.int64))
+    parked = back = None
     for it in range(1, l_max + 1):
+        if it == back:
+            group, parked = _join(group, parked), None
+        active, state, counts = group
+        if not active.size:
+            if parked is None:
+                break
+            continue
+        watch = it < l_max and values[it] == values[it - 1]
+        if watch:
+            before = [state[k].copy() for k in moving]
+            counted = counts.copy()
+        ops = dict(zip(OP_COUNTERS, counts))
         half_step(state, 2 * it - 2, ops)
         done = half_step(state, 2 * it - 1, ops)
         if done is None:
@@ -232,13 +270,41 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict,
             arrays[active[done]] = state["dec"][done]
             iterations[active[done]] = it
             converged[active[done]] = True
-            active = active[~done]
-            if not active.size:
-                break
-            state = {k: v[~done] for k, v in state.items()}
-    if active.size:
-        arrays[active] = state["dec"]
-    return DecoderResult(arrays, iterations, converged, ops)
+            finished += counts[:, done].sum(axis=1)
+        leave = done
+        if watch:
+            fixed = ~done
+            for k, old in zip(moving, before):
+                fixed &= (state[k] == old).reshape(len(active), -1).all(axis=1)
+            if fixed.any():
+                back = next((j for j in range(it + 1, l_max + 1)
+                             if values[j - 1] != values[it - 1]), l_max + 1)
+                counts[:, fixed] += (counts[:, fixed] - counted[:, fixed]) * (back - 1 - it)
+                parked = _join(parked, _select(group, fixed))
+                leave = done | fixed
+        if leave.any():
+            group = _select(group, ~leave)
+    if parked is not None:  # at a fixed point to the end
+        group = _join(group, parked)
+    active, state, counts = group
+    arrays[active] = state["dec"]
+    totals = finished + counts.sum(axis=1)
+    return DecoderResult(arrays, iterations, converged, dict(zip(OP_COUNTERS, totals.tolist())))
+
+
+def _select(group: tuple, keep: np.ndarray) -> tuple:
+    """The frames ``keep`` of a group (frame indices, state, op counts)."""
+    ids, state, counts = group
+    return ids[keep], {k: v[keep] for k, v in state.items()}, counts[:, keep]
+
+
+def _join(a: tuple | None, b: tuple | None) -> tuple | None:
+    """Two groups of frames (frame indices, state, op counts) as one."""
+    if a is None or b is None:
+        return b if a is None else a
+    return (np.concatenate([a[0], b[0]]),
+            {k: np.concatenate([v, b[1][k]]) for k, v in a[1].items()},
+            np.concatenate([a[2], b[2]], axis=1))
 
 
 def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
@@ -259,7 +325,7 @@ def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
 
     def half_step(s, half, ops):
         key = s["key"]
-        ops["bdd_calls"] += len(key) * spec.n
+        ops["bdd_calls"] += spec.n
         _flip(s, half, *rule(s, half, *kern.corrections(key[:, half % 2]), ops),
               kern.col_keys)
         return ~key.any(axis=(1, 2, 3))
@@ -289,12 +355,16 @@ def _every_correction(s: dict, half: int, cp: np.ndarray, ok: np.ndarray,
 
 
 def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
-                rule) -> DecoderResult:
+                rule, sched=None) -> DecoderResult:
     """Soft messages from the channel LLRs L on: ``rule(soft, llr, half, ops)``
     gets a slice of rows (``trials`` BDD trial words each) of L + ext, ext the
     crossing half-step's soft message (zero at first), and of L; it writes the
-    next ext over ``soft`` (ext's memory), adds its other work to ``ops`` and
-    returns the decisions."""
+    next ext over ``soft`` (ext's memory), puts its other work in ``ops``,
+    counter -> count per row (an int array over the slice's rows, or an int
+    that holds for every row of the pass), and returns the decisions. A
+    decoder whose rule reads ``half`` only as ``sched[half // 2]`` passes
+    ``sched``: a frame whose ext and decisions repeat then waits in
+    ``_iterate`` for the next value."""
     llrs = _stack(spec, llrs, "llrs", bits=False)
     # L's rows for both passes, C-contiguous: one copy, no strided reads per pass
     state = {"llr": llrs, "llr_t": np.ascontiguousarray(llrs.swapaxes(-1, -2)),
@@ -307,14 +377,25 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
         # C-contiguous: the summation order fixes the last bits
         ext = np.ascontiguousarray(_lines(s["ext"], half)).reshape(-1, spec.n)
         dec = np.empty(ext.shape, dtype=np.uint8)
+        per_row, every_row = {}, {"bdd_calls": trials}
         for sl in _row_slices(len(ext), trials, spec.n):
-            dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half, ops)
+            counts = {}
+            dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half, counts)
+            for k, v in counts.items():
+                if isinstance(v, int):
+                    every_row[k] = v
+                else:
+                    per_row.setdefault(k, np.zeros(len(ext), dtype=np.int64))[sl] = v
         if half % 2:  # _iterate reads the decisions after column passes only
             for name, rows in (("ext", ext), ("dec", dec)):
                 _lines(s[name], half)[...] = rows.reshape(s[name].shape)
-        ops["bdd_calls"] += len(ext) * trials
+        for k, v in per_row.items():
+            ops[k] += v.reshape(-1, spec.n).sum(axis=1)
+        for k, v in every_row.items():
+            ops[k] += spec.n * v
 
-    return _iterate(spec, l_max, state, half_step)
+    return _iterate(spec, l_max, state, half_step,
+                    None if sched is None else (sched, ("ext", "dec")))
 
 
 def ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
@@ -410,10 +491,11 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         lines[_every_correction(s, half, cp, ok, ops)] ^= 1
         _sr_select(lines, _lines(s["ch"], half),
                    ok[..., None] & (_lines(s["rank"], half) <= k[half // 2]))
-        ops["bdd_calls"] += ok.size
-        ops["msg_updates"] += lines.size
+        ops["bdd_calls"] += spec.n
+        ops["msg_updates"] += spec.n ** 2
 
-    return _iterate(spec, l_max, {"dec": ch.copy(), "ch": ch, "rank": rank}, half_step)
+    return _iterate(spec, l_max, {"dec": ch.copy(), "ch": ch, "rank": rank}, half_step,
+                    (k, ("dec",)))
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -430,17 +512,19 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         weight = sched[half // 2]
         ch = (llr < 0).view(np.uint8)  # B(L)
         hard = (soft < 0).view(np.uint8)  # B(soft), B(0) resolved to B(L)
-        np.copyto(hard, ch, where=soft == 0)
+        tie = (soft == 0).view(np.uint8)
+        tie &= ch
+        hard |= tie
         out, ok, stats = batch_gmd(comp, hard, np.abs(soft, out=soft))
-        ops["erasure_calls"] += stats["attempts"]
-        ops["gd_evals"] += stats["gd_evals"]
-        ops["msg_updates"] += soft.size
+        # t + 1 error-erasure trials per row
+        ops.update(erasure_calls=comp.t + 1, gd_evals=stats["gd_evals_per_row"],
+                   msg_updates=spec.n)
         # ext = w * mubar
         np.take(weight * np.array([1.0, -1.0]), out, out=soft, mode="clip")
         soft[~ok] = 0.0
         return _sr_select(out, ch, ok[:, None] & (np.abs(llr) < weight))
 
-    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule)  # 2t+1 GMD trials
+    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule, sched)  # 2t+1 GMD trials
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -548,7 +632,7 @@ def _anchor_pass(s: dict, half: int, cp: np.ndarray, ok: np.ndarray, ops: dict,
         rb, ri = bb[k[ahead]], i[ahead]
         dirty[rb, ri] = True
         redo = ~held
-        ops["bdd_calls"] += np.count_nonzero(redo)
+        ops["bdd_calls"][hit] += redo
         rb, ri = np.concatenate([rb, hit[redo]]), np.concatenate([ri, hi[redo]])
         if rb.size:
             cp[rb, ri], ok[rb, ri] = kern.corrections(s["key"][rb, own, ri])
@@ -557,7 +641,7 @@ def _anchor_pass(s: dict, half: int, cp: np.ndarray, ok: np.ndarray, ops: dict,
 
     # each component's outcome at its visit; an anchor that loses its
     # status drops its flips and the conflicts against it
-    ops["bdd_calls"] += np.count_nonzero(dirty)
+    ops["bdd_calls"] += dirty.sum(axis=1)
     go = ok & ~blocked
     lb, li = np.nonzero(anchor[:, own] & ~go)
     applied[lb, own, li] = touched[lb, own, li] = False

@@ -13,6 +13,7 @@ import numpy as np
 from pcdec.bch import ComponentCodeSpec, DecodeOutcome, bdd, encode
 from pcdec.gmd import _gmd_trials, erasure_profile
 from pcdec.kernels import kernel_for
+from pcdec.product import OP_COUNTERS, DecoderResult, _codewords
 
 
 def ascending_sum(values) -> float:
@@ -187,7 +188,8 @@ def batch_gmd_without_skip(spec: ComponentCodeSpec, words: np.ndarray,
     words = np.ascontiguousarray(words, dtype=np.uint8)
     out, ok, valid = _gmd_trials(kern, words, kern.keys(words),
                                  np.asarray(reliabilities, dtype=np.float64))
-    return out, ok, {"attempts": len(words) * (spec.t + 1), "gd_evals": valid}
+    return out, ok, {"attempts": len(words) * (spec.t + 1), "gd_evals": int(valid.sum()),
+                     "gd_evals_per_row": valid}
 
 
 # ------------------------------------------------ sequential anchor decoding
@@ -319,3 +321,38 @@ def oracle_anchor_decode(spec, received: np.ndarray, l_max: int, threshold: int,
         if kern.codeword_mask(arr).all() and kern.codeword_mask(arr.T).all():
             return arr, it, True, ops, state.backtracks
     return arr, l_max, False, ops, state.backtracks
+
+
+# ------------------------------------------------------ plain iteration loop
+def plain_iterate(spec, l_max: int, state: dict, half_step, repeats=None):
+    """``pcdec.product._iterate`` without its fixed-point exit: every frame
+    runs each iteration until its decisions are a product codeword, and
+    ``repeats`` is ignored. The op counts are per frame, as the half-steps
+    add them, and summed over the stack."""
+    kern = kernel_for(spec.component)
+    frames = len(state["dec"])
+    ops = {k: np.zeros(frames, dtype=np.int64) for k in OP_COUNTERS}
+    totals = dict.fromkeys(OP_COUNTERS, 0)
+    arrays = np.empty((frames, spec.n, spec.n), dtype=np.uint8)
+    iterations = np.full(frames, l_max)
+    converged = np.zeros(frames, dtype=bool)
+    active = np.arange(frames)
+    for it in range(1, l_max + 1):
+        half_step(state, 2 * it - 2, ops)
+        done = half_step(state, 2 * it - 1, ops)
+        if done is None:
+            done = _codewords(kern, state["dec"])
+        arrays[active[done]] = state["dec"][done]
+        iterations[active[done]] = it
+        converged[active[done]] = True
+        for k, v in ops.items():
+            totals[k] += int(v[done].sum())
+        active = active[~done]
+        state = {k: v[~done] for k, v in state.items()}
+        ops = {k: v[~done] for k, v in ops.items()}
+        if not active.size:
+            break
+    arrays[active] = state["dec"]
+    for k, v in ops.items():
+        totals[k] += int(v.sum())
+    return DecoderResult(arrays, iterations, converged, totals)

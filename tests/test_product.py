@@ -14,8 +14,9 @@ from helpers import (
     genie_bdd,
     gmd_decode,
     oracle_anchor_decode,
+    plain_iterate,
 )
-from pcdec import bch, kernels, product
+from pcdec import bch, harness, kernels, product
 from pcdec.channel import ChannelParams, frame_rng, hard_decide, llr, modulate, transmit
 from pcdec.gf import build_field
 from pcdec.product import (
@@ -490,13 +491,13 @@ def test_ibdd_sr_decodes_the_lines_in_place(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a BDD call on dense words")
 
-    def checked_iterate(spec, l_max, state, half_step):
+    def checked_iterate(spec, l_max, state, half_step, repeats):
         def checked(s, half, ops):
             calls.clear()
             done = half_step(s, half, ops)
             passes.append((half, calls[:]))
             return done
-        return iterate(spec, l_max, state, checked)
+        return iterate(spec, l_max, state, checked, repeats)
 
     monkeypatch.setattr(kernels.ComponentKernel, "keys", counted)
     monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
@@ -594,9 +595,9 @@ def test_igmdd_sr_state_is_the_llrs_and_the_messages(pc15, monkeypatch):
     # B(L) or |L| arrays ride in the state
     iterate, states = product._iterate, []
 
-    def recorded(spec, l_max, state, half_step):
+    def recorded(spec, l_max, state, half_step, repeats):
         states.append(sorted(state))
-        return iterate(spec, l_max, state, half_step)
+        return iterate(spec, l_max, state, half_step, repeats)
 
     monkeypatch.setattr(product, "_iterate", recorded)
     L, _ = frame_stack(pc15, [3.0, 3.5], 5, [False, True])
@@ -647,6 +648,105 @@ def test_igmdd_sr_codeword_skip_keeps_results_and_counters(pc15, monkeypatch):
     assert np.array_equal(skip.array, full.array)
     assert np.array_equal(skip.iterations_used, full.iterations_used)
     assert skip.op_counters == full.op_counters
+
+
+# ------------------------------------------------------ fixed-point exit
+
+SR_STACKS = {"ibdd-sr": ibdd_sr_stack, "igmdd-sr": igmdd_sr_stack}
+
+
+def sr_decode_counted(name, pc, L, w, iterate=None):
+    """``name``'s stack decoder on ``iterate`` in place of ``product._iterate``
+    (that one if None), and the number of frame half-steps it ran."""
+    iterate, steps = iterate or product._iterate, []
+
+    def counted(spec, l_max, state, half_step, repeats=None):
+        def step(s, half, ops):
+            steps.append(len(s["dec"]))
+            return half_step(s, half, ops)
+        return iterate(spec, l_max, state, step, repeats)
+
+    with mock.patch.object(product, "_iterate", counted):
+        res = SR_STACKS[name](pc, L, w, len(w))
+    return res, sum(steps)
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """An SR decoder, an m = 4..6 code, a schedule of constant runs and a
+    last weight (mostly another one), and a stack of 1-3 frames."""
+    name = draw(st.sampled_from(sorted(SR_STACKS)))
+    code = draw(st.sampled_from([(m, t, ext) for m in (4, 5, 6) for t in (2, 3)
+                                 for ext in (False, True)]))
+    levels = st.sampled_from((1.0, 2.5, 4.0, 6.0))
+    runs = draw(st.lists(st.tuples(levels, st.integers(1, 4)), min_size=1, max_size=3))
+    w = tuple(x for x, r in runs for _ in range(r)) + (draw(levels),)
+    frames = draw(st.integers(1, 3))
+    ebnos = draw(st.lists(st.sampled_from((2.0, 3.0, 3.5, 4.0, 4.5, 5.0)),
+                          min_size=frames, max_size=frames))
+    rand = draw(st.lists(st.booleans(), min_size=frames, max_size=frames))
+    return name, code, w, ebnos, draw(st.integers(0, 2 ** 32 - 1)), rand
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=fixed_point_cases())
+# the frame repeats after iteration 6, waits out the two weights 1.0,
+# rejoins at the weight 4.0 of iteration 9 and converges there
+@example(case=("ibdd-sr", (4, 2, False), (1.0, 1.0, 2.5, 2.5, 1.0, 1.0, 1.0, 1.0, 4.0),
+               [5.0], 395584478, [True]))
+# the frame repeats after iteration 7 and ends parked at l_max = 9, not
+# converged: the schedule ends on a run of 2.5
+@example(case=("igmdd-sr", (6, 2, True), (2.5, 2.5, 2.5, 2.5, 4.0, 2.5, 2.5, 2.5, 2.5),
+               [3.5], 1920830188, [False]))
+# the decisions repeat while the soft messages still change, so the frame
+# must not park on its decisions alone
+@example(case=("igmdd-sr", (6, 3, True), (2.5, 2.5, 2.5, 2.5), [2.0], 1, [False]))
+def test_sr_fixed_point_exit_is_exact(case):
+    # a frame whose messages repeat under an unchanged weight leaves the
+    # stack until the weight changes; the result, op counters included,
+    # is that of the plain loop that runs every iteration
+    name, (m, t, ext), w, ebnos, seed, rand = case
+    try:
+        pc = ProductCodeSpec(bch.construct_ebch(build_field(m), t, ext))
+    except bch.UnsupportedParametersError:
+        assume(False)
+    L, _ = frame_stack(pc, ebnos, seed, rand)
+    res, steps = sr_decode_counted(name, pc, L, w)
+    want, plain_steps = sr_decode_counted(name, pc, L, w, plain_iterate)
+    assert np.array_equal(res.array, want.array)
+    assert np.array_equal(res.iterations_used, want.iterations_used)
+    assert np.array_equal(res.converged, want.converged)
+    assert res.op_counters == want.op_counters
+    assert steps <= plain_steps
+
+
+def test_ibdd_sr_frame_waits_out_a_repeating_weight():
+    # a frame of perfbench's m=6 ibdd-sr point (3.9 dB, the default
+    # schedule: 2.44, then 7.31 for iterations 2-9, then 10.97) repeats
+    # its messages from iteration 4 on, skips iterations 5-9 and converges
+    # at iteration 10, as the scalar reference does
+    cfg = harness.SimConfig(algorithm="ibdd-sr", code_m=6)
+    pc, w = cfg.product_spec(), cfg.resolve_w()
+    L, _ = frame_stack(pc, [3.9], 0, [False])
+    res, steps = sr_decode_counted("ibdd-sr", pc, L, w)
+    assert steps < 2 * cfg.iterations
+    assert res.iterations_used.tolist() == [10] and res.converged.all()
+    arr, its = ref_ibdd_sr(pc, L[0], w, cfg.iterations)
+    assert np.array_equal(res.array[0], arr) and its == 10
+
+
+def test_igmdd_sr_parked_frame_counts_every_iteration():
+    # a frame of perfbench's m=8 igmdd-sr point (4.35 dB, 7.507 for
+    # iterations 1-9, then 13.1372) repeats from iteration 5 and converges
+    # at 10; its skipped iterations still count t + 1 erasure trials per
+    # component
+    cfg = harness.SimConfig(algorithm="igmdd-sr", code_m=8)
+    pc, w = cfg.product_spec(), cfg.resolve_w()
+    L, _ = frame_stack(pc, [4.35], 3, [False])
+    res, steps = sr_decode_counted("igmdd-sr", pc, L, w)
+    its = int(res.iterations_used[0])
+    assert steps < 2 * its and res.converged.all()
+    assert res.op_counters["erasure_calls"] == (pc.component.t + 1) * 2 * pc.n * its
 
 
 # ---------------------------------------------------------------- genie
