@@ -14,10 +14,10 @@ of the state, so a frame's work stays its own. ``_lines`` presents an
 array so that the half-step's component words are its rows.
 
 The SR decoders' half-steps read one weight per iteration, and they
-tell ``_iterate`` so (``repeats``): a frame whose messages an iteration
-leaves as they were, with the same weight next, would repeat that
-iteration until the weight changes. It waits outside the state until
-then, or to l_max, and adds its last iteration's op counts for each
+tell ``_iterate`` so (``repeats``): within a run of equal weights, a
+frame whose messages an iteration leaves as they were would repeat that
+iteration to the end of the run. It sits out the rest of its run
+outside the state and adds its last iteration's op counts for each
 iteration it skips, so every result is that of running them.
 
 Two half-steps are shared, and ``ibdd_sr`` brings its own:
@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -226,85 +227,68 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict, half_step,
     frame of the state. A column pass may return the stop test, a bool per
     frame; when it returns None, the decisions are checked here.
 
-    ``repeats``, if given, is (values, moving): one hashable value per
-    iteration, the one its half-steps read, and the names of the state
-    entries they change (the stop test must read only those). A frame
-    whose ``moving`` entries after iteration i equal those after i - 1,
-    where iteration i + 1 reads the value of i, is at a fixed point: each
-    later iteration with that value repeats iteration i, op counts
-    included, and does not stop the frame. It leaves the state, adds
-    iteration i's counts once per iteration it skips, and rejoins, state
-    unchanged, at the first later iteration that reads another value;
-    with none, it ends at l_max, not converged."""
+    ``repeats``, if given, is (values, name): one hashable value per
+    iteration, the one its half-steps read, and the state entry that an
+    iteration reads besides the constant ones. A run is a maximal stretch
+    of iterations with equal values. A frame whose ``name`` comes out of
+    an iteration as it went in, and did not stop, would repeat that
+    iteration, op counts included, to the end of the run: it sits out the
+    rest of its run, adds the iteration's counts once per iteration it
+    skips, and rejoins, state unchanged, when the run ends."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     kern = kernel_for(spec.component)
-    values, moving = repeats or (range(l_max), ())
+    values, name = repeats or (range(l_max), None)
     frames = len(state["dec"])
     arrays = np.empty((frames, spec.n, spec.n), dtype=np.uint8)
     iterations = np.full(frames, l_max)
     converged = np.zeros(frames, dtype=bool)
-    finished = np.zeros(len(OP_COUNTERS), dtype=np.int64)
-    # the frames iterating and those parked until iteration ``back``, each
-    # as (frame indices, state, op counts: a row per counter, a column per frame)
-    group = (np.arange(frames), state, np.zeros((len(OP_COUNTERS), frames), dtype=np.int64))
-    parked = back = None
-    for it in range(1, l_max + 1):
-        if it == back:
-            group, parked = _join(group, parked), None
-        active, state, counts = group
-        if not active.size:
-            if parked is None:
+    totals = np.zeros((len(OP_COUNTERS), frames), dtype=np.int64)
+    group, end = (np.arange(frames), state), 0
+    for _, run in groupby(values):
+        start, end = end + 1, end + len(list(run))
+        parked = []
+        for it in range(start, end + 1):
+            ids, state = group
+            if not ids.size:
                 break
-            continue
-        watch = it < l_max and values[it] == values[it - 1]
-        if watch:
-            before = [state[k].copy() for k in moving]
-            counted = counts.copy()
-        ops = dict(zip(OP_COUNTERS, counts))
-        half_step(state, 2 * it - 2, ops)
-        done = half_step(state, 2 * it - 1, ops)
-        if done is None:
-            done = _codewords(kern, state["dec"])
-        if done.any():
-            arrays[active[done]] = state["dec"][done]
-            iterations[active[done]] = it
-            converged[active[done]] = True
-            finished += counts[:, done].sum(axis=1)
-        leave = done
-        if watch:
-            fixed = ~done
-            for k, old in zip(moving, before):
-                fixed &= (state[k] == old).reshape(len(active), -1).all(axis=1)
-            if fixed.any():
-                back = next((j for j in range(it + 1, l_max + 1)
-                             if values[j - 1] != values[it - 1]), l_max + 1)
-                counts[:, fixed] += (counts[:, fixed] - counted[:, fixed]) * (back - 1 - it)
-                parked = _join(parked, _select(group, fixed))
-                leave = done | fixed
-        if leave.any():
-            group = _select(group, ~leave)
-    if parked is not None:  # at a fixed point to the end
-        group = _join(group, parked)
-    active, state, counts = group
-    arrays[active] = state["dec"]
-    totals = finished + counts.sum(axis=1)
-    return DecoderResult(arrays, iterations, converged, dict(zip(OP_COUNTERS, totals.tolist())))
+            before = state[name].copy() if name and it < end else None
+            counts = np.zeros((len(OP_COUNTERS), len(ids)), dtype=np.int64)
+            ops = dict(zip(OP_COUNTERS, counts))
+            half_step(state, 2 * it - 2, ops)
+            done = half_step(state, 2 * it - 1, ops)
+            if done is None:
+                done = _codewords(kern, state["dec"])
+            totals[:, ids] += counts
+            arrays[ids[done]] = state["dec"][done]
+            iterations[ids[done]] = it
+            converged[ids[done]] = True
+            if before is not None:
+                fixed = ~done & (state[name] == before).reshape(len(ids), -1).all(axis=1)
+                if fixed.any():
+                    totals[:, ids[fixed]] += counts[:, fixed] * (end - it)
+                    parked.append(_select(group, fixed))
+                    done = done | fixed
+            if done.any():
+                group = _select(group, ~done)
+        if parked:
+            group = _join([group, *parked])
+    ids, state = group
+    arrays[ids] = state["dec"]
+    return DecoderResult(arrays, iterations, converged,
+                         dict(zip(OP_COUNTERS, totals.sum(axis=1).tolist())))
 
 
 def _select(group: tuple, keep: np.ndarray) -> tuple:
-    """The frames ``keep`` of a group (frame indices, state, op counts)."""
-    ids, state, counts = group
-    return ids[keep], {k: v[keep] for k, v in state.items()}, counts[:, keep]
+    """The frames ``keep`` of a group (frame indices, state)."""
+    ids, state = group
+    return ids[keep], {k: v[keep] for k, v in state.items()}
 
 
-def _join(a: tuple | None, b: tuple | None) -> tuple | None:
-    """Two groups of frames (frame indices, state, op counts) as one."""
-    if a is None or b is None:
-        return b if a is None else a
-    return (np.concatenate([a[0], b[0]]),
-            {k: np.concatenate([v, b[1][k]]) for k, v in a[1].items()},
-            np.concatenate([a[2], b[2]], axis=1))
+def _join(groups: list) -> tuple:
+    """Groups of frames (frame indices, state) as one."""
+    return (np.concatenate([g[0] for g in groups]),
+            {k: np.concatenate([g[1][k] for g in groups]) for k in groups[0][1]})
 
 
 def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
@@ -363,8 +347,9 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
     counter -> count per row (an int array over the slice's rows, or an int
     that holds for every row of the pass), and returns the decisions. A
     decoder whose rule reads ``half`` only as ``sched[half // 2]`` passes
-    ``sched``: a frame whose ext and decisions repeat then waits in
-    ``_iterate`` for the next value."""
+    ``sched``: a frame whose ext repeats then sits out the rest of its run
+    of equal values in ``_iterate``; an iteration reads only L and ext,
+    so its decisions repeat too."""
     llrs = _stack(spec, llrs, "llrs", bits=False)
     # L's rows for both passes, C-contiguous: one copy, no strided reads per pass
     state = {"llr": llrs, "llr_t": np.ascontiguousarray(llrs.swapaxes(-1, -2)),
@@ -395,7 +380,7 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
             ops[k] += spec.n * v
 
     return _iterate(spec, l_max, state, half_step,
-                    None if sched is None else (sched, ("ext", "dec")))
+                    None if sched is None else (sched, "ext"))
 
 
 def ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
@@ -495,7 +480,7 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         ops["msg_updates"] += spec.n ** 2
 
     return _iterate(spec, l_max, {"dec": ch.copy(), "ch": ch, "rank": rank}, half_step,
-                    (k, ("dec",)))
+                    (k, "dec"))
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:

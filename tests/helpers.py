@@ -154,13 +154,17 @@ def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
     """GMD decoding (Forney) of one word: run the t+1 error-erasure trials
     (the unerased word, then the least reliable bits erased for each count
     of the erasure profile) and keep the generalized-distance minimizer;
-    ties prefer the trial with fewer erasures."""
+    ties prefer the trial with fewer erasures. A candidate is ranked as
+    ``pcdec.gmd`` ranks it: sum(1 - a) over the word, plus twice the sum
+    of a over the candidate's support added in ascending position, which
+    is ``generalized_distance`` up to the order of the float additions."""
     r = np.asarray(r, dtype=np.uint8)
     if r.shape != (spec.n,) or rel.values.shape != (spec.n,):
         raise ValueError(f"word and reliabilities must have length {spec.n}")
     trial_sizes = [0] + sorted(erasure_profile(spec.d_min))
     best_word = None
     best_metric = np.inf
+    agree_all = float(np.sum(1.0 - rel.alphas))
     seen: set[bytes] = set()
     for m in trial_sizes:
         # erase the m least reliable bits; the stable sort breaks ties low
@@ -171,7 +175,10 @@ def gmd_decode(spec: ComponentCodeSpec, r: np.ndarray,
         if key in seen:
             continue
         seen.add(key)
-        metric = generalized_distance(r, out.word, rel)
+        disc = 0.0
+        for a in rel.alphas[r != out.word]:
+            disc += a
+        metric = agree_all + 2.0 * disc
         if metric < best_metric:
             best_metric = metric
             best_word = out.word

@@ -581,6 +581,10 @@ def test_igmdd_sr_matches_scalar_reference_at_weight_ties(pc15):
        frames=st.integers(1, 2),
        w=st.lists(st.sampled_from((1.0, 2.5, 4.0, 6.0)), min_size=1, max_size=3),
        ebno=st.sampled_from((2.0, 3.0, 4.0, 5.0)), seed=st.integers(0, 2 ** 32 - 1))
+# two GMD candidates of a column of frame 0 (iteration 3, column 7) tie in
+# real arithmetic; both sides must add the metric in the same order to
+# keep the earlier trial
+@example(code=(5, 1, True), frames=2, w=[1.0, 4.0, 4.0], ebno=4.0, seed=5565716)
 def test_igmdd_sr_stack_matches_scalar_reference(code, frames, w, ebno, seed):
     # |L| at, just below and just above the weights, where the decision
     # compares |L| < w: every frame of the stack decides as the float formula
@@ -718,6 +722,44 @@ def test_sr_fixed_point_exit_is_exact(case):
     assert np.array_equal(res.converged, want.converged)
     assert res.op_counters == want.op_counters
     assert steps <= plain_steps
+
+
+def test_fixed_point_exit_parks_frames_by_runs(pc15):
+    # a toy half-step, no decoder: an iteration takes each frame's message
+    # to min(msg + step, value + off), value the iteration's, and a frame
+    # stops once its message reaches its target. Frame 0 parks in the runs
+    # of 1 and 3 and converges at 7; frame 1 parks in the run of 1 and in
+    # the last run, ending unconverged at l_max = 10; frame 2 converges at 3
+    sched = (1, 1, 1, 3, 3, 3, 4, 4, 4, 4)
+    sizes = []
+
+    def toy(s, half, ops):
+        ops["bdd_calls"] += 1
+        if half % 2 == 0:
+            return None
+        sizes.append(len(s["msg"]))
+        np.minimum(s["msg"] + s["step"], sched[half // 2] + s["off"], out=s["msg"])
+        ops["msg_updates"] += s["msg"]
+        s["dec"][:, 0, 0] = s["msg"]
+        return s["msg"] == s["target"]
+
+    def run(iterate):
+        sizes.clear()
+        state = {"dec": np.zeros((3, pc15.n, pc15.n), dtype=np.uint8),
+                 "msg": np.zeros(3, dtype=np.int64), "step": np.array([2, 1, 1]),
+                 "off": np.array([0, 0, 5]), "target": np.array([4, 100, 3])}
+        return iterate(pc15, len(sched), state, toy, (sched, "msg")), sizes[:]
+
+    res, sizes_parked = run(product._iterate)
+    want, sizes_plain = run(plain_iterate)
+    assert np.array_equal(res.array, want.array)
+    assert res.iterations_used.tolist() == want.iterations_used.tolist() == [7, 10, 3]
+    assert res.converged.tolist() == want.converged.tolist() == [True, False, True]
+    assert res.op_counters == want.op_counters
+    # frames 0 and 1 sit out iteration 3, frame 0 iteration 6 and frame 1
+    # iterations 9 and 10
+    assert sizes_parked == [3, 3, 1, 2, 2, 1, 2, 1]
+    assert sum(sizes_parked) < sum(sizes_plain) == 3 * 3 + 2 * 4 + 3
 
 
 def test_ibdd_sr_frame_waits_out_a_repeating_weight():
