@@ -161,10 +161,11 @@ class ComponentKernel:
                 cpos[i][:len(flips)] = flips
         return cpos, ok
 
-    def codeword_mask(self, words: np.ndarray) -> np.ndarray:
-        """True per row of ``words`` (..., n) when all syndromes (and the
-        parity, if extended) vanish: where its key is 0."""
-        return ~self.keys(words).any(axis=-1)
+    def codeword_mask(self, words: np.ndarray, columns: bool = False) -> np.ndarray:
+        """True per row of ``words`` (..., n), or with ``columns`` per column
+        of each matrix of a stack (..., n, n), when all syndromes (and the
+        parity, if extended) vanish: where its key (``keys``) is 0."""
+        return ~self.keys(words, columns).any(axis=-1)
 
     def batch_bdd(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode each row; returns (decoded words, corrected mask).

@@ -5,20 +5,21 @@ frames, an array of shape (B, n, n). It owns the iteration count, the
 order "rows, then columns" within an iteration, the per-frame early stop
 once a frame's decisions (the state entry ``dec``) are a product
 codeword, the op counters and the ``DecoderResult``. A decoder supplies
-its state (arrays with the frames along axis 0) and a half-step, which
+its state (arrays with the frames along axis 0), a half-step, which
 decodes all rows (even half-iterations) or all columns (odd ones) of
-every frame still iterating at once, and may hand back the stop test.
+every frame still iterating at once and may hand back the stop test,
+and its schedule, one value per iteration: all a half-step reads of it.
 A frame that has converged leaves the state, so it stops at the same
 iteration as it would alone. The op counters hold one count per frame
 of the state, so a frame's work stays its own. ``_lines`` presents an
 array so that the half-step's component words are its rows.
 
-The SR decoders' half-steps read one weight per iteration, and they
-tell ``_iterate`` so (``repeats``): within a run of equal weights, a
-frame whose messages an iteration leaves as they were would repeat that
-iteration to the end of the run. It sits out the rest of its run
-outside the state and adds its last iteration's op counts for each
-iteration it skips, so every result is that of running them.
+The SR decoders' schedule is their weights, the others' range(l_max).
+Within a run of equal values, a frame whose messages an iteration
+leaves as they were would repeat that iteration to the end of the run.
+It sits out the rest of its run outside the state and adds its last
+iteration's op counts for each iteration it skips, so every result is
+that of running them. Distinct values never park a frame.
 
 Two half-steps are shared, and ``ibdd_sr`` brings its own:
 
@@ -43,7 +44,7 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
                        ext of the crossing half-step, writes the next ext
                        in place and returns the decisions:
   - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
-  - ``tpd.tpd_decode`` Chase-Pyndiah, ext = the damped extrinsic.
+  - ``tpd.tpd_stack`` Chase-Pyndiah, ext = the damped extrinsic.
 * ``ibdd_sr``       -- the lines of the messages decoded in place from
                        their keys, one syndrome product per pass and the
                        same dense BDD result and flips as ``ibdd``; the
@@ -150,9 +151,9 @@ def _codewords(kern, hard: np.ndarray) -> np.ndarray:
     """Per frame of a (B, n, n) stack: True iff all 2n component syndrome
     sets vanish. Columns are checked only for frames whose rows all
     pass."""
-    ok = ~kern.keys(hard).any(axis=(1, 2))
+    ok = kern.codeword_mask(hard).all(axis=1)
     if ok.any():
-        ok[ok] = ~kern.keys(hard[ok], columns=True).any(axis=(1, 2))
+        ok[ok] = kern.codeword_mask(hard[ok], columns=True).all(axis=1)
     return ok
 
 
@@ -212,14 +213,20 @@ def _row_slices(rows: int, words_per_row: int, n: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+# The op counters, summed over the lines of every half-step (decoders):
+# bdd_calls      component words BDD-decoded: one per line (the keyed ones and
+#                iBDD-SR, AD adding its re-decodes), 2t+1 (iGMDD-SR), 2^p (TPD)
+# erasure_calls  error-and-erasure trials, t+1 per line (iGMDD-SR)
+# gd_evals       GMD candidates scored by generalized distance (iGMDD-SR)
+# msg_updates    message bits written, n per line (iBDD-SR, iGMDD-SR)
 OP_COUNTERS = ("bdd_calls", "erasure_calls", "gd_evals", "msg_updates")
 
 
-def _iterate(spec: ProductCodeSpec, l_max: int, state: dict, half_step,
-             repeats=None) -> DecoderResult:
-    """Run up to l_max iterations of ``half_step(state, half, ops)`` over
-    the rows (half = 2 * iteration - 2), then the columns (half + 1). A
-    frame stops after the first iteration whose decisions ``state["dec"]``
+def _iterate(spec: ProductCodeSpec, state: dict, half_step, values,
+             name: str = "dec") -> DecoderResult:
+    """Run up to len(values) iterations of ``half_step(state, half, ops)``
+    over the rows (half = 2 * iteration - 2), then the columns (half + 1).
+    A frame stops after the first iteration whose decisions ``state["dec"]``
     are a product codeword, and is then dropped from every array of
     ``state`` (each holds the frames still iterating along axis 0).
     ``half_step`` updates the decoder's working state and adds its work to
@@ -227,21 +234,20 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict, half_step,
     frame of the state. A column pass may return the stop test, a bool per
     frame; when it returns None, the decisions are checked here.
 
-    ``repeats``, if given, is (values, name): one hashable value per
-    iteration, the one its half-steps read, and the state entry that an
-    iteration reads besides the constant ones. A run is a maximal stretch
-    of iterations with equal values. A frame whose ``name`` comes out of
-    an iteration as it went in, and did not stop, would repeat that
-    iteration, op counts included, to the end of the run: it sits out the
-    rest of its run, adds the iteration's counts once per iteration it
-    skips, and rejoins, state unchanged, when the run ends."""
-    if l_max < 1:
+    ``values`` is the schedule: one hashable value per iteration, all that
+    its half-steps read of it besides the constant state entries and
+    ``name``. A frame whose ``name`` comes out of an iteration as it went
+    in, and did not stop, would repeat that iteration, op counts included,
+    to the end of its run of equal values: it sits out the rest of the
+    run, adds the iteration's counts once per iteration it skips, and
+    rejoins, state unchanged, when the run ends. Distinct values, as in
+    range(l_max), make runs of one iteration, so no frame is parked."""
+    if not values:
         raise ValueError("l_max must be >= 1")
     kern = kernel_for(spec.component)
-    values, name = repeats or (range(l_max), None)
     frames = len(state["dec"])
     arrays = np.empty((frames, spec.n, spec.n), dtype=np.uint8)
-    iterations = np.full(frames, l_max)
+    iterations = np.full(frames, len(values))
     converged = np.zeros(frames, dtype=bool)
     totals = np.zeros((len(OP_COUNTERS), frames), dtype=np.int64)
     group, end = (np.arange(frames), state), 0
@@ -252,7 +258,7 @@ def _iterate(spec: ProductCodeSpec, l_max: int, state: dict, half_step,
             ids, state = group
             if not ids.size:
                 break
-            before = state[name].copy() if name and it < end else None
+            before = state[name].copy() if it < end else None
             counts = np.zeros((len(OP_COUNTERS), len(ids)), dtype=np.int64)
             ops = dict(zip(OP_COUNTERS, counts))
             half_step(state, 2 * it - 2, ops)
@@ -314,8 +320,8 @@ def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
               kern.col_keys)
         return ~key.any(axis=(1, 2, 3))
 
-    return _iterate(spec, l_max, {"dec": dec, "key": kern.line_keys(dec), **state},
-                    half_step)
+    return _iterate(spec, {"dec": dec, "key": kern.line_keys(dec), **state}, half_step,
+                    range(l_max))
 
 
 def _flip(s: dict, half: int, b: np.ndarray, i: np.ndarray, p: np.ndarray,
@@ -338,18 +344,15 @@ def _every_correction(s: dict, half: int, cp: np.ndarray, ok: np.ndarray,
     return b, i, cp[b, i, k]
 
 
-def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int,
-                rule, sched=None) -> DecoderResult:
+def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, values, trials: int,
+                rule) -> DecoderResult:
     """Soft messages from the channel LLRs L on: ``rule(soft, llr, half, ops)``
     gets a slice of rows (``trials`` BDD trial words each) of L + ext, ext the
     crossing half-step's soft message (zero at first), and of L; it writes the
-    next ext over ``soft`` (ext's memory), puts its other work in ``ops``,
-    counter -> count per row (an int array over the slice's rows, or an int
-    that holds for every row of the pass), and returns the decisions. A
-    decoder whose rule reads ``half`` only as ``sched[half // 2]`` passes
-    ``sched``: a frame whose ext repeats then sits out the rest of its run
-    of equal values in ``_iterate``; an iteration reads only L and ext,
-    so its decisions repeat too."""
+    next ext over ``soft`` (ext's memory), adds its other work in place to
+    ``ops``, counter -> an int array over the slice's rows, and returns the
+    decisions. ``values`` is the schedule (``_iterate``): an iteration reads
+    only L, ext and its value, so a frame whose ext repeats sits out its run."""
     llrs = _stack(spec, llrs, "llrs", bits=False)
     # L's rows for both passes, C-contiguous: one copy, no strided reads per pass
     state = {"llr": llrs, "llr_t": np.ascontiguousarray(llrs.swapaxes(-1, -2)),
@@ -362,25 +365,19 @@ def _soft_stack(spec: ProductCodeSpec, llrs: np.ndarray, l_max: int, trials: int
         # C-contiguous: the summation order fixes the last bits
         ext = np.ascontiguousarray(_lines(s["ext"], half)).reshape(-1, spec.n)
         dec = np.empty(ext.shape, dtype=np.uint8)
-        per_row, every_row = {}, {"bdd_calls": trials}
+        counts = np.zeros((len(OP_COUNTERS), len(ext)), dtype=np.int64)
+        counts[OP_COUNTERS.index("bdd_calls")] = trials
         for sl in _row_slices(len(ext), trials, spec.n):
-            counts = {}
-            dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half, counts)
-            for k, v in counts.items():
-                if isinstance(v, int):
-                    every_row[k] = v
-                else:
-                    per_row.setdefault(k, np.zeros(len(ext), dtype=np.int64))[sl] = v
+            dec[sl] = rule(np.add(llr[sl], ext[sl], out=ext[sl]), llr[sl], half,
+                           dict(zip(OP_COUNTERS, counts[:, sl])))
         if half % 2:  # _iterate reads the decisions after column passes only
             for name, rows in (("ext", ext), ("dec", dec)):
                 _lines(s[name], half)[...] = rows.reshape(s[name].shape)
-        for k, v in per_row.items():
-            ops[k] += v.reshape(-1, spec.n).sum(axis=1)
-        for k, v in every_row.items():
-            ops[k] += spec.n * v
+        per_frame = counts.reshape(len(OP_COUNTERS), -1, spec.n).sum(axis=2)
+        for k, v in zip(OP_COUNTERS, per_frame):
+            ops[k] += v
 
-    return _iterate(spec, l_max, state, half_step,
-                    None if sched is None else (sched, "ext"))
+    return _iterate(spec, state, half_step, values, "ext")
 
 
 def ibdd_stack(spec: ProductCodeSpec, received: np.ndarray,
@@ -479,8 +476,7 @@ def ibdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         ops["bdd_calls"] += spec.n
         ops["msg_updates"] += spec.n ** 2
 
-    return _iterate(spec, l_max, {"dec": ch.copy(), "ch": ch, "rank": rank}, half_step,
-                    (k, "dec"))
+    return _iterate(spec, {"dec": ch.copy(), "ch": ch, "rank": rank}, half_step, k)
 
 
 def ibdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:
@@ -501,15 +497,15 @@ def igmdd_sr_stack(spec: ProductCodeSpec, llrs: np.ndarray, w,
         tie &= ch
         hard |= tie
         out, ok, stats = batch_gmd(comp, hard, np.abs(soft, out=soft))
-        # t + 1 error-erasure trials per row
-        ops.update(erasure_calls=comp.t + 1, gd_evals=stats["gd_evals_per_row"],
-                   msg_updates=spec.n)
+        ops["erasure_calls"] += comp.t + 1  # t + 1 error-erasure trials per row
+        ops["gd_evals"] += stats["gd_evals_per_row"]
+        ops["msg_updates"] += spec.n
         # ext = w * mubar
         np.take(weight * np.array([1.0, -1.0]), out, out=soft, mode="clip")
         soft[~ok] = 0.0
         return _sr_select(out, ch, ok[:, None] & (np.abs(llr) < weight))
 
-    return _soft_stack(spec, llrs, l_max, 2 * comp.t + 1, rule, sched)  # 2t+1 GMD trials
+    return _soft_stack(spec, llrs, sched, 2 * comp.t + 1, rule)  # 2t+1 GMD trials
 
 
 def igmdd_sr(spec: ProductCodeSpec, llrs: np.ndarray, w, l_max: int) -> DecoderResult:

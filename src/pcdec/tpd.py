@@ -46,11 +46,12 @@ MAX_P = 12
 
 
 def check_p(p: int, n: int) -> None:
-    """Reject a Chase p whose 2^p test words of a row overrun one kernel
-    call, or whose p test bits exceed the component length n."""
+    """Reject a Chase p outside 1..MAX_P, or whose p test bits exceed the
+    component length n. MAX_P is sized for n = 256; a longer row's 2^p test
+    words can overrun product.MAX_TRIAL_BITS and get a kernel call each."""
     if not 1 <= p <= MAX_P:
-        raise ValueError(f"p must be between 1 and {MAX_P}, so that a row's 2^p "
-                         f"test words fit one kernel call, got {p}")
+        raise ValueError(f"p must be between 1 and {MAX_P}, so that a 256-bit row's "
+                         f"2^p test words fit one kernel call, got {p}")
     if p > n:
         raise ValueError(f"Chase p = {p} test bits exceed the component length n = {n}")
 
@@ -133,7 +134,7 @@ def tpd_stack(spec: ProductCodeSpec, llrs: np.ndarray, p: int,
         soft[...], dec = _chase_batch(spec.component, soft, p, half)
         return dec
 
-    return _soft_stack(spec, llrs, l_max, 1 << p, rule)
+    return _soft_stack(spec, llrs, range(l_max), 1 << p, rule)
 
 
 def tpd_decode(spec: ProductCodeSpec, llrs: np.ndarray, p: int,

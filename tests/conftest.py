@@ -1,4 +1,12 @@
+from hypothesis import settings
+
 from pcdec.harness import _steady_heap
+
+# a failing example prints its @reproduce_failure blob, so any checkout can
+# replay it, not only one holding the local example database; the tests'
+# own @settings inherit this profile
+settings.register_profile("pcdec", print_blob=True)
+settings.load_profile("pcdec")
 
 RESULTS: list[tuple[str, bool, str]] = []
 

@@ -331,11 +331,12 @@ def oracle_anchor_decode(spec, received: np.ndarray, l_max: int, threshold: int,
 
 
 # ------------------------------------------------------ plain iteration loop
-def plain_iterate(spec, l_max: int, state: dict, half_step, repeats=None):
+def plain_iterate(spec, state: dict, half_step, values, name="dec"):
     """``pcdec.product._iterate`` without its fixed-point exit: every frame
     runs each iteration until its decisions are a product codeword, and
-    ``repeats`` is ignored. The op counts are per frame, as the half-steps
+    ``name`` is ignored. The op counts are per frame, as the half-steps
     add them, and summed over the stack."""
+    l_max = len(values)
     kern = kernel_for(spec.component)
     frames = len(state["dec"])
     ops = {k: np.zeros(frames, dtype=np.int64) for k in OP_COUNTERS}

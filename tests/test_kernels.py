@@ -126,6 +126,14 @@ def test_codeword_mask():
     dirty = cws.copy()
     dirty[:, 5] ^= 1
     assert not kern.codeword_mask(dirty).any()
+    # with columns, per column of each matrix of a stack: a matrix's columns
+    # are the codewords of its transpose, and a flipped bit spoils one
+    stack = kern.encode(rng.integers(0, 2, (2, spec.n, spec.k))).swapaxes(1, 2)
+    assert kern.codeword_mask(stack, columns=True).all()
+    stack[1, 7, 3] ^= 1
+    mask = kern.codeword_mask(stack, columns=True)
+    assert mask.shape == (2, spec.n) and np.argwhere(~mask).tolist() == [[1, 3]]
+    assert np.array_equal(mask, kern.codeword_mask(stack.swapaxes(1, 2)))
 
 
 def genie_by_weight(kern, words, true):

@@ -491,13 +491,13 @@ def test_ibdd_sr_decodes_the_lines_in_place(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a BDD call on dense words")
 
-    def checked_iterate(spec, l_max, state, half_step, repeats):
+    def checked_iterate(spec, state, half_step, values, name="dec"):
         def checked(s, half, ops):
             calls.clear()
             done = half_step(s, half, ops)
             passes.append((half, calls[:]))
             return done
-        return iterate(spec, l_max, state, checked, repeats)
+        return iterate(spec, state, checked, values, name)
 
     monkeypatch.setattr(kernels.ComponentKernel, "keys", counted)
     monkeypatch.setattr(kernels.ComponentKernel, "batch_bdd", dense)
@@ -599,9 +599,9 @@ def test_igmdd_sr_state_is_the_llrs_and_the_messages(pc15, monkeypatch):
     # B(L) or |L| arrays ride in the state
     iterate, states = product._iterate, []
 
-    def recorded(spec, l_max, state, half_step, repeats):
+    def recorded(spec, state, half_step, values, name="dec"):
         states.append(sorted(state))
-        return iterate(spec, l_max, state, half_step, repeats)
+        return iterate(spec, state, half_step, values, name)
 
     monkeypatch.setattr(product, "_iterate", recorded)
     L, _ = frame_stack(pc15, [3.0, 3.5], 5, [False, True])
@@ -664,11 +664,11 @@ def sr_decode_counted(name, pc, L, w, iterate=None):
     (that one if None), and the number of frame half-steps it ran."""
     iterate, steps = iterate or product._iterate, []
 
-    def counted(spec, l_max, state, half_step, repeats=None):
+    def counted(spec, state, half_step, values, name="dec"):
         def step(s, half, ops):
             steps.append(len(s["dec"]))
             return half_step(s, half, ops)
-        return iterate(spec, l_max, state, step, repeats)
+        return iterate(spec, state, step, values, name)
 
     with mock.patch.object(product, "_iterate", counted):
         res = SR_STACKS[name](pc, L, w, len(w))
@@ -748,7 +748,7 @@ def test_fixed_point_exit_parks_frames_by_runs(pc15):
         state = {"dec": np.zeros((3, pc15.n, pc15.n), dtype=np.uint8),
                  "msg": np.zeros(3, dtype=np.int64), "step": np.array([2, 1, 1]),
                  "off": np.array([0, 0, 5]), "target": np.array([4, 100, 3])}
-        return iterate(pc15, len(sched), state, toy, (sched, "msg")), sizes[:]
+        return iterate(pc15, state, toy, sched, "msg"), sizes[:]
 
     res, sizes_parked = run(product._iterate)
     want, sizes_plain = run(plain_iterate)
@@ -789,6 +789,41 @@ def test_igmdd_sr_parked_frame_counts_every_iteration():
     its = int(res.iterations_used[0])
     assert steps < 2 * its and res.converged.all()
     assert res.op_counters["erasure_calls"] == (pc.component.t + 1) * 2 * pc.n * its
+
+
+@pytest.mark.parametrize("name", ["tpd", "ibdd-sr", "igmdd-sr"])
+def test_soft_and_sr_op_counters(monkeypatch, name):
+    # every op counter of the decoders outside _key_stack, on m=6 frames
+    # that stop at different iterations under the default schedules, some
+    # SR frames parked. Per component and iteration TPD makes 2^p BDD
+    # calls; iBDD-SR one and n message updates; iGMDD-SR 2t+1, t+1
+    # erasure trials, n message updates and the GD evaluations batch_gmd
+    # reports, which a run of every iteration sums
+    pc = stack_spec(6, 2)
+    n, t = pc.n, pc.component.t
+    L, _ = frame_stack(pc, (2.0, 2.4, 2.8, 3.2, 4.0), 3, [False, True, False, True, False])
+    gmd, gd_evals = product.batch_gmd, []
+
+    def counted_gmd(*args):
+        out = gmd(*args)
+        gd_evals.append(out[2]["gd_evals"])
+        return out
+
+    if name == "tpd":
+        res = tpd_stack(pc, L, 4, 10)
+    else:
+        w = harness.SimConfig(algorithm=name, code_m=6).resolve_w()
+        res, steps = sr_decode_counted(name, pc, L, w)
+        monkeypatch.setattr(product, "batch_gmd", counted_gmd)
+        _, plain_steps = sr_decode_counted(name, pc, L, w, plain_iterate)
+        assert steps < plain_steps
+    assert len(set(res.iterations_used.tolist())) >= 3
+    bdd, erasure, msgs = {"tpd": (2 ** 4, 0, 0), "ibdd-sr": (1, 0, n),
+                          "igmdd-sr": (2 * t + 1, t + 1, n)}[name]
+    lines = 2 * n * int(res.iterations_used.sum())
+    assert (name == "igmdd-sr") == (sum(gd_evals) > 0)
+    assert res.op_counters == {"bdd_calls": bdd * lines, "erasure_calls": erasure * lines,
+                               "gd_evals": sum(gd_evals), "msg_updates": msgs * lines}
 
 
 # ---------------------------------------------------------------- genie
@@ -848,12 +883,12 @@ def test_ideal_ibdd_keeps_the_count_of_a_wrong_codeword_line(monkeypatch):
     received[0, 5] = word
     iterate, counts = product._iterate, []
 
-    def recorded(spec, l_max, state, half_step):
+    def recorded(spec, state, half_step, values):
         def checked(s, half, ops):
             done = half_step(s, half, ops)
             counts.append(s["errors"][0, 0, 5])
             return done
-        return iterate(spec, l_max, state, checked)
+        return iterate(spec, state, checked, values)
 
     monkeypatch.setattr(product, "_iterate", recorded)
     res = ideal_ibdd_stack(pc, received, np.zeros_like(received), 4)
@@ -1094,14 +1129,14 @@ def test_keyed_half_steps_carry_the_syndrome_keys(code, name, threshold, frames,
     iterate = product._iterate
     seen = []
 
-    def checked_iterate(spec, l_max, state, half_step):
+    def checked_iterate(spec, state, half_step, values):
         def checked(s, half, ops):
             done = half_step(s, half, ops)
             assert np.array_equal(s["key"], kern.line_keys(s["dec"]))
             assert np.array_equal(done, ~s["key"].any(axis=(1, 2, 3)))
             seen.append((half, s["dec"].copy(), s["errors"].copy() if ideal else None))
             return done
-        return iterate(spec, l_max, state, checked)
+        return iterate(spec, state, checked, values)
 
     with mock.patch.object(product, "_iterate", checked_iterate):
         res = {"ibdd": lambda: ibdd_stack(pc, received, l_max),
