@@ -259,12 +259,13 @@ _POOL_SIM: _FrameSimulator | None = None
 
 def _one_blas_thread() -> None:
     """Limit the OpenBLAS bundled with numpy to one thread in this process
-    and the pool workers it forks; every simulator calls it. The syndrome
-    GEMM of a stack is large enough for OpenBLAS to start threads of its
-    own, which stall a serial run (an m=6 ibdd point of 256 frames took up
-    to 5x longer on 2 cores) and oversubscribe the cores that a pool's
-    workers share (a pooled C5 smoke point ran 3x slower). Does nothing
-    when numpy uses another BLAS."""
+    and the pool workers it forks; every simulator calls it. The decoders
+    take no BLAS product; the encoder's (``pc_encode``, under random
+    transmission) is large enough for OpenBLAS to start threads of its
+    own, which stall a serial run and oversubscribe the cores that a
+    pool's workers share. (When the syndromes were a GEMM too, an m=6 ibdd
+    point of 256 frames took up to 5x longer on 2 cores, and a pooled C5
+    smoke point 3x.) Does nothing when numpy uses another BLAS."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "lib*openblas*")):
         lib = ctypes.CDLL(path)

@@ -1,10 +1,13 @@
 """Vectorized component decoding used by the product decoders.
 
 A ComponentKernel decodes a whole batch of received words at once from
-their syndrome keys: one GF(2) matrix product (BLAS sgemm on 0/1 data)
-gives each word's m*t odd-syndrome bits and its overall parity, read as
-an integer key (the parity its top bit). ``corrections`` is the one
-decoding step and takes only keys. For codes with m*t <= MAX_KEY_BITS
+their syndrome keys: each word's m*t odd-syndrome bits and its overall
+parity, read as an integer key (the parity its top bit). A key is the
+XOR of the keys of a single error at the word's set bits, so the words
+are packed 8 bits to a byte and each byte, by its value and position,
+reads the XOR of its bits' keys from a table of the code; no matrix
+product is taken. ``corrections`` is the one decoding step and takes
+only keys. For codes with m*t <= MAX_KEY_BITS
 (t = 1, t = 2 up to m = 10, t = 3 up to m = 6) the key indexes a table
 of the corrections, built on first use with 2^(m*t+1) entries: the
 unique error pattern of weight <= t with those syndromes, plus the
@@ -74,11 +77,25 @@ class ComponentKernel:
         # syndrome bit i is bit i % 63 of key word i // 63; a non-extended
         # code leaves out the parity, its last bit
         keyed = np.arange(m * spec.t + spec.extended)
-        self._pack = np.zeros((smat.shape[1], -(-len(keyed) // 63)), dtype=np.int64)
-        self._pack[keyed, keyed // 63] = 1 << keyed % 63
+        pack = np.zeros((smat.shape[1], -(-len(keyed) // 63)), dtype=np.int64)
+        pack[keyed, keyed // 63] = 1 << keyed % 63
         # (n, W) the key of a single error at each of the n positions
-        self.col_keys = smat @ self._pack
-        self._smat = smat.astype(np.float32)
+        self.col_keys = smat @ pack
+
+    @cached_property
+    def _byte_keys(self) -> np.ndarray:
+        """(ceil(n/8)*256, W): entry 256c + v is the key of the word whose
+        bits 8c..8c+7 are those of the byte value v (bit b at position
+        8c + b) and whose other bits are 0, the XOR of ``col_keys`` over
+        them; bits past n add nothing."""
+        n, width = self.col_keys.shape
+        single = np.zeros((-(-n // 8) * 8, width), dtype=np.int64)
+        single[:n] = self.col_keys
+        single = single.reshape(-1, 8, 1, width)
+        table = np.zeros((len(single), 256, width), dtype=np.int64)
+        for b in range(8):
+            table[:, 1 << b:2 << b] = table[:, :1 << b] ^ single[:, b]
+        return table.reshape(-1, width)
 
     @cached_property
     def _generator(self) -> np.ndarray:
@@ -126,17 +143,30 @@ class ComponentKernel:
         word w is bit 63w+i of the m*t odd-syndrome bits, m-bit block j
         holding S_{2j+1}, followed by the overall parity. A non-extended
         code drops the parity, which is no syndrome there, so a key is 0
-        exactly for a codeword. W = 1 for m*t < 63. The columns take one
-        product from the left, without a transpose of the stack."""
-        words = np.ascontiguousarray(words, dtype=np.float32)
-        sb = (self._smat.T @ words).swapaxes(-1, -2) if columns else words @ self._smat
-        return (sb.astype(np.int64) & 1) @ self._pack
+        exactly for a codeword. W = 1 for m*t < 63. The words (0/1 values of
+        any dtype) are packed 8 bits to a byte along their rows, and a key is
+        the XOR of the ``_byte_keys`` entries of its line's bytes; the bytes
+        down the columns come from 8 x 8 bit transposes of the packed rows,
+        without a transpose of the stack."""
+        packed = np.packbits(np.asarray(words, dtype=np.uint8), axis=-1, bitorder="little")
+        if columns:
+            return self._table_keys(_column_bytes(packed, self.spec.n), axis=-2)
+        return self._table_keys(packed, axis=-1)
 
     def line_keys(self, stack: np.ndarray) -> np.ndarray:
         """(B, 2, n, W) keys of the rows (index 0 of axis 1) and of the
         columns (index 1) of every frame of a (B, n, n) stack."""
-        stack = np.asarray(stack, dtype=np.float32)
         return np.stack([self.keys(stack), self.keys(stack, columns=True)], axis=1)
+
+    def _table_keys(self, packed: np.ndarray, axis: int) -> np.ndarray:
+        """The keys (..., W) of the lines whose bytes, byte c holding
+        positions 8c..8c+7, run along ``axis`` (-1 or -2) of ``packed``:
+        the XOR of their ``_byte_keys`` entries. Table indices fit uint16
+        for every n <= 1024 (m <= 10)."""
+        count = packed.shape[axis]
+        offsets = np.arange(0, 256 * count, 256, dtype=np.uint16).reshape((-1,) + (1,) * ~axis)
+        return np.bitwise_xor.reduce(np.take(self._byte_keys, packed + offsets, axis=0),
+                                     axis=axis - 1)
 
     def corrections(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per line, from its key (..., W): the positions to flip (..., t),
@@ -236,6 +266,27 @@ def sorting_network(width: int) -> tuple[tuple[int, int], ...]:
             k //= 2
         p *= 2
     return tuple(pairs)
+
+
+def _column_bytes(packed: np.ndarray, n: int) -> np.ndarray:
+    """(..., ceil(rows/8), n) uint8 from the rows of matrices (..., rows, n)
+    packed little-endian (``np.packbits(..., axis=-1, bitorder="little")``):
+    byte r of column j holds bit b from row 8r + b, 0 past the last row.
+    Each 8 x 8 bit block (8 rows, one packed byte of each) is one
+    little-endian uint64, bit 8r + c, and three masked swaps move each bit
+    to 8c + r (Hacker's Delight, transpose8)."""
+    *lead, rows, width = packed.shape
+    if rows % 8:
+        packed = np.concatenate(
+            [packed, np.zeros((*lead, -rows % 8, width), dtype=np.uint8)], axis=-2)
+    blocks = -(-rows // 8)
+    x = np.ascontiguousarray(packed.reshape(*lead, blocks, 8, width).swapaxes(-1, -2))
+    x = x.view(np.dtype("<u8"))[..., 0]
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        swap = (x ^ (x >> shift)) & mask
+        x ^= swap ^ (swap << shift)
+    return x.view(np.uint8).reshape(*lead, blocks, 8 * width)[..., :n]
 
 
 def flip_support(words: np.ndarray, support: np.ndarray) -> np.ndarray:

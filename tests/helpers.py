@@ -28,6 +28,14 @@ def all_codewords(spec: ComponentCodeSpec) -> np.ndarray:
     return np.stack([encode(spec, m) for m in msgs])
 
 
+def reference_keys(kern, words: np.ndarray) -> np.ndarray:
+    """The key (..., W) of each row of ``words`` (..., n), 0/1 of any dtype:
+    the XOR of ``kern.col_keys``, the keys of a single error, over the
+    row's set bits, with neither a matrix product nor a byte table."""
+    set_bits = np.asarray(words)[..., None] != 0
+    return np.bitwise_xor.reduce(np.where(set_bits, kern.col_keys, 0), axis=-2)
+
+
 def oracle_bdd(codewords: np.ndarray, r: np.ndarray, t: int):
     """Textbook bounded-distance rule: the unique codeword within distance
     t of r when one exists, else (False, r)."""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ascending_sum, genie_bdd
+from helpers import ascending_sum, genie_bdd, reference_keys
 from pcdec import kernels
 from pcdec.bch import UnsupportedParametersError, bdd, construct_ebch, encode, syndromes
 from pcdec.gf import build_field
@@ -263,6 +263,26 @@ def test_keys_hold_every_syndrome_bit(m, t, extend):
     eye = np.eye(spec.n, dtype=np.uint8)
     assert np.array_equal(unpacked(kern.col_keys)[:, :size], scalar_bits(eye))
     assert np.array_equal(kern.keys(words[:1] ^ words[1:2]), keys[:1] ^ keys[1:2])
+
+
+# n % 8 != 0 for the non-extended codes, which pads the bytes of rows and
+# columns; (6, 11) takes two key words
+@settings(max_examples=60, deadline=None)
+@given(code=st.sampled_from([(3, 1, False), (4, 2, True), (5, 2, False), (6, 2, True),
+                             (6, 11, False), (7, 9, False), (8, 2, True)]),
+       frames=st.integers(1, 3), flat=st.booleans(),
+       dtype=st.sampled_from([np.uint8, np.bool_, np.float32, np.float64]),
+       density=st.sampled_from([0.0, 0.02, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_keys_equal_the_xor_of_single_error_keys(code, frames, flat, dtype, density, seed):
+    m, t, extend = code
+    kern = kernel_for(construct_ebch(build_field(m), t, extend=extend))
+    n = kern.spec.n
+    stack = (np.random.default_rng(seed).random((frames, n, n)) < density).astype(dtype)
+    rows, columns = reference_keys(kern, stack), reference_keys(kern, stack.swapaxes(1, 2))
+    words = stack.reshape(-1, n) if flat else stack
+    assert np.array_equal(kern.keys(words), rows.reshape(words.shape[:-1] + (-1,)))
+    assert np.array_equal(kern.keys(stack, columns=True), columns)
+    assert np.array_equal(kern.line_keys(stack), np.stack([rows, columns], axis=1))
 
 
 @pytest.mark.parametrize("t", [2, 3])
