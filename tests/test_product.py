@@ -343,6 +343,31 @@ def test_anchor_drops_conflicts_against_lost_anchors():
     assert res.op_counters == ops
 
 
+@pytest.mark.parametrize("threshold", [0, 1, 3])
+def test_anchor_pass_closes_with_each_conflict_counted_once(threshold, monkeypatch):
+    # after every pass, an anchor's nconf is the number of components with a
+    # conflict against it (a pair recorded twice would count twice), and a
+    # non-anchor has no conflicts against it and no flips of its own
+    anchor_pass, passes = product._anchor_pass, []
+
+    def checked(s, *args, **kwargs):
+        flips = anchor_pass(s, *args, **kwargs)
+        for d in (0, 1):
+            assert np.array_equal(s["nconf"][:, d], s["conflicts"][:, 1 - d].sum(axis=1))
+            assert not s["conflicts"][:, 1 - d].any(axis=1)[~s["anchor"][:, d]].any()
+        for name in ("applied", "touched"):
+            assert not s[name].any(axis=3)[~s["anchor"]].any()
+        passes.append(int(s["nconf"].sum()))
+        return flips
+
+    monkeypatch.setattr(product, "_anchor_pass", checked)
+    pc = ProductCodeSpec(bch.construct_ebch(build_field(6), 2, True))
+    L, _ = frame_stack(pc, [4.0] * 28, 0, [False] * 28)
+    anchor_stack(pc, hard_decide(L), 10, threshold)
+    # threshold 0 backtracks at every conflict, so none is ever recorded
+    assert len(passes) > 1 and (sum(passes) > 0) == (threshold > 0), passes
+
+
 # ---------------------------------------------------------------- iBDD-SR
 
 
