@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import glob
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,6 +172,11 @@ class SimConfig:
         return _product_spec(self.code_m, self.code_t, self.extended)
 
     def resolve_w(self) -> tuple[float, ...] | None:
+        """The SR weights of this run, one per iteration: ``w`` when set;
+        None for a decoder without weights; else the shipped schedule of
+        ``DEFAULT_SCHEDULES`` for (algorithm, code_m), cut to its first
+        ``iterations`` weights, or padded with its last weight up to
+        ``iterations``. An SR decoder with neither raises ValueError."""
         if self.w is not None:
             return tuple(self.w)
         if "w" not in REGISTRY[self.algorithm].fields:
@@ -218,7 +221,6 @@ class _FrameSimulator:
     point, by run_ber_point, whose forked pool workers inherit it."""
 
     def __init__(self, cfg: SimConfig, ebno_db: float):
-        _one_blas_thread()
         _steady_heap()
         self.cfg = cfg
         self.spec = cfg.product_spec()
@@ -255,27 +257,6 @@ class _FrameSimulator:
 
 
 _POOL_SIM: _FrameSimulator | None = None
-
-
-def _one_blas_thread() -> None:
-    """Limit the OpenBLAS bundled with numpy to one thread in this process
-    and the pool workers it forks; every simulator calls it. The decoders
-    take no BLAS product; the encoder's (``pc_encode``, under random
-    transmission) is large enough for OpenBLAS to start threads of its
-    own, which stall a serial run and oversubscribe the cores that a
-    pool's workers share. (When the syndromes were a GEMM too, an m=6 ibdd
-    point of 256 frames took up to 5x longer on 2 cores, and a pooled C5
-    smoke point 3x.) Does nothing when numpy uses another BLAS."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "lib*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
 
 
 def _steady_heap() -> None:

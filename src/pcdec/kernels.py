@@ -16,8 +16,9 @@ one mean failure. Past the table a key of 0 is a codeword, and each
 nonzero key is decoded on its own by the scalar Berlekamp-Massey/Chien
 core of ``bch.bdd``, which takes the odd syndromes and the parity as the
 key holds them. ``kernel_for`` keeps
-one kernel per code. Encoding is one GF(2) product with the systematic
-generator matrix, built from ``bch.encode`` on first use.
+one kernel per code. The systematic encoder reads a codeword the same
+way, as the XOR of the codewords of its message's bytes, from a table
+built from ``bch.encode`` on first use.
 
 The keys are int64 words of 63 bits (one word for m*t < 63); a
 non-extended code leaves out the parity, so a key is 0 exactly for a
@@ -61,47 +62,33 @@ class ComponentKernel:
         field = spec.field
         m = field.m
 
-        # bits of alpha^(j*p) for the odd syndromes j = 1, 3, ..., 2t-1,
-        # one m-bit block per j, plus a final overall-parity column
-        pos = np.arange(spec.inner_n, dtype=np.int64)
-        blocks = []
-        for j in range(1, 2 * spec.t, 2):
-            vals = field.antilog_table[(j * pos) % field.order]
-            blocks.append(((vals[:, None] >> np.arange(m)[None, :]) & 1))
-        smat = np.concatenate(blocks + [np.ones((spec.inner_n, 1), dtype=np.int64)],
-                              axis=1)
+        # bit i of a single error's key is bit i % 63 of word i // 63: bit
+        # i % m of alpha^((2j+1)p), j = i // m, for the t odd syndromes, then
+        # the overall parity, which a non-extended code leaves out
+        pos = np.arange(spec.inner_n)
+        bits = np.zeros((spec.n, -(-(m * spec.t + spec.extended) // 63) * 63), dtype=np.int64)
+        for j in range(spec.t):
+            vals = field.antilog_table[((2 * j + 1) * pos) % field.order]
+            bits[:spec.inner_n, j * m:(j + 1) * m] = vals[:, None] >> np.arange(m) & 1
         if spec.extended:
-            ext_row = np.zeros((1, smat.shape[1]), dtype=np.int64)
-            ext_row[0, -1] = 1
-            smat = np.concatenate([smat, ext_row], axis=0)
-        # syndrome bit i is bit i % 63 of key word i // 63; a non-extended
-        # code leaves out the parity, its last bit
-        keyed = np.arange(m * spec.t + spec.extended)
-        pack = np.zeros((smat.shape[1], -(-len(keyed) // 63)), dtype=np.int64)
-        pack[keyed, keyed // 63] = 1 << keyed % 63
+            bits[:, m * spec.t] = 1
         # (n, W) the key of a single error at each of the n positions
-        self.col_keys = smat @ pack
+        self.col_keys = (bits.reshape(spec.n, -1, 63) << np.arange(63)).sum(axis=-1)
 
     @cached_property
     def _byte_keys(self) -> np.ndarray:
-        """(ceil(n/8)*256, W): entry 256c + v is the key of the word whose
-        bits 8c..8c+7 are those of the byte value v (bit b at position
-        8c + b) and whose other bits are 0, the XOR of ``col_keys`` over
-        them; bits past n add nothing."""
-        n, width = self.col_keys.shape
-        single = np.zeros((-(-n // 8) * 8, width), dtype=np.int64)
-        single[:n] = self.col_keys
-        single = single.reshape(-1, 8, 1, width)
-        table = np.zeros((len(single), 256, width), dtype=np.int64)
-        for b in range(8):
-            table[:, 1 << b:2 << b] = table[:, :1 << b] ^ single[:, b]
-        return table.reshape(-1, width)
+        """``_byte_table`` of ``col_keys``, the keys of the bytes of a word."""
+        return _byte_table(self.col_keys)
 
     @cached_property
-    def _generator(self) -> np.ndarray:
-        """k x n generator matrix: row i is bch.encode of unit message i."""
-        eye = np.eye(self.spec.k, dtype=np.uint8)
-        return np.stack([bch.encode(self.spec, e) for e in eye]).astype(np.float32)
+    def _byte_codewords(self) -> np.ndarray:
+        """``_byte_table`` of the codewords of the k unit messages (from
+        ``bch.encode``), each padded to whole 64-bit words and packed
+        little-endian, (ceil(k/8)*256, ceil(n/64)) "<u8"."""
+        spec = self.spec
+        rows = np.zeros((spec.k, -(-spec.n // 64) * 64), dtype=np.uint8)
+        rows[:, :spec.n] = [bch.encode(spec, e) for e in np.eye(spec.k, dtype=np.uint8)]
+        return _byte_table(np.packbits(rows, axis=-1, bitorder="little").view("<u8"))
 
     @cached_property
     def _leaders(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +119,15 @@ class ComponentKernel:
                 ok.reshape(-1))
 
     def encode(self, messages: np.ndarray) -> np.ndarray:
-        """Systematic encoding of each row of a (rows, k) 0/1 matrix;
-        equal to bch.encode row by row."""
-        cw = messages.astype(np.float32) @ self._generator
-        return (cw.astype(np.int64) & 1).astype(np.uint8)
+        """Systematic encoding of each row of messages (..., k), 0/1 values
+        of any dtype; equal to bch.encode row by row. A codeword is the XOR
+        of the ``_byte_codewords`` entries of its message's bytes, packed
+        from a contiguous copy (packing a transposed view takes twice as long)."""
+        packed = np.packbits(np.ascontiguousarray(messages, dtype=np.uint8), axis=-1,
+                             bitorder="little")
+        words = _table_xor(self._byte_codewords, packed, axis=-1)
+        return np.unpackbits(words.view(np.uint8), axis=-1, count=self.spec.n,
+                             bitorder="little")
 
     def keys(self, words: np.ndarray, columns: bool = False) -> np.ndarray:
         """Per row of ``words`` (..., n), or with ``columns`` per column of
@@ -150,23 +142,13 @@ class ComponentKernel:
         without a transpose of the stack."""
         packed = np.packbits(np.asarray(words, dtype=np.uint8), axis=-1, bitorder="little")
         if columns:
-            return self._table_keys(_column_bytes(packed, self.spec.n), axis=-2)
-        return self._table_keys(packed, axis=-1)
+            return _table_xor(self._byte_keys, _column_bytes(packed, self.spec.n), axis=-2)
+        return _table_xor(self._byte_keys, packed, axis=-1)
 
     def line_keys(self, stack: np.ndarray) -> np.ndarray:
         """(B, 2, n, W) keys of the rows (index 0 of axis 1) and of the
         columns (index 1) of every frame of a (B, n, n) stack."""
         return np.stack([self.keys(stack), self.keys(stack, columns=True)], axis=1)
-
-    def _table_keys(self, packed: np.ndarray, axis: int) -> np.ndarray:
-        """The keys (..., W) of the lines whose bytes, byte c holding
-        positions 8c..8c+7, run along ``axis`` (-1 or -2) of ``packed``:
-        the XOR of their ``_byte_keys`` entries. Table indices fit uint16
-        for every n <= 1024 (m <= 10)."""
-        count = packed.shape[axis]
-        offsets = np.arange(0, 256 * count, 256, dtype=np.uint16).reshape((-1,) + (1,) * ~axis)
-        return np.bitwise_xor.reduce(np.take(self._byte_keys, packed + offsets, axis=0),
-                                     axis=axis - 1)
 
     def corrections(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per line, from its key (..., W): the positions to flip (..., t),
@@ -247,6 +229,32 @@ class ComponentKernel:
         np.maximum(support[1:], pair, out=support[1:])
         np.maximum(support[:-1], pair, out=support[:-1])
         return support, ok, _support_sum(weights, support)
+
+
+def _byte_table(single: np.ndarray) -> np.ndarray:
+    """(ceil(N/8)*256, W) of single's dtype from the images single (N, W)
+    of the N unit bit vectors under a GF(2)-linear map: entry 256c + v is
+    the image of the vector whose bits 8c..8c+7 are those of the byte value
+    v (bit b at position 8c + b) and whose other bits are 0, the XOR of the
+    images of its bits; bits past N add nothing."""
+    n, width = single.shape
+    padded = np.zeros((-(-n // 8) * 8, width), dtype=single.dtype)
+    padded[:n] = single
+    padded = padded.reshape(-1, 8, 1, width)
+    table = np.zeros((len(padded), 256, width), dtype=single.dtype)
+    for b in range(8):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ padded[:, b]
+    return table.reshape(-1, width)
+
+
+def _table_xor(table: np.ndarray, packed: np.ndarray, axis: int) -> np.ndarray:
+    """The images (..., W) under ``table`` (``_byte_table``) of the vectors
+    whose bytes, byte c holding positions 8c..8c+7, run along ``axis`` (-1
+    or -2) of ``packed``: the XOR of their table entries. Table indices fit
+    uint16 for every vector of at most 1024 bits (n, k for m <= 10)."""
+    count = packed.shape[axis]
+    offsets = np.arange(0, 256 * count, 256, dtype=np.uint16).reshape((-1,) + (1,) * ~axis)
+    return np.bitwise_xor.reduce(np.take(table, packed + offsets, axis=0), axis=axis - 1)
 
 
 @cache

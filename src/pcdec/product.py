@@ -25,7 +25,7 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
 
 * ``_key_stack``    -- BDD from the syndrome key of every row and column,
                        computed once per stack and updated per bit flip
-                       (no syndrome product, transpose or codeword check
+                       (no key computation, transpose or codeword check
                        per half-step); a line rule gets the dense BDD
                        result of every line of the pass (its flips, n in
                        unused slots, and success), picks the flips, and a
@@ -46,7 +46,7 @@ Two half-steps are shared, and ``ibdd_sr`` brings its own:
   - ``igmdd_sr``      GMD, ext = w * mubar, decisions B(L + ext);
   - ``tpd.tpd_stack`` Chase-Pyndiah, ext = the damped extrinsic.
 * ``ibdd_sr``       -- the lines of the messages decoded in place from
-                       their keys, one syndrome product per pass and the
+                       their keys, one key computation per pass and the
                        same dense BDD result and flips as ``ibdd``; the
                        message psi = B(w * mubar + L) keeps a decoded bit
                        only where |L| < w. Carried keys (``_key_stack``)
@@ -136,8 +136,8 @@ def check_w(w, l_max: int) -> tuple[float, ...]:
 
 def pc_encode(spec: ProductCodeSpec, info: np.ndarray) -> np.ndarray:
     """Systematic product encoding: encode the k info rows, then every
-    column, each pass as one product with the component generator matrix.
-    Linearity makes the row/column order irrelevant."""
+    column, each pass as one ``ComponentKernel.encode`` of the stacked
+    lines. Linearity makes the row/column order irrelevant."""
     comp = spec.component
     info = np.asarray(info)
     if info.shape != (comp.k, comp.k):
@@ -309,7 +309,7 @@ def _key_stack(spec: ProductCodeSpec, dec: np.ndarray, l_max: int, rule,
     gives no flips and ok. ``rule(s, half, cp, ok, ops)`` may write to both,
     which are new per half-step, and returns the flips (frame, line,
     position) to make; each goes through ``_flip``, so the keys follow dec
-    with no syndrome product, transpose or codeword check per half-step. A
+    with no key computation, transpose or codeword check per half-step. A
     frame stops once all 2n keys vanish."""
     kern = kernel_for(spec.component)
 

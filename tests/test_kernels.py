@@ -285,18 +285,25 @@ def test_keys_equal_the_xor_of_single_error_keys(code, frames, flat, dtype, dens
     assert np.array_equal(kern.line_keys(stack), np.stack([rows, columns], axis=1))
 
 
-@pytest.mark.parametrize("t", [2, 3])
-@pytest.mark.parametrize("extend", [False, True])
-@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("m, t, extend", [
+    *((m, t, extend) for m in (3, 4, 5, 6, 7, 8) for t in (2, 3) for extend in (False, True)),
+    # n = 1024: 16 table words, none padded; k = 1003 ends in a partial byte
+    (10, 2, True),
+])
 def test_generator_encode_matches_scalar(m, t, extend):
+    # m = 3: n < 64, so the one table word is padded
     spec = construct_ebch(build_field(m), t, extend=extend)
     kern = kernel_for(spec)
     rng = np.random.default_rng([26, m, t, extend])
     msgs = np.concatenate([np.eye(spec.k, dtype=np.uint8),
                            rng.integers(0, 2, (40, spec.k)).astype(np.uint8)])
-    out = kern.encode(msgs)
-    assert out.dtype == np.uint8
-    assert np.array_equal(out, np.stack([encode(spec, msg) for msg in msgs]))
+    expected = np.stack([encode(spec, msg) for msg in msgs])
+    for dtype in (np.uint8, bool, np.int64, np.float64):
+        out = kern.encode(msgs.astype(dtype))
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, expected)
+        stack = kern.encode(msgs[-40:].astype(dtype).reshape(2, 20, spec.k))
+        assert np.array_equal(stack, expected[-40:].reshape(2, 20, spec.n))
 
 
 @st.composite
